@@ -282,15 +282,25 @@ def _embed_grid_vector(values: np.ndarray, n: int) -> np.ndarray:
     return full
 
 
+def _walk_basis(eigs: EigenData, n: int) -> np.ndarray:
+    """Real orthogonal V with U**k = V diag(phases) V^T for every walk power.
+
+    Column 0 is the empty |0> slot; columns 1.. are the eigenvectors.
+    """
+    dim = 2 ** n
+    basis = np.zeros((dim, dim))
+    basis[0, 0] = 1.0
+    basis[1:, 1:] = eigs.vectors
+    return basis
+
+
 def _spectral_powers(
     eigs: EigenData, fmt: FixedPointFormat, n: int, phase_mode: str
 ) -> list[np.ndarray]:
     """Matrices U**(2**k) for k = 0..m-1 from the spectral definition."""
     m = fmt.total_bits
     dim = 2 ** n
-    basis = np.zeros((dim, dim))
-    basis[0, 0] = 1.0
-    basis[1:, 1:] = eigs.vectors
+    basis = _walk_basis(eigs, n)
     if phase_mode == "encoded":
         encoded = [int(amplify_encode(lam, fmt), 2) for lam in eigs.lambdas]
     elif phase_mode == "true_a":
@@ -413,8 +423,10 @@ def build_pipeline(
     """Full solver circuit: load b, estimate phases, rotate, uncompute.
 
     The solution stays in reg B conditioned on the ancilla reading 1.  The
-    returned circuit's metadata records the resolved mode, the format, and
-    the angle table used by the rotation stage.
+    returned circuit's metadata records the resolved mode, the format, the
+    angle table used by the rotation stage, and the walk eigenbasis V
+    ("walk_basis") that the simulator uses to run the walk powers as
+    diagonals.
     """
     if system.d != 1:
         raise ValueError("quantum builders handle d = 1 only")
@@ -453,6 +465,7 @@ def build_pipeline(
         "angle_bits": fmt.angle_bits,
         "table": table,
         "eigs": eigs,
+        "walk_basis": _walk_basis(eigs, system.n),
     }
     return Circuit(layout=layout, gates=tuple(gates), metadata=metadata)
 
@@ -489,5 +502,6 @@ def build_phase_verification(
         "angle_bits": fmt.angle_bits,
         "table": build_angle_table(eigs.lambdas, fmt),
         "eigs": eigs,
+        "walk_basis": _walk_basis(eigs, system.n),
     }
     return Circuit(layout=layout, gates=tuple(gates), metadata=metadata)

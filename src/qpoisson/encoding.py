@@ -197,8 +197,10 @@ def build_angle_table(lambdas: Iterable[float], fmt: FixedPointFormat) -> AngleT
     )
     encoded_omegas = tuple(encode_angle(om, fmt.angle_bits) for om in omegas)
     kept_columns = prune_zero_columns(encoded_omegas)
-    assert all(0.0 < om <= 0.5 for om in omegas)
-    assert all(col <= fmt.angle_bits for col in kept_columns)
+    if not all(0.0 < om <= 0.5 for om in omegas):
+        raise RuntimeError(f"angular coefficients outside (0, 1/2]: {omegas}")
+    if not all(col <= fmt.angle_bits for col in kept_columns):
+        raise RuntimeError(f"kept columns {kept_columns} exceed l = {fmt.angle_bits}")
     return AngleTable(
         omegas=omegas,
         encoded_omegas=encoded_omegas,

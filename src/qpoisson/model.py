@@ -152,7 +152,8 @@ def _solve_tridiagonal(system: PoissonSystem) -> np.ndarray:
     dp[0] = b[0] / diag
     for i in range(1, dim):
         den = diag - lower * cp[i - 1]
-        assert abs(den) > 0.0, "stencil is positive definite; elimination cannot break down"
+        if not abs(den) > 0.0:
+            raise RuntimeError("zero pivot; the positive definite stencil cannot produce one")
         cp[i] = upper / den
         dp[i] = (b[i] - lower * dp[i - 1]) / den
     x = np.empty(dim)

@@ -2,15 +2,54 @@
 
 Amplitudes live in one complex128 array of length 2**q.  Bit (q-1-g) of a
 basis index belongs to qubit g, so qubit 0 is the most significant bit,
-matching the circuit module's convention.  Gates act in place: the buffer is
-reshaped to [2]*q, the control axes are sliced away (a gate only ever touches
-the amplitudes its control pattern selects), and the target axes are updated
-through the resulting views.  Peak scratch is one copy of the touched block.
+matching the circuit module's convention.
+
+apply_gate is the reference kernel: it applies one gate in place by slicing
+away the control axes and updating the target axes through the resulting
+views.  fragment_unitary and the tests use it.
+
+run_exact does not replay gates one at a time.  lower() turns the gate list
+into a short plan of fused passes, and run_exact executes each pass on one
+buffer as the planner emits it; the IR itself is never changed.  The
+lowering rules, each exact:
+
+- SWAP relabels which buffer axis holds which qubit and moves no data.
+- X is kept as a per-qubit Pauli frame.  It flips the control value that
+  later controlled gates test, flips diagonal tables, negates Ry angles on
+  its qubit, and is applied as data only before a Hadamard on that qubit.
+- A multi-controlled X is kept pending as a conditional frame term.  A Ry
+  controlled on its target reads the target through the term, which makes
+  it a multiplexed Ry over the term's controls too, and the explicit
+  rotation's unloading MCX cancels the term.  A term is applied as data
+  only before a gate that would break that bookkeeping.
+- A run of diagonal gates (controlled phases, diagonal CUs, PHASE) becomes
+  one DIAG pass: a precomputed phase table broadcast over the state.
+- A run of (multi-)controlled Ry gates on one target becomes one RY pass: a
+  multiplexed rotation with one angle per pattern of the union of controls.
+- An uncontrolled dense CU (state preparation) stays pending until a gate
+  needs its qubits.  The QPE walk powers U**(2**k) = V D_k V^T share the
+  eigenbasis V that the builders record in metadata["walk_basis"]; once V^T
+  M V is checked diagonal, a walk power becomes a controlled diagonal in
+  that basis.  The planner emits V^T (with the pending state preparation
+  folded in) once, and V once after uncompute, since the rotation between
+  them never touches reg B.  Without the metadata, or when the check fails,
+  the gate runs as a generic dense pass.
+- A gate run that is exactly circuit.qft_fragment(register), or its
+  inverse, becomes one QFT pass (numpy's FFT, orthonormal) when the
+  register sits on consecutive axes in order; otherwise its gates are
+  lowered one by one.
+- H runs in place as (a, b) -> (a + b, a - b); the 1/sqrt(2) factors are
+  folded into the next pass that rescales the whole state.  Hadamards on
+  the untouched |0...0> state and the first state preparation only build a
+  product state, which one PREP pass writes directly.
+
+Kernels that sweep the same data several times (H, X, RY, dense blocks, the
+FFT) work through it in cache-sized blocks, so no pass allocates a copy of
+the state; the largest temporaries are 4 MiB phase tables and FFT blocks.
 
 Sampling draws independent measurement records from the exact final
-distribution with numpy's PCG64 generator; a fixed seed reproduces results
-bit for bit.  Shots could be split across per-shot derived streams without
-changing any statistics, since records never interact.
+distribution with numpy's PCG64 generator, as one multinomial draw over the
+measured outcomes; a fixed seed reproduces results bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +70,9 @@ __all__ = [
     "RunResult",
     "zero_state",
     "apply_gate",
+    "Pass",
+    "Plan",
+    "lower",
     "run_exact",
     "postselect",
     "register_probabilities",
@@ -179,41 +221,738 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     return state
 
 
+# -- execution plan ------------------------------------------------------------
+
+# Amplitudes per cache block in the kernels that make several sweeps over the
+# same data (H, X, multiplexed Ry, dense blocks).
+_CHUNK = 1 << 14
+# Contiguous runs at least this long are swept as separate 1-D slices.
+_LONG_RUN = 1 << 10
+# Widest fused diagonal or multiplexor table, in qubits (2**18 complex128 =
+# 4 MiB); a longer run is split into several passes.
+_TABLE_QUBITS = 18
+# A diagonal table also spans the free axes below it when they are fewer than
+# this many amplitudes, so its innermost loop is not a handful of elements.
+_SHORT_TAIL = 32
+# Off-diagonal tolerance of V^T M V before a CU runs in the walk eigenbasis.
+_BASIS_TOL = 1e-12
+# Hadamards whose 1/sqrt(2) may stay pending before a separate scale pass.
+_MAX_PENDING_H = 512
+# Amplitudes per np.fft call of a QFT pass (4 MiB of complex128).
+_DFT_BLOCK = 1 << 18
+
+
+@dataclass(frozen=True, eq=False)
+class Pass:
+    """One fused sweep over the state, in physical axes.
+
+    kind is H (axes = (target,)), X (target, with controls/values), DIAG
+    (data: phase table over axes), RY (target; data[0] and data[1]: cos and
+    sin tables over the control axes), DENSE (matrix over target axes, with
+    controls/values), SCALE (data: the factor), QFT or IQFT (the Fourier
+    transform of qft_fragment, or its inverse, over consecutive axes), or
+    PREP, which writes a product state into the |0...0> buffer: data (a
+    vector, MSB first) on axes, the unnormalized (1, 1) on each of
+    controls, 0 on the rest.
+    """
+
+    kind: str
+    axes: tuple[int, ...] = ()
+    controls: tuple[int, ...] = ()
+    values: tuple[int, ...] = ()
+    data: np.ndarray | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """Fused passes for a circuit; order[l] is the final axis of qubit l."""
+
+    q: int
+    passes: tuple[Pass, ...]
+    order: tuple[int, ...]
+
+    def counts(self) -> dict[str, int]:
+        out: dict[str, int] = {}
+        for p in self.passes:
+            out[p.kind] = out.get(p.kind, 0) + 1
+        return out
+
+
+def _flip_matrix(dim: int, mask: int) -> np.ndarray:
+    """Permutation P with (P v)[x] = v[x ^ mask]: X on the masked targets."""
+    return np.eye(dim)[[x ^ mask for x in range(dim)]]
+
+
+class _Planner:
+    """Lowers gates to passes, tracking four things that cost no data movement.
+
+    - phys[l]: the state axis holding logical qubit l; SWAP only relabels.
+    - frame[l]: a pending X on qubit l.  A pending X flips the control value
+      later gates see, flips diagonal tables and negates Ry angles on its
+      target, conjugates dense matrices, and is applied as data only before
+      a Hadamard on that qubit.
+    - cond[axis]: pending multi-controlled X gates on that axis, as (control
+      axes, control values) terms; a repeated term cancels.  While no term's
+      target is another term's control they all commute, and a Ry
+      controlled on a pending target becomes a multiplexed Ry over its
+      controls and theirs.  The explicit rotation's loads and unloads
+      cancel this way, so the whole stage is one RY pass.  A term is applied
+      as data once a gate would change one of its control values or reads
+      its target in any other way.
+    - pending: an uncontrolled dense unitary on a target tuple, applied
+      lazily.  A controlled CU that V^T M V = D diagonalizes (V the walk
+      eigenbasis) becomes a controlled diagonal once pending holds V, so the
+      walk powers cost one V^T (with load_b folded in), diagonal passes, and
+      one V at the end.
+
+    Consecutive diagonal gates fuse into one DIAG pass, and consecutive
+    (multi-)controlled Ry gates on one target into one multiplexed RY pass.
+    Every Hadamard's 1/sqrt(2) is folded into the next pass that rescales
+    the whole state.  A whole Fourier fragment (see _fourier_at) becomes one
+    QFT pass.  Hadamards on the untouched |0...0> state, and the first
+    uncontrolled dense pass on other qubits, only build a product state, so
+    they become one PREP pass that writes it.
+    """
+
+    def __init__(self, q: int, basis: np.ndarray | None, sink):
+        self.q = q
+        self.sink = sink  # receives each pass as soon as it is final
+        # tables stay at a quarter of the state or less
+        self.table_qubits = min(_TABLE_QUBITS, q - 2)
+        self.phys = list(range(q))
+        self.frame = [0] * q
+        if basis is not None:
+            # only a real orthogonal V turns V^T M V into M's spectrum
+            basis = np.asarray(basis)
+            square = basis.ndim == 2 and basis.shape[0] == basis.shape[1]
+            if np.iscomplexobj(basis) or not square or np.max(
+                np.abs(basis.T @ basis - np.eye(len(basis)))
+            ) > _BASIS_TOL:
+                basis = None
+        self.basis = basis
+        self.fresh: list[int] | None = []  # H axes applied to |0...0> so far
+        self.cond: dict[int, set] = {}
+        self.run: list | None = None  # ["DIAG", terms] or ["RY", target axis, terms]
+        self.pending: list | None = None  # [targets, matrix, holds the basis]
+        self.h_count = 0
+
+    # -- emission -------------------------------------------------------------
+    def _scale(self) -> float:
+        factor, self.h_count = 0.5 ** (self.h_count / 2), 0
+        return factor
+
+    def _emit(self, p: Pass) -> None:
+        if self.fresh is not None:
+            if p.kind == "H" and p.axes[0] not in self.fresh:
+                self.fresh.append(p.axes[0])
+                return
+            p = self._prep(p)
+            if p is None:
+                return
+        self.sink(p)
+
+    def _prep(self, p: Pass | None) -> Pass | None:
+        """End the product-state prologue: emit PREP, maybe absorbing p."""
+        spread, self.fresh = tuple(self.fresh), None
+        absorbs = p is not None and p.kind == "DENSE" and not p.controls
+        if absorbs and not set(p.axes) & set(spread):
+            self.sink(Pass("PREP", p.axes, spread, data=p.data[:, 0].copy()))
+            return None
+        if spread:
+            self.sink(Pass("PREP", (), spread))
+        return p
+
+    def _close(self) -> None:
+        run, self.run = self.run, None
+        if run is None:
+            return
+        if run[0] == "DIAG":
+            axes, table = _diag_table(run[1], self.q, self._scale(), self.table_qubits)
+            self._emit(Pass("DIAG", axes, data=table))
+        else:
+            axes, data = _ry_table(run[2], self._scale())
+            self._emit(Pass("RY", (run[1],), axes, data=data))
+
+    def _dense(self, targets, matrix, controls=(), values=()) -> None:
+        self._close()
+        if not controls and self.h_count:
+            matrix = matrix * self._scale()
+        axes = tuple(self.phys[t] for t in targets)
+        ctrl = tuple(self.phys[c] for c in controls)
+        self._emit(Pass("DENSE", axes, ctrl, tuple(values), np.asarray(matrix, dtype=complex)))
+
+    def _flush(self, qubits=None) -> None:
+        """Apply the pending dense unitary (only if it touches `qubits`)."""
+        if self.pending is None:
+            return
+        targets, matrix, _ = self.pending
+        if qubits is not None and not set(qubits) & set(targets):
+            return
+        self.pending = None
+        self._dense(targets, matrix)
+
+    def _take_frames(self, targets) -> np.ndarray:
+        """Clear the X frame on targets, returning it as a permutation matrix."""
+        t = len(targets)
+        mask = 0
+        for pos, q in enumerate(targets):
+            if self.frame[q]:
+                mask |= 1 << (t - 1 - pos)
+                self.frame[q] = 0
+        return _flip_matrix(2 ** t, mask)
+
+    def _settle(self, targets=(), controls=()) -> None:
+        """Apply pending MCX terms that target `targets` or read `controls`."""
+        targets, controls = set(targets), set(controls)
+        for axis in list(self.cond):
+            terms = self.cond[axis]
+            due = terms if axis in targets else {t for t in terms if controls & set(t[0])}
+            for ctrl, values in sorted(due):
+                self._close()
+                self._emit(Pass("X", (axis,), ctrl, values))
+            terms -= due
+            if not terms:
+                del self.cond[axis]
+
+    def _value(self, axis: int, axes) -> np.ndarray:
+        """Value of `axis` once its pending MCX terms apply, over `axes` bits."""
+        shape = [1] * len(axes)
+        shape[axes.index(axis)] = 2
+        value = np.arange(2).reshape(shape)
+        for ctrl, values in self.cond.get(axis, ()):
+            hit = np.ones([1] * len(axes), dtype=bool)
+            for c, v in zip(ctrl, values):
+                shape = [1] * len(axes)
+                shape[axes.index(c)] = 2
+                hit = hit & (np.arange(2).reshape(shape) == v)
+            value = value ^ hit
+        return value
+
+    # -- fused runs -----------------------------------------------------------
+    def _diag(self, qubits, table: np.ndarray) -> None:
+        """Diagonal factor table[bits of qubits] on logical qubits."""
+        self._settle([self.phys[q] for q in qubits])
+        table = table.reshape((2,) * len(qubits))
+        flips = tuple(k for k, q in enumerate(qubits) if self.frame[q])
+        if flips:
+            table = np.flip(table, axis=flips)
+        axes = [self.phys[q] for q in qubits]
+        order = np.argsort(axes)
+        term = (tuple(axes[k] for k in order), np.transpose(table, order))
+        if self.run is not None and self.run[0] == "DIAG":
+            union = set(term[0]).union(*(a for a, _ in self.run[1]))
+            if len(union) <= self.table_qubits:
+                self.run[1].append(term)
+                return
+        self._close()
+        self.run = ["DIAG", [term]]
+
+    def _controlled_diag(self, controls, targets, diag: np.ndarray) -> None:
+        """diag on targets where every control is 1, identity elsewhere."""
+        table = np.ones((2,) * len(controls) + (diag.size,), dtype=complex)
+        table[(1,) * len(controls)] = diag
+        self._diag(controls + targets, table)
+
+    def _ry(self, controls, target: int, angle: float) -> None:
+        if self.frame[target]:
+            angle = -angle  # X Ry(a) X = Ry(-a)
+        axis = self.phys[target]
+        self._settle((axis,), (axis,))
+        ctrl = [self.phys[c] for c in controls]
+        axes = sorted(set(ctrl).union(*(t[0] for c in ctrl for t in self.cond.get(c, ()))))
+        hit = np.ones((2,) * len(axes), dtype=bool)
+        for c, q in zip(ctrl, controls):
+            hit &= self._value(c, axes) == 1 - self.frame[q]
+        term = (tuple(axes), hit, angle)
+        if self.run is not None and self.run[0] == "RY" and self.run[1] == axis:
+            union = set(term[0]).union(*(a for a, _, _ in self.run[2]))
+            if len(union) <= self.table_qubits:
+                self.run[2].append(term)
+                return
+        self._close()
+        self.run = ["RY", axis, [term]]
+
+    # -- gates ----------------------------------------------------------------
+    def _defer_cu(self, gate: Gate) -> bool:
+        """Keep an uncontrolled CU pending, or run a walk power as a diagonal."""
+        controls, targets, matrix = gate.controls, gate.targets, gate.matrix
+        pending = self.pending
+        if not controls:
+            if pending is not None and pending[0] != targets:
+                self._flush()
+                pending = None
+            if pending is None:
+                self.pending = [targets, matrix @ self._take_frames(targets), False]
+            else:
+                pending[1], pending[2] = matrix @ pending[1], False
+            return True
+        basis = self.basis
+        if basis is None or matrix.shape != basis.shape:
+            return False
+        if pending is not None and pending[0] != targets:
+            return False
+        rotated = basis.T @ matrix @ basis
+        diag = np.diagonal(rotated).copy()
+        if np.max(np.abs(rotated - np.diag(diag))) > _BASIS_TOL:
+            return False
+        if pending is None or not pending[2]:
+            start = self._take_frames(targets) if pending is None else pending[1]
+            self.pending = None
+            self._dense(targets, basis.T @ start)
+            self.pending = [targets, basis, True]
+        self._controlled_diag(controls, targets, diag)
+        return True
+
+    def _x(self, target: int) -> None:
+        pending = self.pending
+        if pending is not None and target in pending[0]:
+            t = len(pending[0])
+            mask = 1 << (t - 1 - pending[0].index(target))
+            pending[1], pending[2] = _flip_matrix(2 ** t, mask) @ pending[1], False
+        else:
+            self.frame[target] ^= 1
+
+    def add(self, gate: Gate) -> None:
+        kind = gate.kind
+        if kind == cg.CONTROLLED_UNITARY:
+            axes = [self.phys[t] for t in gate.targets]
+            self._settle(axes + [self.phys[c] for c in gate.controls], axes)
+            if self._defer_cu(gate):
+                return
+        if kind == cg.PAULI_X or (kind == cg.MULTI_CONTROLLED_X and not gate.controls):
+            self._x(gate.targets[0])
+            return
+        # apply_gate reads controls only for the controlled kinds
+        if kind in (cg.MULTI_CONTROLLED_X, cg.MULTI_CONTROLLED_RY, cg.CONTROLLED_UNITARY):
+            controls = gate.controls
+        else:
+            controls = ()
+        self._flush(controls + gate.targets)
+        if kind == cg.HADAMARD:
+            t = gate.targets[0]
+            self._settle((self.phys[t],), (self.phys[t],))
+            self._close()
+            if self.frame[t]:
+                self.frame[t] = 0
+                self._emit(Pass("X", (self.phys[t],)))
+            self._emit(Pass("H", (self.phys[t],)))
+            self.h_count += 1
+            if self.h_count >= _MAX_PENDING_H:
+                self._emit(Pass("SCALE", data=np.asarray(self._scale())))
+        elif kind == cg.SWAP:
+            a, b = gate.targets
+            self.phys[a], self.phys[b] = self.phys[b], self.phys[a]
+            self.frame[a], self.frame[b] = self.frame[b], self.frame[a]
+        elif kind == cg.RY:
+            self._ry((), gate.targets[0], gate.angle)
+        elif kind == cg.MULTI_CONTROLLED_RY:
+            self._ry(controls, gate.targets[0], gate.angle)
+        elif kind == cg.PHASE:
+            self._diag(gate.targets, np.array([1.0, np.exp(1j * gate.angle)]))
+        elif kind == cg.MULTI_CONTROLLED_X:
+            axis = self.phys[gate.targets[0]]
+            ctrl = tuple(self.phys[c] for c in controls)
+            self._settle(ctrl, (axis,))
+            values = tuple(1 - self.frame[c] for c in controls)
+            order = sorted(range(len(ctrl)), key=ctrl.__getitem__)
+            term = (tuple(ctrl[k] for k in order), tuple(values[k] for k in order))
+            self.cond.setdefault(axis, set()).symmetric_difference_update({term})
+            if not self.cond[axis]:
+                del self.cond[axis]
+        elif kind == cg.CONTROLLED_UNITARY:
+            m = gate.matrix
+            diag = np.diagonal(m)
+            if not np.any(m - np.diag(diag)):
+                self._controlled_diag(controls, gate.targets, diag)
+            else:
+                t = len(gate.targets)
+                mask = sum(
+                    1 << (t - 1 - pos) for pos, q in enumerate(gate.targets) if self.frame[q]
+                )
+                flip = _flip_matrix(2 ** t, mask)
+                values = tuple(1 - self.frame[c] for c in controls)
+                self._dense(gate.targets, flip @ m @ flip, controls, values)
+        else:
+            raise ValueError(f"unknown gate kind {kind}")
+
+    def add_qft(self, register, inverse: bool) -> bool:
+        """One QFT pass for a whole Fourier fragment, if its axes allow it."""
+        axes = [self.phys[q] for q in register]
+        if axes != list(range(axes[0], axes[0] + len(axes))) or any(
+            self.frame[q] for q in register
+        ):
+            return False
+        self._flush(register)
+        self._settle(axes, axes)
+        self._close()
+        self._emit(Pass("IQFT" if inverse else "QFT", tuple(axes)))
+        return True
+
+    def finish(self) -> tuple[int, ...]:
+        """Emit what is still pending; return the final axis of each qubit."""
+        self._flush()
+        self._settle(range(self.q))
+        self._close()
+        for q, bit in enumerate(self.frame):
+            if bit:
+                self._emit(Pass("X", (self.phys[q],)))
+        if self.h_count:
+            self._emit(Pass("SCALE", data=np.asarray(self._scale())))
+        if self.fresh is not None:
+            self._prep(None)
+        return tuple(self.phys)
+
+
+def _diag_table(terms, q: int, scale: float, cap: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """scale times the product of diagonal terms, over the union of their axes."""
+    axes, table = [], np.full((), scale, dtype=complex)
+    for term_axes, values in terms:
+        # widen the table only as far as the terms so far reach
+        union = sorted(set(axes).union(term_axes))
+        if union != axes:
+            table = table.reshape([2 if a in axes else 1 for a in union])
+        table = table * values.reshape([2 if a in term_axes else 1 for a in union])
+        axes = union
+    tail = q - 1 - axes[-1]
+    if 0 < tail and 2 ** tail < _SHORT_TAIL and len(axes) + tail <= cap:
+        table = np.ascontiguousarray(
+            np.broadcast_to(table.reshape(table.shape + (1,) * tail), table.shape + (2,) * tail)
+        )
+        axes += range(axes[-1] + 1, q)
+    return tuple(axes), table
+
+
+def _ry_table(terms, scale: float) -> tuple[tuple[int, ...], np.ndarray]:
+    """Summed Ry angle per control pattern, as stacked scale*(cos, sin) tables."""
+    axes = sorted(set().union(*(a for a, _, _ in terms)))
+    angles = np.zeros((2,) * len(axes))
+    for term_axes, hit, angle in terms:
+        angles += angle * hit.reshape([2 if a in term_axes else 1 for a in axes])
+    return tuple(axes), scale * np.stack([np.cos(angles / 2), np.sin(angles / 2)]).astype(complex)
+
+
+def _same_gate(a: Gate, b: Gate) -> bool:
+    if (a.kind, a.targets, a.controls) != (b.kind, b.targets, b.controls):
+        return False
+    if abs(a.angle - b.angle) > 1e-12:
+        return False
+    return a.matrix is None or float(np.max(np.abs(a.matrix - b.matrix))) <= 1e-12
+
+
+def _fourier_at(gates: Sequence[Gate], i: int):
+    """(register, inverse, length) if gates[i:] is a qft_fragment or its inverse.
+
+    The register is read off the gates, then the whole fragment is compared
+    gate by gate (angles and matrices to 1e-12) with what the builder emits.
+    """
+    def kind(j):
+        return gates[j].kind if j < len(gates) else None
+
+    candidates = []
+    if kind(i) == cg.HADAMARD:  # forward: H(Q0), then phases controlled by Q1, Q2, ...
+        register = [gates[i].targets[0]]
+        j = i + 1
+        while kind(j) == cg.CONTROLLED_UNITARY and gates[j].targets == (register[0],) \
+                and len(gates[j].controls) == 1:
+            register.append(gates[j].controls[0])
+            j += 1
+        candidates.append((register, False))
+    elif kind(i) == cg.SWAP:  # inverse: swaps, H(Q[n-1]), phases into Q[n-2], H(Q[n-2]), ...
+        swaps = 0
+        while kind(i + swaps) == cg.SWAP:
+            swaps += 1
+        for width in (2 * swaps, 2 * swaps + 1):
+            register = [None] * width
+            j = i + swaps
+            for a in range(width - 1, -1, -1):
+                j += width - 1 - a  # the phases into register[a]
+                if kind(j) != cg.HADAMARD:
+                    break
+                register[a] = gates[j].targets[0]
+                j += 1
+            candidates.append((register, True))
+    for register, inverse in candidates:
+        if len(register) < 2 or None in register or len(set(register)) != len(register):
+            continue
+        fragment = cg.qft_fragment(register)
+        if inverse:
+            fragment = cg.invert_fragment(fragment)
+        window = gates[i : i + len(fragment)]
+        if len(window) == len(fragment) and all(map(_same_gate, window, fragment)):
+            return tuple(register), inverse, len(fragment)
+    return None
+
+
+def _plan(circuit: Circuit, sink) -> tuple[int, ...]:
+    planner = _Planner(circuit.layout.total, circuit.metadata.get("walk_basis"), sink)
+    gates = circuit.gates
+    i = 0
+    while i < len(gates):
+        fourier = _fourier_at(gates, i)
+        if fourier is not None and planner.add_qft(fourier[0], fourier[1]):
+            i += fourier[2]
+        else:
+            planner.add(gates[i])
+            i += 1
+    return planner.finish()
+
+
+def lower(circuit: Circuit) -> Plan:
+    """The fused passes run_exact executes, collected for inspection.
+
+    The walk eigenbasis is read from circuit.metadata["walk_basis"] when the
+    builder recorded one; without it every controlled dense CU runs as a
+    dense pass.  run_exact streams the same passes instead of collecting
+    them, so only one pass's table is alive at a time.
+    """
+    passes: list[Pass] = []
+    order = _plan(circuit, passes.append)
+    return Plan(q=circuit.layout.total, passes=tuple(passes), order=order)
+
+
+def _dims(q: int, table_axes=(), single_axes=()) -> tuple[list[int], list]:
+    """Reshape of a q-qubit buffer: one dim per single axis, merged runs else.
+
+    Each entry of the returned tags is ("one", axis), "table" for a run of
+    table axes or "free" for a run of the remaining axes.
+    """
+    dims: list[int] = []
+    tags: list = []
+    a = 0
+    while a < q:
+        if a in single_axes:
+            dims.append(2)
+            tags.append(("one", a))
+            a += 1
+            continue
+        in_table = a in table_axes
+        b = a + 1
+        while b < q and b not in single_axes and (b in table_axes) == in_table:
+            b += 1
+        dims.append(1 << (b - a))
+        tags.append("table" if in_table else "free")
+        a = b
+    return dims, tags
+
+
+def _index(tags, fixed: dict) -> tuple:
+    """Index fixing the single axes in `fixed`; the Ellipsis keeps 0-d views."""
+    return tuple(
+        fixed[tag[1]] if isinstance(tag, tuple) and tag[1] in fixed else slice(None)
+        for tag in tags
+    ) + (Ellipsis,)
+
+
+def _blocks(shape):
+    """Index tuples that tile an array of this shape in blocks of <= _CHUNK."""
+    size, split = 1, len(shape)
+    while split > 0 and size * shape[split - 1] <= _CHUNK:
+        split -= 1
+        size *= shape[split]
+    if split == 0:
+        yield (Ellipsis,)
+        return
+    step = max(1, _CHUNK // size)
+    for lead in np.ndindex(*shape[: split - 1]):
+        for j in range(0, shape[split - 1], step):
+            yield lead + (slice(j, j + step),)
+
+
+def _scratch(buf: np.ndarray, shape) -> np.ndarray:
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _run_h(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
+    """Unnormalized H, in place: (a, b) -> (a + b, a - b)."""
+    axis = p.axes[0]
+    outer, inner = 1 << axis, 1 << (q - axis - 1)
+    v = psi.reshape(outer, 2, inner)
+    if inner <= 4:
+        # tiny inner runs: sweep each column of a row block as one long line
+        rows = max(1, _CHUNK // inner)
+        pairs = (
+            (v[i : i + rows, 0, r], v[i : i + rows, 1, r])
+            for i in range(0, outer, rows)
+            for r in range(inner)
+        )
+    elif inner >= _LONG_RUN:
+        # 1-D slices: numpy iterates them far faster than 2-D row blocks
+        pairs = (
+            (v[i, 0, j : j + _CHUNK], v[i, 1, j : j + _CHUNK])
+            for i in range(outer)
+            for j in range(0, inner, _CHUNK)
+        )
+    else:
+        rows = _CHUNK // inner
+        pairs = ((v[i : i + rows, 0], v[i : i + rows, 1]) for i in range(0, outer, rows))
+    for a0, a1 in pairs:
+        a0 += a1
+        a1 *= -2.0
+        a1 += a0
+
+
+def _halves(psi: np.ndarray, q: int, target: int, controls=(), values=(), table_axes=()):
+    """Target-0 and target-1 views of the controlled block.
+
+    Also returns, per remaining dim, the table size it broadcasts against
+    (1 unless the dim is a run of table axes).
+    """
+    dims, tags = _dims(q, table_axes, (target,) + tuple(controls))
+    v = psi.reshape(dims)
+    fixed = dict(zip(controls, values))
+    a0 = v[_index(tags, {**fixed, target: 0})]
+    a1 = v[_index(tags, {**fixed, target: 1})]
+    kept = [(d, t) for d, t in zip(dims, tags) if not isinstance(t, tuple)]
+    return a0, a1, [d if t == "table" else 1 for d, t in kept]
+
+
+def _run_x(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
+    a0, a1, _ = _halves(psi, q, p.axes[0], p.controls, p.values)
+    for idx in _blocks(a0.shape):
+        x0, x1 = a0[idx], a1[idx]
+        tmp = _scratch(buf, x0.shape)
+        np.copyto(tmp, x0)
+        np.copyto(x0, x1)
+        np.copyto(x1, tmp)
+
+
+def _run_ry(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
+    """Multiplexed Ry: one angle per control pattern, as cos/sin tables."""
+    a0, a1, shape = _halves(psi, q, p.axes[0], table_axes=p.controls)
+    cos, sin = p.data[0].reshape(shape), p.data[1].reshape(shape)
+    half = buf.size // 2
+    for idx in _blocks(a0.shape):
+        x0, x1 = a0[idx], a1[idx]
+        c, s = cos, sin
+        if idx[-1] is not Ellipsis:
+            tidx = tuple(i if n > 1 else slice(None) if isinstance(i, slice) else 0
+                         for i, n in zip(idx, shape))
+            c, s = cos[tidx], sin[tidx]
+        s0 = np.multiply(x0, s, out=_scratch(buf, x0.shape))
+        s1 = np.multiply(x1, s, out=_scratch(buf[half:], x1.shape))
+        x0 *= c
+        x0 -= s1
+        x1 *= c
+        x1 += s0
+
+
+def _run_diag(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
+    dims, tags = _dims(q, p.axes)
+    table = p.data.reshape([d if t == "table" else 1 for d, t in zip(dims, tags)])
+    psi.reshape(dims)[...] *= table
+
+
+def _run_dense(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
+    t = len(p.axes)
+    first = p.axes[0]
+    if not p.controls and p.axes == tuple(range(first, first + t)) and 1 << t <= _CHUNK:
+        # contiguous targets: blocks of columns through one small matmul each
+        dim, inner = 1 << t, 1 << (q - first - t)
+        v = psi.reshape(1 << first, dim, inner)
+        cols = max(1, _CHUNK // dim)
+        for i in range(1 << first):
+            for j in range(0, inner, cols):
+                block = v[i, :, j : j + cols]
+                block[...] = np.matmul(p.data, block, out=_scratch(buf, block.shape))
+        return
+    dims, tags = _dims(q, (), p.axes + p.controls)
+    view = psi.reshape(dims)[_index(tags, dict(zip(p.controls, p.values)))]
+    kept = [tag for tag in tags if not (isinstance(tag, tuple) and tag[1] in p.controls)]
+    _apply_dense(view, [kept.index(("one", a)) for a in p.axes], p.data)
+
+
+def _run_scale(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
+    psi *= p.data
+
+
+def _run_qft(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
+    """|x> -> 2**(-w/2) sum_y exp(+-2 pi i x y / 2**w) |y> over the axes."""
+    width = len(p.axes)
+    v = psi.reshape(1 << p.axes[0], 1 << width, -1)
+    transform = np.fft.ifft if p.kind == "QFT" else np.fft.fft  # ifft has the + sign
+    cols = max(1, _DFT_BLOCK >> width)
+    for i in range(v.shape[0]):
+        for j in range(0, v.shape[2], cols):
+            block = v[i, :, j : j + cols]
+            block[...] = transform(block, axis=0, norm="ortho")
+
+
+def _run_prep(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
+    """Write the product state; psi still holds |0...0>."""
+    dims, tags = _dims(q, (), p.axes + p.controls)
+    block = psi.reshape(dims)[tuple(slice(None) if isinstance(t, tuple) else 0 for t in tags)]
+    if p.data is None:
+        block[...] = 1.0
+        return
+    vec = p.data.reshape((2,) * len(p.axes)).transpose(np.argsort(p.axes))
+    block[...] = vec.reshape([2 if a in p.axes else 1 for a in sorted(p.axes + p.controls)])
+
+
+_KERNELS = {
+    "H": _run_h,
+    "X": _run_x,
+    "RY": _run_ry,
+    "DIAG": _run_diag,
+    "DENSE": _run_dense,
+    "SCALE": _run_scale,
+    "PREP": _run_prep,
+    "QFT": _run_qft,
+    "IQFT": _run_qft,
+}
+
+
 def run_exact(circuit: Circuit, max_qubits: int = QUBIT_BUDGET) -> Statevector:
-    """Run all gates from |0...0> and return the final state."""
+    """Run all gates from |0...0> and return the final state.
+
+    The gates are lowered to fused passes (see lower), each executed on one
+    buffer as soon as the planner emits it; apply_gate is the reference the
+    passes are tested against.
+    """
     q = circuit.layout.total
     if q > max_qubits:
         raise ResourceError(f"circuit needs {q} qubits, budget is {max_qubits}")
     state = zero_state(q)
-    for gate in circuit.gates:
-        apply_gate(state, gate)
+    buf = np.empty(2 * _CHUNK, dtype=complex)  # the only scratch: two cache blocks
+    order = _plan(circuit, lambda p: _KERNELS[p.kind](state.amps, q, p, buf))
+    if order != tuple(range(q)):
+        state.amps = np.ascontiguousarray(state.tensor().transpose(order)).reshape(-1)
     drift = abs(state.norm() - 1.0)
-    assert drift < 1e-9, f"norm drifted by {drift:.3e}"
+    if not drift < 1e-9:
+        raise RuntimeError(f"norm drifted by {drift:.3e}")
     return state
 
 
 def postselect(state: Statevector, layout: RegisterLayout) -> tuple[np.ndarray, float]:
-    """Condition on ancilla = 1; return (solution magnitudes, success prob).
+    """Condition on ancilla = 1; return (signed solution, success prob).
 
     The solution covers reg B basis states 1 .. 2**n - 1.  Reg E and reg A
-    are |0> in the kept branch by the uncompute structure, so the magnitudes
-    are read from that sub-block and renormalized.
+    are |0> in the kept branch by the uncompute structure, so the amplitudes
+    are read from that sub-block and renormalized.  Every pipeline gate is
+    real apart from the phase-estimation phases, which uncompute cancels, so
+    the block is real and carries the sign of the solution; an imaginary
+    part above 1e-9 of the block norm raises PostselectionError.
     """
     tensor = state.tensor()
-    anc = np.moveaxis(tensor, layout.ancilla, 0)[1]
-    success = float(np.sum(anc.real ** 2 + anc.imag ** 2))
+    anc = state.amps.reshape(2 ** layout.ancilla, 2, -1)[:, 1, :]
+    # block by block: squaring the whole half-state would double peak memory
+    success = sum(float(np.vdot(anc[idx], anc[idx]).real) for idx in _blocks(anc.shape))
     if success < 1e-15:
         raise PostselectionError(f"ancilla=1 probability {success:.3e} is degenerate")
     index = [slice(None)] * layout.total
     for q in layout.reg_e + layout.reg_a:
         index[q] = 0
     index[layout.ancilla] = 1
-    block = tensor[tuple(index)].reshape(-1)  # remaining axes are reg B, MSB first
-    magnitudes = np.abs(block[1:])
-    norm = np.linalg.norm(magnitudes)
+    block = tensor[tuple(index)].reshape(-1)[1:]  # remaining axes are reg B, MSB first
+    amplitudes = block.real.copy()
+    norm = np.linalg.norm(amplitudes)
     if norm < 1e-15:
         raise PostselectionError("kept branch has no weight on reg B states 1..N-1")
-    return magnitudes / norm, success
+    residual = np.linalg.norm(block.imag)
+    if residual > 1e-9 * norm:
+        raise PostselectionError(
+            f"kept branch is not real (imaginary residual {residual / norm:.3e} of its norm)"
+        )
+    return amplitudes / norm, success
 
 
 def register_probabilities(state: Statevector, qubits: Sequence[int]) -> np.ndarray:
@@ -233,8 +972,7 @@ def sample_counts(
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
     rng = np.random.default_rng(seed)
-    draws = rng.choice(probs.size, size=shots, p=probs)
-    counts = np.bincount(draws, minlength=probs.size)
+    counts = rng.multinomial(shots, probs)  # O(2**width) memory whatever the shots
     width = len(qubits)
     return {
         format(value, f"0{width}b"): int(c)
