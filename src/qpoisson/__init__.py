@@ -9,11 +9,13 @@ success probabilities, and hardware resource estimates.
 
 from .analytics import (
     ResourceReport,
+    SolveRecord,
     analytic_success_probability,
     empirical_success_probability,
     expected_success_probability,
     relative_error,
     resource_report,
+    solve,
     sweep_record,
 )
 from .circuit import (
@@ -86,6 +88,7 @@ __all__ = [
     "ResourceError",
     "ResourceReport",
     "RunResult",
+    "SolveRecord",
     "Statevector",
     "amplify_encode",
     "analytic_success_probability",
@@ -115,5 +118,6 @@ __all__ = [
     "resource_report",
     "run_exact",
     "sample",
+    "solve",
     "sweep_record",
 ]

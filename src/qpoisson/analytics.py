@@ -1,4 +1,4 @@
-"""Error metrics, success-probability formulas, and resource estimation.
+"""The library solve path, error metrics, success probabilities, resources.
 
 Success probabilities are reported as percentages throughout.  With the
 rotation constant C = 1 the ancilla lands on |1> with amplitude sin(pi*omega_j)
@@ -25,13 +25,15 @@ import numpy as np
 from . import circuit as qc
 from . import simulator as sim
 from .encoding import AngleTable, FixedPointFormat, decode_fraction, effective_lambda
-from .model import EigenData, PoissonSystem, eigenpairs, exact_solve
+from .model import EigenData, PoissonSystem, exact_solve
 from .noise import fidelity_estimate
 
 __all__ = [
     "WASHED_OUT_THRESHOLD",
     "SWEEP_COLUMNS",
     "ResourceReport",
+    "SolveRecord",
+    "solve",
     "relative_error",
     "analytic_success_probability",
     "expected_success_probability",
@@ -122,17 +124,6 @@ class ResourceReport:
     def washed_out(self) -> bool:
         return self.estimated_fidelity < WASHED_OUT_THRESHOLD
 
-    def as_dict(self) -> dict:
-        return {
-            "total_qubits": self.total_qubits,
-            "register_widths": dict(self.register_widths),
-            "gate_counts": dict(sorted(self.gate_counts.items())),
-            "depth": self.depth,
-            "estimated_cnots": self.estimated_cnots,
-            "estimated_fidelity": self.estimated_fidelity,
-            "washed_out": self.washed_out,
-        }
-
 
 def resource_report(circuit: qc.Circuit, gate_accuracy: float = 0.92) -> ResourceReport:
     """Count gates, estimate CNOTs and depth, forecast fidelity."""
@@ -166,6 +157,61 @@ def resource_report(circuit: qc.Circuit, gate_accuracy: float = 0.92) -> Resourc
     )
 
 
+@dataclass(frozen=True)
+class SolveRecord:
+    """One solve: the circuit that ran, its solution, and its metrics.
+
+    The solution is signed on the exact backend and holds magnitudes on the
+    sample backend, whose RunResult is `sampled`.  run_percent is the run's
+    post-selection percentage, exact or the kept-shot fraction.
+    """
+
+    circuit: qc.Circuit
+    solution: np.ndarray
+    exact: np.ndarray
+    rel_error: float
+    run_percent: float
+    expected_percent: float
+    analytic_truncated_percent: float
+    analytic_exact_percent: float
+    sampled: sim.RunResult | None = None
+
+
+def solve(system: PoissonSystem, fmt: FixedPointFormat, *, mode: str = "auto",
+          phase_mode: str = "encoded", backend: str = "exact", shots: int = 1_000_000,
+          seed: int = 1234) -> SolveRecord:
+    """Build the pipeline, run it on either backend, and collect the metrics.
+
+    backend is one of simulator.BACKENDS; shots and seed drive the sample
+    backend only, but shots must be >= 1 either way.
+    """
+    sim.check_backend(backend, shots)
+    built = qc.build_pipeline(system, fmt, mode=mode, phase_mode=phase_mode)
+    eigs: EigenData = built.metadata["eigs"]
+    table: AngleTable = built.metadata["table"]
+    sampled = None
+    if backend == "exact":
+        solution, success = sim.postselect(sim.run_exact(built), built.layout)
+        run_percent = float(100.0 * success)
+    else:
+        sampled = sim.sample(built, shots, seed)
+        solution = sampled.solution
+        run_percent = empirical_success_probability(sampled)
+    exact = exact_solve(system)
+    effective = np.array([effective_lambda(bits, fmt) for bits in table.encoded_lambdas])
+    return SolveRecord(
+        circuit=built,
+        solution=solution,
+        exact=exact,
+        rel_error=relative_error(exact, solution),
+        run_percent=run_percent,
+        expected_percent=expected_success_probability(eigs, table),
+        analytic_truncated_percent=analytic_success_probability(effective),
+        analytic_exact_percent=analytic_success_probability(eigs.lambdas),
+        sampled=sampled,
+    )
+
+
 def sweep_record(
     problem: str,
     system: PoissonSystem,
@@ -173,23 +219,18 @@ def sweep_record(
     mode: str = "auto",
     phase_mode: str = "encoded",
 ) -> dict:
-    """One amplification-sweep row: build, run exactly, collect the metrics."""
-    built = qc.build_pipeline(system, fmt, mode=mode, phase_mode=phase_mode)
-    state = sim.run_exact(built)
-    solution, success = sim.postselect(state, built.layout)
-    eigs: EigenData = built.metadata["eigs"]
-    table: AngleTable = built.metadata["table"]
-    effective = np.array([effective_lambda(bits, fmt) for bits in table.encoded_lambdas])
-    report = resource_report(built)
+    """One amplification-sweep row: solve exactly, add the resource report."""
+    record = solve(system, fmt, mode=mode, phase_mode=phase_mode)
+    report = resource_report(record.circuit)
     return {
         "problem": problem,
         "f": fmt.fraction_bits,
         "l": fmt.angle_bits,
-        "mode": built.metadata["mode"],
-        "rel_error": relative_error(exact_solve(system), solution),
-        "sp_expected": float(100.0 * success),
-        "sp_analytic_truncated": analytic_success_probability(effective),
-        "sp_analytic_exact": analytic_success_probability(eigenpairs(system).lambdas),
+        "mode": record.circuit.metadata["mode"],
+        "rel_error": record.rel_error,
+        "sp_expected": record.run_percent,
+        "sp_analytic_truncated": record.analytic_truncated_percent,
+        "sp_analytic_exact": record.analytic_exact_percent,
         "qubits": report.total_qubits,
         "depth": report.depth,
         "cnots_est": report.estimated_cnots,

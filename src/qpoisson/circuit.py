@@ -35,13 +35,13 @@ from .encoding import (
     build_angle_table,
     decode_fraction,
 )
-from .errors import ResourceError
+from .errors import ResourceError, check_choice
 from .model import PoissonSystem, EigenData, eigenpairs
 
 __all__ = [
     "HADAMARD", "PAULI_X", "RY", "PHASE", "CONTROLLED_UNITARY",
     "MULTI_CONTROLLED_X", "MULTI_CONTROLLED_RY", "SWAP",
-    "QUBIT_BUDGET", "AUTO_EXPLICIT_LIMIT",
+    "QUBIT_BUDGET", "AUTO_EXPLICIT_LIMIT", "MODES", "PHASE_MODES",
     "Gate", "RegisterLayout", "Circuit",
     "hadamard", "pauli_x", "ry", "phase", "controlled_unitary",
     "controlled_phase", "multi_controlled_x", "multi_controlled_ry", "swap",
@@ -64,6 +64,9 @@ QUBIT_BUDGET = 28
 # Auto mode prefers the explicit angle register only while the total stays
 # small enough to simulate comfortably.
 AUTO_EXPLICIT_LIMIT = 24
+# Rotation realizations build_pipeline accepts, and the walk phase choices.
+MODES = ("explicit", "fused", "auto")
+PHASE_MODES = ("encoded", "true_a")
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,10 +306,6 @@ def _spectral_powers(
     basis = _walk_basis(eigs, n)
     if phase_mode == "encoded":
         encoded = [int(amplify_encode(lam, fmt), 2) for lam in eigs.lambdas]
-    elif phase_mode == "true_a":
-        encoded = None
-    else:
-        raise ValueError(f"unknown phase_mode {phase_mode!r}")
     powers = []
     for k in range(m):
         phases = np.ones(dim, dtype=complex)
@@ -331,6 +330,7 @@ def build_qpe(
 
     Reg E qubit holding bit weight 2**k controls U**(2**k); after the inverse
     Fourier transform reg E reads the encoded eigenvalue MSB-first.
+    phase_mode is one of PHASE_MODES, checked by the circuit builders.
     """
     m = layout.e_width
     if m != fmt.total_bits:
@@ -406,12 +406,26 @@ def build_rotation_fused(table: AngleTable, layout: RegisterLayout) -> list[Gate
     return gates
 
 
-def _resolve_mode(mode: str, explicit_total: int) -> str:
-    if mode == "auto":
-        return "explicit" if explicit_total <= AUTO_EXPLICIT_LIMIT else "fused"
-    if mode in ("explicit", "fused"):
-        return mode
-    raise ValueError(f"mode must be explicit, fused, or auto, got {mode!r}")
+def _provenance(what: str, layout: RegisterLayout, fmt: FixedPointFormat, eigs: EigenData,
+                phase_mode: str, table: AngleTable | None = None, hint: str = "") -> dict:
+    """Refuse a layout over QUBIT_BUDGET; else the metadata both builders record.
+
+    That is the phase mode, the format, the angle table (built here unless
+    given), the eigendata, and the walk eigenbasis V ("walk_basis") that the
+    simulator uses to run the walk powers as diagonals.
+    """
+    if layout.total > QUBIT_BUDGET:
+        raise ResourceError(f"{what} needs {layout.total} qubits, budget is {QUBIT_BUDGET}{hint}")
+    return {
+        "phase_mode": phase_mode,
+        "n": layout.b_width,
+        "integer_bits": fmt.integer_bits,
+        "fraction_bits": fmt.fraction_bits,
+        "angle_bits": fmt.angle_bits,
+        "table": table if table is not None else build_angle_table(eigs.lambdas, fmt),
+        "eigs": eigs,
+        "walk_basis": _walk_basis(eigs, layout.b_width),
+    }
 
 
 def build_pipeline(
@@ -422,28 +436,26 @@ def build_pipeline(
 ) -> Circuit:
     """Full solver circuit: load b, estimate phases, rotate, uncompute.
 
-    The solution stays in reg B conditioned on the ancilla reading 1.  The
-    returned circuit's metadata records the resolved mode, the format, the
-    angle table used by the rotation stage, and the walk eigenbasis V
-    ("walk_basis") that the simulator uses to run the walk powers as
-    diagonals.
+    The solution stays in reg B conditioned on the ancilla reading 1.  mode is
+    one of MODES; "auto" resolves to explicit up to AUTO_EXPLICIT_LIMIT qubits.
+    The returned circuit's metadata records the resolved mode and what
+    _provenance lists, including the angle table the rotation stage uses.
     """
-    if system.d != 1:
-        raise ValueError("quantum builders handle d = 1 only")
+    check_choice("mode", mode, MODES)
+    check_choice("phase_mode", phase_mode, PHASE_MODES)
     eigs = eigenpairs(system)
     table = build_angle_table(eigs.lambdas, fmt)
     m = fmt.total_bits
     explicit_total = system.n + m + len(table.kept_columns) + 1
-    resolved = _resolve_mode(mode, explicit_total)
+    resolved = mode
+    if mode == "auto":
+        resolved = "explicit" if explicit_total <= AUTO_EXPLICIT_LIMIT else "fused"
     if resolved == "explicit":
         layout = RegisterLayout(system.n, m, len(table.kept_columns))
     else:
         layout = RegisterLayout(system.n, m, 0)
-    if layout.total > QUBIT_BUDGET:
-        hint = " (fused mode would need fewer)" if resolved == "explicit" else ""
-        raise ResourceError(
-            f"{resolved} pipeline needs {layout.total} qubits, budget is {QUBIT_BUDGET}{hint}"
-        )
+    hint = " (fused mode would need fewer)" if resolved == "explicit" else ""
+    provenance = _provenance(f"{resolved} pipeline", layout, fmt, eigs, phase_mode, table, hint)
     prep = controlled_unitary(
         (), layout.reg_b, state_prep_unitary(_embed_grid_vector(system.b, system.n)),
         label="load_b",
@@ -454,19 +466,7 @@ def build_pipeline(
     else:
         rotation = build_rotation_fused(table, layout)
     gates = [prep] + qpe + rotation + invert_fragment(qpe)
-    metadata = {
-        "kind": "pipeline",
-        "mode": resolved,
-        "requested_mode": mode,
-        "phase_mode": phase_mode,
-        "n": system.n,
-        "integer_bits": fmt.integer_bits,
-        "fraction_bits": fmt.fraction_bits,
-        "angle_bits": fmt.angle_bits,
-        "table": table,
-        "eigs": eigs,
-        "walk_basis": _walk_basis(eigs, system.n),
-    }
+    metadata = {"kind": "pipeline", "mode": resolved, "requested_mode": mode, **provenance}
     return Circuit(layout=layout, gates=tuple(gates), metadata=metadata)
 
 
@@ -482,26 +482,12 @@ def build_phase_verification(
     |0> slot); it is normalized during preparation.  No rotation or
     uncompute follows, so reg E carries the encoded eigenvalue distribution.
     """
-    if system.d != 1:
-        raise ValueError("quantum builders handle d = 1 only")
+    check_choice("phase_mode", phase_mode, PHASE_MODES)
     eigs = eigenpairs(system)
     layout = RegisterLayout(system.n, fmt.total_bits, 0)
-    if layout.total > QUBIT_BUDGET:
-        raise ResourceError(
-            f"phase verification needs {layout.total} qubits, budget is {QUBIT_BUDGET}"
-        )
+    provenance = _provenance("phase verification", layout, fmt, eigs, phase_mode)
     full = _embed_grid_vector(input_vector, system.n)
     prep = controlled_unitary((), layout.reg_b, state_prep_unitary(full), label="load_input")
     gates = [prep] + build_qpe(eigs, fmt, layout, phase_mode)
-    metadata = {
-        "kind": "phase_verification",
-        "phase_mode": phase_mode,
-        "n": system.n,
-        "integer_bits": fmt.integer_bits,
-        "fraction_bits": fmt.fraction_bits,
-        "angle_bits": fmt.angle_bits,
-        "table": build_angle_table(eigs.lambdas, fmt),
-        "eigs": eigs,
-        "walk_basis": _walk_basis(eigs, system.n),
-    }
+    metadata = {"kind": "phase_verification", **provenance}
     return Circuit(layout=layout, gates=tuple(gates), metadata=metadata)

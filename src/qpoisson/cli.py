@@ -9,14 +9,16 @@ Subcommands
 
 Configuration precedence is defaults < --config JSON < explicit flags, and
 every run embeds its fully resolved configuration in the output so results
-are self-describing.  Outputs are deterministic byte-for-byte for a fixed
-config and seed.  Exit codes: 0 success, 2 invalid configuration or input,
-3 resource budget exceeded.
+are self-describing.  A config file may carry "d": 1, the only dimension
+solved.  Outputs are deterministic byte-for-byte for a fixed config and
+seed.  Exit codes: 0 success, 2 invalid configuration or input, 3 resource
+budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from collections.abc import Sequence
@@ -27,11 +29,11 @@ from . import analytics
 from . import circuit as qc
 from . import noise
 from . import simulator as sim
-from .encoding import FixedPointFormat, effective_lambda
-from .errors import QPoissonError, ResourceError
-from .model import PoissonSystem, eigenpairs, exact_solve
+from .encoding import FixedPointFormat, default_format
+from .errors import QPoissonError, ResourceError, check_choice
+from .model import PoissonSystem, eigenpairs
 
-__all__ = ["DEFAULTS", "PRESETS", "RESOURCE_COLUMNS", "main"]
+__all__ = ["DEFAULTS", "FORMATS", "PRESETS", "RESOURCE_COLUMNS", "main"]
 
 # Right-hand sides for the three benchmark grids (unit-norm as listed; the
 # 15x15 state zeroes its last two entries).
@@ -64,6 +66,8 @@ DEFAULTS = {
     "eigen_index": None,
     "input": None,
 }
+
+FORMATS = ("json", "csv")
 
 RESOURCE_COLUMNS = (
     "problem",
@@ -108,21 +112,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    _validate_choices(cfg)
+    if cfg["d"] != 1:
+        raise ValueError(f"only 1D grids are solved (d = 1), got d = {cfg['d']!r}")
+    check_choice("format", cfg["format"], FORMATS)
     return cfg
-
-
-def _validate_choices(cfg: dict) -> None:
-    if cfg["mode"] not in ("explicit", "fused", "auto"):
-        raise ValueError(f"mode must be explicit, fused, or auto, got {cfg['mode']!r}")
-    if cfg["phase_mode"] not in ("encoded", "true_a"):
-        raise ValueError(f"phase_mode must be encoded or true_a, got {cfg['phase_mode']!r}")
-    if cfg["backend"] not in ("exact", "sample"):
-        raise ValueError(f"backend must be exact or sample, got {cfg['backend']!r}")
-    if cfg["format"] not in ("json", "csv"):
-        raise ValueError(f"format must be json or csv, got {cfg['format']!r}")
-    if int(cfg["shots"]) < 1:
-        raise ValueError("shots must be >= 1")
 
 
 def _resolve_system(cfg: dict) -> PoissonSystem:
@@ -132,28 +125,24 @@ def _resolve_system(cfg: dict) -> PoissonSystem:
         if cfg["n"] is not None or cfg["b"] is not None:
             raise ValueError("give either a preset or explicit --n/--b, not both")
         preset = PRESETS[cfg["preset"]]
-        return PoissonSystem(n=preset["n"], b=np.asarray(preset["b"]), d=int(cfg["d"]))
+        return PoissonSystem(n=preset["n"], b=np.asarray(preset["b"]))
     if cfg["n"] is None or cfg["b"] is None:
         raise ValueError("problem underspecified: need --preset, or both --n and --b")
-    return PoissonSystem(n=int(cfg["n"]), b=np.asarray(cfg["b"], dtype=float), d=int(cfg["d"]))
+    return PoissonSystem(n=int(cfg["n"]), b=np.asarray(cfg["b"], dtype=float))
 
 
 def _resolve_format(cfg: dict, n: int) -> FixedPointFormat:
-    integer_bits = cfg["integer_bits"]
-    if integer_bits is None:
-        integer_bits = 2 * n + 2
-    return FixedPointFormat(
-        integer_bits=int(integer_bits),
-        fraction_bits=int(cfg["fraction_bits"]),
-        angle_bits=int(cfg["angle_bits"]),
-    )
+    fmt = default_format(n, int(cfg["fraction_bits"]), int(cfg["angle_bits"]))
+    if cfg["integer_bits"] is None:
+        return fmt
+    return dataclasses.replace(fmt, integer_bits=int(cfg["integer_bits"]))
 
 
 def _base_config(cfg: dict, system: PoissonSystem, fmt: FixedPointFormat) -> dict:
     return {
         "preset": cfg["preset"],
         "n": system.n,
-        "d": system.d,
+        "d": 1,
         "b": [float(x) for x in system.b],
         "integer_bits": fmt.integer_bits,
         "fraction_bits": fmt.fraction_bits,
@@ -209,63 +198,54 @@ def _problem_label(system: PoissonSystem) -> str:
 def cmd_solve(cfg: dict) -> int:
     system = _resolve_system(cfg)
     fmt = _resolve_format(cfg, system.n)
-    built = qc.build_pipeline(system, fmt, mode=cfg["mode"], phase_mode=cfg["phase_mode"])
-    _warn_downgrade(cfg["mode"], built.metadata["mode"])
-    eigs = built.metadata["eigs"]
-    table = built.metadata["table"]
-    exact = exact_solve(system)
-    effective = np.array([effective_lambda(bits, fmt) for bits in table.encoded_lambdas])
-
-    payload: dict = {"config": _base_config(cfg, system, fmt)}
-    payload["mode_resolved"] = built.metadata["mode"]
+    record = analytics.solve(
+        system, fmt, mode=cfg["mode"], phase_mode=cfg["phase_mode"], backend=cfg["backend"],
+        shots=int(cfg["shots"]), seed=int(cfg["seed"]),
+    )
+    mode = record.circuit.metadata["mode"]
+    _warn_downgrade(cfg["mode"], mode)
+    solution, rel = record.solution, record.rel_error
+    run_key = "run_percent" if record.sampled is None else "empirical_percent"
     sp = {
-        "expected_percent": analytics.expected_success_probability(eigs, table),
-        "analytic_truncated_percent": analytics.analytic_success_probability(effective),
-        "analytic_exact_percent": analytics.analytic_success_probability(eigs.lambdas),
+        run_key: record.run_percent,
+        "expected_percent": record.expected_percent,
+        "analytic_truncated_percent": record.analytic_truncated_percent,
+        "analytic_exact_percent": record.analytic_exact_percent,
     }
-    if cfg["backend"] == "exact":
-        state = sim.run_exact(built)
-        solution, success = sim.postselect(state, built.layout)
-        sp["run_percent"] = float(100.0 * success)
-    else:
-        result = sim.sample(built, int(cfg["shots"]), int(cfg["seed"]))
-        solution = result.solution
-        sp["empirical_percent"] = analytics.empirical_success_probability(result)
-        payload["histogram"] = dict(sorted(result.histogram.items()))
-        payload["rng"] = result.rng
-    rel = analytics.relative_error(exact, solution)
-    payload["solution"] = [float(x) for x in solution]
-    payload["exact_solution"] = [float(x) for x in exact]
-    payload["relative_error"] = rel
-    payload["success_probability"] = sp
+    payload: dict = {
+        "config": _base_config(cfg, system, fmt),
+        "mode_resolved": mode,
+        "solution": [float(x) for x in solution],
+        "exact_solution": [float(x) for x in record.exact],
+        "relative_error": rel,
+        "success_probability": sp,
+    }
+    if record.sampled is not None:
+        payload["histogram"] = dict(sorted(record.sampled.histogram.items()))
+        payload["rng"] = record.sampled.rng
 
-    label = _problem_label(system)
     print(
-        f"problem {label} (n={system.n}, d={system.d})  mode={built.metadata['mode']}  "
+        f"problem {_problem_label(system)} (n={system.n}, d=1)  mode={mode}  "
         f"i={fmt.integer_bits} f={fmt.fraction_bits} l={fmt.angle_bits}"
     )
     print("solution  " + " ".join(f"{x:.6f}" for x in solution))
-    print("exact     " + " ".join(f"{x:.6f}" for x in exact))
+    print("exact     " + " ".join(f"{x:.6f}" for x in record.exact))
     print(f"relative error {rel:.6g} ({100.0 * rel:.4g}%)")
-    run_key = "run_percent" if "run_percent" in sp else "empirical_percent"
     print(
         f"success probability: run {sp[run_key]:.4g}%  expected {sp['expected_percent']:.4g}%  "
         f"analytic truncated {sp['analytic_truncated_percent']:.4g}%  "
         f"analytic exact {sp['analytic_exact_percent']:.4g}%"
     )
-    if cfg["output"]:
-        if cfg["format"] == "json":
-            _emit(_render_json(payload), cfg["output"])
+    if cfg["output"] and cfg["format"] == "json":
+        _emit(_render_json(payload), cfg["output"])
+    elif cfg["output"]:
+        if record.sampled is not None:
+            columns = ("bitstring", "count")
+            rows = [{"bitstring": k, "count": v} for k, v in payload["histogram"].items()]
         else:
-            if "histogram" in payload:
-                rows = [{"bitstring": k, "count": v} for k, v in payload["histogram"].items()]
-                text = _render_csv(("bitstring", "count"), rows, payload["config"])
-            else:
-                rows = [
-                    {"index": k + 1, "amplitude": float(x)} for k, x in enumerate(solution)
-                ]
-                text = _render_csv(("index", "amplitude"), rows, payload["config"])
-            _emit(text, cfg["output"])
+            columns = ("index", "amplitude")
+            rows = [{"index": k + 1, "amplitude": float(x)} for k, x in enumerate(solution)]
+        _emit(_render_csv(columns, rows, payload["config"]), cfg["output"])
     return 0
 
 
@@ -283,6 +263,7 @@ def cmd_verify_phase(cfg: dict) -> int:
         vec = np.asarray(cfg["input"], dtype=float)
     else:
         raise ValueError("verify-phase needs --eigen-index or --input")
+    sim.check_backend(cfg["backend"], int(cfg["shots"]))
 
     built = qc.build_phase_verification(system, fmt, vec, cfg["phase_mode"])
     state = sim.run_exact(built)
@@ -293,20 +274,20 @@ def cmd_verify_phase(cfg: dict) -> int:
     width = fmt.total_bits
     if cfg["backend"] == "exact":
         probs = sim.register_probabilities(state, built.layout.reg_e)
-        entries = {
+        readout = {
             format(idx, f"0{width}b"): float(p)
             for idx, p in enumerate(probs)
             if p > 1e-12
         }
-        payload["probabilities"] = entries
-        for bits, p in sorted(entries.items()):
-            print(f"{bits} (decimal {int(bits, 2)}): {p:.6f}")
+        payload["probabilities"] = readout
+        spec = ".6f"
     else:
-        hist = sim.sample_counts(state, built.layout.reg_e, int(cfg["shots"]), int(cfg["seed"]))
-        payload["histogram"] = dict(sorted(hist.items()))
+        readout = sim.sample_counts(state, built.layout.reg_e, int(cfg["shots"]), int(cfg["seed"]))
+        payload["histogram"] = dict(sorted(readout.items()))
         payload["rng"] = sim.RNG_NAME
-        for bits, c in sorted(hist.items()):
-            print(f"{bits} (decimal {int(bits, 2)}): {c}")
+        spec = ""
+    for bits, value in sorted(readout.items()):
+        print(f"{bits} (decimal {int(bits, 2)}): {value:{spec}}")
     if cfg["output"]:
         _emit(_render_json(payload), cfg["output"])
     return 0
@@ -317,18 +298,16 @@ def cmd_sweep(cfg: dict) -> int:
     if not f_values:
         raise ValueError("sweep needs at least one f value")
     system = _resolve_system(cfg)
-    label = _problem_label(system)
+    fmt = _resolve_format(cfg, system.n)
     rows = []
     for f in f_values:
-        row_cfg = dict(cfg)
-        row_cfg["fraction_bits"] = f
-        fmt = _resolve_format(row_cfg, system.n)
         row = analytics.sweep_record(
-            label, system, fmt, mode=cfg["mode"], phase_mode=cfg["phase_mode"]
+            _problem_label(system), system, dataclasses.replace(fmt, fraction_bits=f),
+            mode=cfg["mode"], phase_mode=cfg["phase_mode"],
         )
         _warn_downgrade(cfg["mode"], row["mode"])
         rows.append(row)
-    config = _base_config(cfg, system, _resolve_format(cfg, system.n))
+    config = _base_config(cfg, system, fmt)
     del config["fraction_bits"]
     config["f_values"] = f_values
     if cfg["format"] == "csv":
@@ -391,6 +370,8 @@ def mitigation_trial(p_ideal: np.ndarray, model: noise.ReadoutModel, shots: int,
     width = model.width
     if p_ideal.size != 2**width:
         raise ValueError(f"distribution length {p_ideal.size} wants width {width} bits")
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, p_ideal)
     ideal_hist = {format(k, f"0{width}b"): int(c) for k, c in enumerate(counts) if c}
@@ -418,8 +399,6 @@ def cmd_mitigate_demo(cfg: dict) -> int:
         cfg = dict(cfg)
         cfg["preset"] = "table1-3x3"
     system = _resolve_system(cfg)
-    if system.d != 1:
-        raise ValueError("mitigation demo handles d = 1 only")
     if cfg["noise_model"] is not None:
         model = noise.ReadoutModel.from_json(cfg["noise_model"])
         if model.width != system.n:
@@ -436,7 +415,7 @@ def cmd_mitigate_demo(cfg: dict) -> int:
     config = {
         "preset": cfg["preset"],
         "n": system.n,
-        "d": system.d,
+        "d": 1,
         "b": [float(x) for x in system.b],
         "p01": list(model.p01),
         "p10": list(model.p10),
@@ -461,17 +440,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", help="named problem: " + ", ".join(sorted(PRESETS)))
     parser.add_argument("--n", type=int, help="grid exponent (dim = 2**n - 1)")
     parser.add_argument("--b", type=_float_list, help="comma-separated right-hand side")
-    parser.add_argument("--d", type=int, help="spatial dimension (quantum path: 1)")
     parser.add_argument("--i", dest="integer_bits", type=int, help="integer bits (default 2n+2)")
     parser.add_argument("--f", dest="fraction_bits", type=int, help="amplification bits")
     parser.add_argument("--l", dest="angle_bits", type=int, help="angle register bits")
-    parser.add_argument("--mode", choices=("explicit", "fused", "auto"))
-    parser.add_argument("--phase-mode", dest="phase_mode", choices=("encoded", "true_a"))
-    parser.add_argument("--backend", choices=("exact", "sample"))
+    parser.add_argument("--mode", choices=qc.MODES)
+    parser.add_argument("--phase-mode", dest="phase_mode", choices=qc.PHASE_MODES)
+    parser.add_argument("--backend", choices=sim.BACKENDS)
     parser.add_argument("--shots", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--output", help="write the result artifact to this path")
-    parser.add_argument("--format", choices=("json", "csv"))
+    parser.add_argument("--format", choices=FORMATS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -527,7 +505,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, QPoissonError, OSError, KeyError) as exc:
+    except (ValueError, QPoissonError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,6 @@ omega strings from the first fractional bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -106,9 +105,6 @@ class AngleTable:
             "encoded_lambdas": list(self.encoded_lambdas),
             "prefix_len": self.prefix_len,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
 def amplify_encode(lam: float, fmt: FixedPointFormat) -> str:

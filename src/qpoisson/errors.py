@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a choice."""
 
 
 class QPoissonError(Exception):
@@ -19,3 +19,9 @@ class ResourceError(QPoissonError):
 
 class PostselectionError(QPoissonError):
     """The ancilla success probability is too small to condition on."""
+
+
+def check_choice(name: str, value, allowed: tuple) -> None:
+    """Raise ValueError unless value is one of the allowed choices."""
+    if value not in allowed:
+        raise ValueError(f"{name} must be one of {', '.join(allowed)}; got {value!r}")

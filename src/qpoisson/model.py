@@ -17,10 +17,6 @@ so lambda_min ~ pi**2 and lambda_max < 4 N**2.  Grid point k maps to register
 basis state |k>; basis state |0> is unused padding that embeds the length
 N-1 vectors into a 2**n dimensional register.
 
-For d > 1 the operator is the Kronecker sum of d copies of the 1D matrix
-(eigenvalues are all d-fold sums of 1D eigenvalues).  That path exists for
-classical study only; the circuit builders accept d = 1.
-
 Everything here is a pure function of its arguments and safe to call from
 concurrent workers.
 """
@@ -44,14 +40,14 @@ __all__ = [
     "load_system",
 ]
 
-# Dense storage of the d-dimensional operator needs (dim**d)**2 entries; keep
-# the vector length dim**d below this to stay well under a gigabyte.
+# Dense storage of the operator needs dim**2 entries; keep dim below this to
+# stay well under a gigabyte.
 MAX_MODEL_DIM = 4096
 
 
 @dataclass(frozen=True)
 class PoissonSystem:
-    """One problem instance: grid exponent n, right-hand side b, dimension d.
+    """One problem instance: grid exponent n and right-hand side b.
 
     b holds the grid values b_1 .. b_{N-1} and may carry any overall scale;
     consumers normalize where quantum state preparation requires it.
@@ -59,13 +55,10 @@ class PoissonSystem:
 
     n: int
     b: np.ndarray
-    d: int = 1
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
         b = np.asarray(self.b, dtype=float)
         if b.ndim != 1 or b.size != self.dim:
             raise ValueError(f"b must have length 2**n - 1 = {self.dim}, got shape {b.shape}")
@@ -83,7 +76,7 @@ class PoissonSystem:
 
     @property
     def dim(self) -> int:
-        """Per-dimension matrix size, 2**n - 1."""
+        """Matrix size, 2**n - 1."""
         return 2 ** self.n - 1
 
     @property
@@ -105,29 +98,16 @@ class EigenData:
     kappa: float
 
 
-def build_matrix(system: PoissonSystem, max_dim: int = MAX_MODEL_DIM) -> np.ndarray:
-    """Dense system matrix; Kronecker sum of d copies of the 1D stencil."""
-    full_dim = system.dim ** system.d
-    if full_dim > max_dim:
-        raise ResourceError(
-            f"matrix dimension {system.dim}**{system.d} = {full_dim} exceeds budget {max_dim}"
-        )
+def build_matrix(system: PoissonSystem) -> np.ndarray:
+    """Dense system matrix (1/h**2) tridiag(-1, 2, -1)."""
     dim = system.dim
-    one_d = (2.0 * np.eye(dim) - np.eye(dim, k=1) - np.eye(dim, k=-1)) * system.N ** 2
-    if system.d == 1:
-        return one_d
-    out = np.zeros((full_dim, full_dim))
-    for axis in range(system.d):
-        left = np.eye(dim ** axis)
-        right = np.eye(dim ** (system.d - axis - 1))
-        out += np.kron(np.kron(left, one_d), right)
-    return out
+    if dim > MAX_MODEL_DIM:
+        raise ResourceError(f"matrix dimension {dim} exceeds budget {MAX_MODEL_DIM}")
+    return (2.0 * np.eye(dim) - np.eye(dim, k=1) - np.eye(dim, k=-1)) * system.N ** 2
 
 
 def eigenpairs(system: PoissonSystem) -> EigenData:
-    """Closed-form eigenvalues and orthonormal eigenvectors of the 1D matrix."""
-    if system.d != 1:
-        raise ValueError("closed-form eigenpairs apply per dimension; build them with d = 1")
+    """Closed-form eigenvalues and orthonormal eigenvectors of the matrix."""
     N = system.N
     j = np.arange(1, N)
     lambdas = 4.0 * N * N * np.sin(j * np.pi / (2 * N)) ** 2
@@ -138,8 +118,8 @@ def eigenpairs(system: PoissonSystem) -> EigenData:
     return EigenData(lambdas=lambdas, vectors=vectors, betas=betas, kappa=lambdas[-1] / lambdas[0])
 
 
-def _solve_tridiagonal(system: PoissonSystem) -> np.ndarray:
-    """Thomas-algorithm elimination for the 1D stencil; the classical oracle."""
+def exact_solve(system: PoissonSystem) -> np.ndarray:
+    """Normalized classical solution of A v = b by tridiagonal (Thomas) elimination."""
     dim = system.dim
     scale = float(system.N ** 2)
     lower = -scale
@@ -160,29 +140,11 @@ def _solve_tridiagonal(system: PoissonSystem) -> np.ndarray:
     x[-1] = dp[-1]
     for i in range(dim - 2, -1, -1):
         x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
-
-
-def exact_solve(system: PoissonSystem) -> np.ndarray:
-    """Normalized classical solution of A v = b.
-
-    d = 1 uses direct tridiagonal elimination.  For d > 1 the right-hand side
-    over the tensor grid is taken as the separable product of b with itself d
-    times, and the dense Kronecker-sum system is solved directly.
-    """
-    if system.d == 1:
-        x = _solve_tridiagonal(system)
-    else:
-        A = build_matrix(system)
-        rhs = system.b
-        for _ in range(system.d - 1):
-            rhs = np.kron(rhs, system.b)
-        x = np.linalg.solve(A, rhs)
     return x / np.linalg.norm(x)
 
 
 def load_system(path: str) -> PoissonSystem:
-    """Read a problem instance from JSON: {"n": int, "b": [..], "d": int?}."""
+    """Read a problem instance from JSON: {"n": int, "b": [..], "d": 1?}."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     try:
@@ -190,5 +152,6 @@ def load_system(path: str) -> PoissonSystem:
         b = raw["b"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"problem file {path} needs integer 'n' and list 'b'") from exc
-    d = int(raw.get("d", 1))
-    return PoissonSystem(n=n, b=np.asarray(b, dtype=float), d=d)
+    if raw.get("d", 1) != 1:
+        raise ValueError(f"problem file {path}: only d = 1 is supported, got {raw['d']!r}")
+    return PoissonSystem(n=n, b=np.asarray(b, dtype=float))

@@ -6,20 +6,22 @@ of the per-qubit column-stochastic confusion matrices, so column s holds the
 readout distribution for true state s and a noisy distribution is M @ ideal.
 Mitigation inverts that relation as the constrained least squares problem
 
-    min ||M x - y||_2   subject to   x >= 0,  sum(x) = 1
+    min ||M x - y||_2   subject to   x >= 0,  sum(x) = 1,
 
-solved by projected iteration (SLSQP), the standard readout-mitigation
-formulation.  Forecast fidelity for a hardware run decays per entangling
-gate as accuracy ** cnots.
+the readout-mitigation estimator of Smolin, Gambetta and Smith (PRL 108,
+070502, 2012).  It is solved by accelerated projected gradient with the
+sort-based projection onto the probability simplex of Duchi et al. (ICML
+2008).  Forecast fidelity for a hardware run decays per entangling gate as
+accuracy ** cnots.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ResourceError
 
@@ -34,6 +36,10 @@ __all__ = [
 
 # 2**w x 2**w dense calibration matrices stay small below this width.
 MAX_CALIBRATION_WIDTH = 10
+# Projected-gradient iteration cap, and the largest entry change of the
+# iterate below which it has converged.
+_MAX_ITERATIONS = 10_000
+_STEP_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -64,11 +70,16 @@ class ReadoutModel:
         """Load {"0": {"p01": .., "p10": ..}, "1": {...}, ...} keyed by qubit."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"noise model file {path} must hold a JSON object")
         indices = sorted(int(k) for k in raw)
         if indices != list(range(len(indices))):
             raise ValueError(f"noise model qubits must be contiguous from 0, got {indices}")
-        p01 = tuple(float(raw[str(i)]["p01"]) for i in indices)
-        p10 = tuple(float(raw[str(i)]["p10"]) for i in indices)
+        try:
+            p01 = tuple(float(raw[str(i)]["p01"]) for i in indices)
+            p10 = tuple(float(raw[str(i)]["p10"]) for i in indices)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"noise model {path}: every qubit needs numeric p01 and p10") from exc
         return cls(p01=p01, p10=p10)
 
 
@@ -116,32 +127,41 @@ def mitigate(noisy_histogram: dict[str, int], calibration: np.ndarray) -> np.nda
 
     Returns a probability vector over all 2**w outcomes, index = bitstring
     value.  Solves the constrained least squares problem in the module
-    docstring, seeded at the observed frequencies.
+    docstring by accelerated projected gradient (FISTA with adaptive restart),
+    started at the observed frequencies.
     """
-    dim = calibration.shape[0]
-    width = dim.bit_length() - 1
     total = sum(noisy_histogram.values())
     if total <= 0:
         raise ValueError("histogram has no counts")
-    observed = np.zeros(dim)
+    observed = np.zeros(calibration.shape[0])
     for bits, count in noisy_histogram.items():
         observed[int(bits, 2)] += count
     observed /= total
+    gram = calibration.T @ calibration
+    target = calibration.T @ observed
+    # the largest row sum bounds the gradient's Lipschitz constant from above
+    step = 1.0 / np.max(np.abs(gram).sum(axis=1))
+    x = y = observed
+    t = 1.0
+    for _ in range(_MAX_ITERATIONS):
+        x_next = _project_simplex(y - step * (gram @ y - target))
+        move = x_next - x
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        if np.dot(y - x_next, move) > 0.0:  # momentum points uphill: restart it
+            t, t_next = 1.0, 1.0
+        y = x_next + ((t - 1.0) / t_next) * move
+        x, t = x_next, t_next
+        if np.max(np.abs(move)) < _STEP_TOL:
+            break
+    return x
 
-    def loss(x):
-        r = calibration @ x - observed
-        return float(r @ r)
 
-    result = optimize.minimize(
-        loss,
-        x0=observed,
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * dim,
-        constraints={"type": "eq", "fun": lambda x: np.sum(x) - 1.0},
-        tol=1e-12,
-    )
-    x = np.clip(result.x, 0.0, None)
-    return x / x.sum()
+def _project_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {x >= 0, sum(x) = 1} (Duchi et al., 2008)."""
+    u = np.sort(v)[::-1]
+    excess = np.cumsum(u) - 1.0
+    rho = np.nonzero(u * np.arange(1, v.size + 1) > excess)[0][-1]
+    return np.maximum(v - excess[rho] / (rho + 1), 0.0)
 
 
 def fidelity_estimate(cnot_count: int, gate_accuracy: float = 0.92) -> float:

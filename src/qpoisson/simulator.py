@@ -62,9 +62,10 @@ import numpy as np
 
 from . import circuit as cg
 from .circuit import Circuit, Gate, RegisterLayout, QUBIT_BUDGET
-from .errors import PostselectionError, ResourceError
+from .errors import PostselectionError, ResourceError, check_choice
 
 __all__ = [
+    "BACKENDS",
     "RNG_NAME",
     "Statevector",
     "RunResult",
@@ -80,9 +81,11 @@ __all__ = [
     "sample",
     "fragment_unitary",
     "circuit_unitary",
-    "histogram_to_csv",
+    "check_backend",
 ]
 
+# "exact" reads the final state directly; "sample" draws measurement records.
+BACKENDS = ("exact", "sample")
 RNG_NAME = "PCG64"
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -116,16 +119,6 @@ class RunResult:
     shots: int
     seed: int
     rng: str = RNG_NAME
-
-    def as_dict(self) -> dict:
-        return {
-            "solution": [float(x) for x in self.solution],
-            "success_prob": self.success_prob,
-            "histogram": dict(sorted(self.histogram.items())),
-            "shots": self.shots,
-            "seed": self.seed,
-            "rng": self.rng,
-        }
 
 
 def zero_state(q: int) -> Statevector:
@@ -956,12 +949,23 @@ def postselect(state: Statevector, layout: RegisterLayout) -> tuple[np.ndarray, 
 
 
 def register_probabilities(state: Statevector, qubits: Sequence[int]) -> np.ndarray:
-    """Marginal probabilities over the given qubits, read MSB-first."""
-    tensor = state.tensor()
-    probs = tensor.real ** 2 + tensor.imag ** 2
-    others = [ax for ax in range(state.q) if ax not in qubits]
-    ordered = np.transpose(probs, tuple(qubits) + tuple(others))
-    return ordered.reshape(2 ** len(qubits), -1).sum(axis=1)
+    """Marginal probabilities over the given qubits, read MSB-first.
+
+    The state is reduced one block of _CHUNK amplitudes at a time, so no
+    temporary grows with the state.
+    """
+    qubits = tuple(qubits)
+    low = min(state.q, _CHUNK.bit_length() - 1)
+    high = state.q - low  # a block fixes qubits 0..high-1
+    kept = [g - high for g in qubits if g >= high]
+    axes = kept + [ax for ax in range(low) if ax + high not in qubits]
+    out = np.zeros((2,) * len(qubits))
+    for row, block in enumerate(state.amps.reshape(1 << high, 1 << low)):
+        probs = (np.square(block.real) + np.square(block.imag)).reshape((2,) * low)
+        part = probs.transpose(axes).reshape((2,) * len(kept) + (-1,)).sum(axis=-1)
+        index = tuple((row >> (high - 1 - g)) & 1 if g < high else slice(None) for g in qubits)
+        out[index] += part
+    return out.reshape(-1)
 
 
 def sample_counts(
@@ -979,6 +983,13 @@ def sample_counts(
         for value, c in enumerate(counts)
         if c > 0
     }
+
+
+def check_backend(backend: str, shots: int) -> None:
+    """Refuse a backend outside BACKENDS and a shot count below 1."""
+    check_choice("backend", backend, BACKENDS)
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
 
 
 def sample(circuit: Circuit, shots: int, seed: int, max_qubits: int = QUBIT_BUDGET) -> RunResult:
@@ -1032,10 +1043,3 @@ def fragment_unitary(gates: Sequence[Gate], q: int, max_qubits: int = 12) -> np.
 
 def circuit_unitary(circuit: Circuit, max_qubits: int = 12) -> np.ndarray:
     return fragment_unitary(circuit.gates, circuit.layout.total, max_qubits)
-
-
-def histogram_to_csv(histogram: dict[str, int]) -> str:
-    """Two-column CSV (bitstring, count), sorted by bitstring."""
-    lines = ["bitstring,count"]
-    lines.extend(f"{bits},{count}" for bits, count in sorted(histogram.items()))
-    return "\n".join(lines) + "\n"

@@ -28,11 +28,9 @@ from qpoisson import (
     prune_zero_columns,
     effective_lambda,
     eigenpairs,
-    exact_solve,
-    expected_success_probability,
     fidelity_estimate,
-    relative_error,
     resource_report,
+    solve,
 )
 from qpoisson.cli import PRESETS, mitigation_trial
 from qpoisson.noise import ReadoutModel
@@ -56,22 +54,17 @@ def runs():
     out = {}
     for label in PROBLEMS:
         system = make_system(label)
-        eigs = eigenpairs(system)
-        exact = exact_solve(system)
         for f in F_VALUES:
             fmt = FixedPointFormat(2 * system.n + 2, f, 16)
             start = time.perf_counter()
-            built = build_pipeline(system, fmt, mode="fused")
-            state = sim.run_exact(built)
-            solution, success = sim.postselect(state, built.layout)
+            record = solve(system, fmt, mode="fused")
             elapsed = time.perf_counter() - start
-            table = built.metadata["table"]
             out[label, f] = {
-                "eigs": eigs,
-                "table": table,
-                "rel_error": relative_error(exact, solution),
-                "success": success,
-                "expected_sp": expected_success_probability(eigs, table),
+                "eigs": record.circuit.metadata["eigs"],
+                "table": record.circuit.metadata["table"],
+                "rel_error": record.rel_error,
+                "run_sp": record.run_percent,
+                "expected_sp": record.expected_percent,
                 "elapsed": elapsed,
             }
     return out
@@ -158,7 +151,7 @@ def test_criterion_05a_analytic_success_probabilities():
 
 def test_criterion_05b_expected_matches_postselection(runs):
     for record in runs.values():
-        assert abs(record["expected_sp"] - 100.0 * record["success"]) <= 1e-9
+        assert abs(record["expected_sp"] - record["run_sp"]) <= 1e-9
 
 
 @pytest.mark.xfail(

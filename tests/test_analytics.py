@@ -18,6 +18,7 @@ from qpoisson import (
     expected_success_probability,
     relative_error,
     resource_report,
+    solve,
     sweep_record,
 )
 
@@ -155,3 +156,30 @@ def test_sweep_record_shape(sys_3x3):
     assert record["rel_error"] < 0.01
     assert record["sp_analytic_exact"] == pytest.approx(1.26953125)
     assert isinstance(record["sp_expected"], float)
+
+
+@pytest.mark.parametrize("backend", ("exact", "sample"))
+def test_solve_matches_the_pipeline_calls(sys_3x3, backend):
+    fmt = FixedPointFormat(6, 4, 10)
+    record = solve(sys_3x3, fmt, mode="fused", backend=backend, shots=20_000, seed=9)
+    built = build_pipeline(sys_3x3, fmt, mode="fused")
+    if backend == "exact":
+        solution, success = sim.postselect(sim.run_exact(built), built.layout)
+        run_percent = 100.0 * success
+        assert record.sampled is None
+    else:
+        result = sim.sample(built, 20_000, 9)
+        solution, run_percent = result.solution, empirical_success_probability(result)
+        assert record.sampled.histogram == result.histogram
+    exact = exact_solve(sys_3x3)
+    eigs = eigenpairs(sys_3x3)
+    table = built.metadata["table"]
+    effective = np.array([effective_lambda(bits, fmt) for bits in table.encoded_lambdas])
+    assert record.circuit.metadata["mode"] == "fused"
+    assert np.array_equal(record.solution, solution)
+    assert np.array_equal(record.exact, exact)
+    assert record.rel_error == relative_error(exact, solution)
+    assert record.run_percent == run_percent
+    assert record.expected_percent == expected_success_probability(eigs, table)
+    assert record.analytic_truncated_percent == analytic_success_probability(effective)
+    assert record.analytic_exact_percent == analytic_success_probability(eigs.lambdas)

@@ -192,10 +192,22 @@ def test_pipeline_budget(sys_15x15):
         build_pipeline(sys_15x15, fmt, mode="explicit")
 
 
-def test_pipeline_rejects_multidim():
-    system = PoissonSystem(n=2, b=np.array([1.0, 1.0, 1.0]), d=2)
-    with pytest.raises(ValueError):
-        build_pipeline(system, FixedPointFormat(6, 0, 10))
+@pytest.mark.parametrize(
+    "build",
+    (
+        lambda s, f: build_pipeline(s, f, mode="sideways"),
+        lambda s, f: build_pipeline(s, f, phase_mode="fake"),
+        lambda s, f: build_phase_verification(s, f, s.b, phase_mode="fake"),
+    ),
+    ids=("pipeline-mode", "pipeline-phase-mode", "verification-phase-mode"),
+)
+def test_builders_check_choices_on_entry(sys_3x3, monkeypatch, build):
+    def no_eigenpairs(system):
+        raise AssertionError("a bad choice must be refused before the spectrum is built")
+
+    monkeypatch.setattr(qc, "eigenpairs", no_eigenpairs)
+    with pytest.raises(ValueError, match="must be one of"):
+        build(sys_3x3, FixedPointFormat(6, 0, 10))
 
 
 def test_explicit_rotation_structure(sys_3x3):

@@ -1,16 +1,26 @@
 """End-to-end command tests driving main() in process."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qpoisson import PoissonSystem, eigenpairs
+from qpoisson import PoissonSystem, cli, eigenpairs
 from qpoisson.analytics import SWEEP_COLUMNS
 from qpoisson.cli import main, mitigation_trial
 from qpoisson.noise import ReadoutModel
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +88,24 @@ def test_solve_csv_solution_rows(capsys, tmp_path):
     assert lines[0].startswith("# config ")
     assert lines[1] == "index,amplitude"
     assert len(lines) == 5
+
+
+def test_solve_sample_csv_histogram_rows(capsys, tmp_path):
+    path = tmp_path / "histogram.csv"
+    code, _, _ = run_cli(
+        capsys,
+        "solve", "--preset", "table1-3x3", "--f", "0", "--l", "10",
+        "--backend", "sample", "--shots", "20000", "--seed", "9",
+        "--format", "csv", "--output", str(path),
+    )
+    assert code == 0
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# config ")
+    assert lines[1] == "bitstring,count"
+    rows = [line.split(",") for line in lines[2:]]
+    assert [bits for bits, _ in rows] == sorted(bits for bits, _ in rows)
+    assert all(len(bits) == 3 and int(count) > 0 for bits, count in rows)
+    assert sum(int(count) for _, count in rows) == 20000
 
 
 def test_verify_phase_eigenvector(capsys):
@@ -214,6 +242,62 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     assert "unknown config keys" in err
 
 
+COMMAND_ARGV = {
+    "solve": ("solve", "--preset", "table1-3x3", "--f", "0", "--l", "10"),
+    "verify-phase": ("verify-phase", "--preset", "table1-3x3", "--f", "0", "--l", "10",
+                     "--eigen-index", "2"),
+    "sweep": ("sweep", "--preset", "table1-3x3", "--f-values", "0", "--l", "10"),
+    "resources": ("resources", "--n-values", "2"),
+    "mitigate-demo": ("mitigate-demo",),
+}
+BAD_VALUES = {"mode": "sideways", "phase_mode": "fake", "backend": "gpu", "shots": 0,
+              "format": "xml", "d": 2}
+CONSUMERS = {
+    "mode": ("solve", "sweep", "resources"),
+    "phase_mode": ("solve", "verify-phase", "sweep", "resources"),
+    "backend": ("solve", "verify-phase"),
+    "shots": ("solve", "verify-phase", "mitigate-demo"),
+    "format": ("solve", "sweep", "resources"),
+    "d": tuple(COMMAND_ARGV),
+}
+
+
+@pytest.mark.parametrize("command", tuple(COMMAND_ARGV))
+def test_config_d_1_is_accepted(capsys, tmp_path, command):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"d": 1}))
+    assert run_cli(capsys, *COMMAND_ARGV[command], "--config", str(cfg))[0] == 0
+
+
+@pytest.mark.parametrize(
+    "field, command",
+    [(field, command) for field, commands in CONSUMERS.items() for command in commands],
+)
+def test_bad_config_value_exits_2(capsys, tmp_path, field, command):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({field: BAD_VALUES[field]}))
+    code, _, err = run_cli(capsys, *COMMAND_ARGV[command], "--config", str(cfg))
+    assert code == 2
+    assert field in err
+
+
+def test_malformed_noise_model_exits_2(capsys, tmp_path):
+    path = tmp_path / "noise.json"
+    path.write_text(json.dumps({"0": {"p01": 0.01}, "1": {"p01": 0.01, "p10": 0.02}}))
+    code, _, err = run_cli(capsys, "mitigate-demo", "--noise-model", str(path))
+    assert code == 2
+    assert "p10" in err
+
+
+def test_programming_error_is_not_reported_as_bad_input(monkeypatch):
+    def broken(cfg):
+        raise KeyError("a bug, not an input")
+
+    monkeypatch.setattr(cli, "cmd_solve", broken)
+    with pytest.raises(KeyError):
+        main(["solve", "--preset", "table1-3x3"])
+
+
 def test_bad_choice_exits_2(capsys):
     assert run_cli(capsys, "solve", "--preset", "table1-3x3", "--mode", "sideways")[0] == 2
 
@@ -247,6 +331,19 @@ def test_module_entry_point_smoke():
         capture_output=True,
         text=True,
         timeout=120,
+        env=src_env(),
     )
     assert proc.returncode == 0
     assert "problem 1x1" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    probe = (
+        "import sys, qpoisson.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=src_env(),
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -11,6 +11,7 @@ from qpoisson import (
     exact_solve,
     load_system,
 )
+from qpoisson.model import MAX_MODEL_DIM
 
 # Normalized reference solutions, computed by tridiagonal elimination and
 # cross-checked against dense numpy solves.
@@ -38,8 +39,6 @@ def test_system_validation():
         PoissonSystem(n=1, b=np.array([np.inf]))
     with pytest.raises(ValueError):
         PoissonSystem(n=2, b=np.zeros(3))
-    with pytest.raises(ValueError):
-        PoissonSystem(n=2, b=np.array([1.0, 0.0, 0.0]), d=0)
 
 
 def test_b_is_frozen(sys_3x3):
@@ -103,31 +102,10 @@ def test_exact_solve_matches_dense(n):
     assert np.max(np.abs(ref - sign * got)) < 1e-12
 
 
-def test_kronecker_sum_spectrum():
-    system = PoissonSystem(n=2, b=np.array([1.0, 1.0, 1.0]), d=2)
-    A = build_matrix(system)
-    one_d = eigenpairs(PoissonSystem(n=2, b=np.array([1.0, 1.0, 1.0]))).lambdas
-    expected = np.sort(np.add.outer(one_d, one_d).ravel())
-    assert np.max(np.abs(np.sort(np.linalg.eigvalsh(A)) - expected)) < 1e-9
-
-
-def test_exact_solve_2d_matches_dense():
-    system = PoissonSystem(n=2, b=np.array([0.5, 1.0, 0.25]), d=2)
-    A = build_matrix(system)
-    rhs = np.kron(system.b, system.b)
-    ref = np.linalg.solve(A, rhs)
-    ref /= np.linalg.norm(ref)
-    assert np.allclose(exact_solve(system), ref, atol=1e-12)
-
-
-def test_eigenpairs_rejects_multidim():
-    system = PoissonSystem(n=2, b=np.array([1.0, 1.0, 1.0]), d=2)
-    with pytest.raises(ValueError):
-        eigenpairs(system)
-
-
 def test_matrix_budget():
-    system = PoissonSystem(n=4, b=np.ones(15), d=4)
+    n = MAX_MODEL_DIM.bit_length()  # first grid whose 2**n - 1 points exceed the budget
+    system = PoissonSystem(n=n, b=np.ones(2**n - 1))
+    assert system.dim > MAX_MODEL_DIM
     with pytest.raises(ResourceError):
         build_matrix(system)
 
@@ -136,7 +114,7 @@ def test_load_system_roundtrip(tmp_path):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({"n": 2, "b": [0.5, 0.25, 0.25]}), encoding="utf-8")
     system = load_system(str(path))
-    assert system.n == 2 and system.d == 1
+    assert system.n == 2
     assert np.allclose(system.b, [0.5, 0.25, 0.25])
 
 
@@ -144,4 +122,13 @@ def test_load_system_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"b": [1.0]}), encoding="utf-8")
     with pytest.raises(ValueError):
+        load_system(str(path))
+
+
+def test_load_system_accepts_only_d_1(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"n": 2, "b": [1.0, 1.0, 1.0], "d": 1}), encoding="utf-8")
+    assert load_system(str(path)).n == 2
+    path.write_text(json.dumps({"n": 2, "b": [1.0, 1.0, 1.0], "d": 2}), encoding="utf-8")
+    with pytest.raises(ValueError, match="only d = 1"):
         load_system(str(path))

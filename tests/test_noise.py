@@ -134,6 +134,57 @@ def test_mitigate_recovers_delta():
     assert recovered[0b10] > 0.99
 
 
+def test_mitigate_inverts_inside_the_simplex():
+    model = ReadoutModel(p01=(0.02, 0.1, 0.05), p10=(0.05, 0.2, 0.01))
+    calibration = calibration_matrix(model, 3)
+    noisy = corrupt({format(k, "03b"): 10_000 + 1_000 * k for k in range(8)}, model, seed=2)
+    observed = np.zeros(8)
+    for bits, count in noisy.items():
+        observed[int(bits, 2)] = count
+    observed /= observed.sum()
+    inverse = np.linalg.solve(calibration, observed)
+    assert np.all(inverse > 0.0)  # column sums of 1 keep sum(inverse) = 1
+    assert np.max(np.abs(mitigate(noisy, calibration) - inverse)) < 1e-10
+
+
+@pytest.mark.parametrize("p", (0.05, 0.3, 0.45))
+def test_mitigate_meets_kkt_with_active_bounds(p):
+    model = ReadoutModel.uniform(3, p, p)
+    calibration = calibration_matrix(model, 3)
+    noisy = corrupt({"101": 2_000, "110": 500}, model, seed=4)
+    observed = np.zeros(8)
+    for bits, count in noisy.items():
+        observed[int(bits, 2)] = count
+    observed /= observed.sum()
+    assert np.any(np.linalg.solve(calibration, observed) < 0.0)  # a bound must be active
+    x = mitigate(noisy, calibration)
+    assert np.all(x >= 0.0) and x.sum() == pytest.approx(1.0, abs=1e-12)
+    # gradient of 0.5 ||M x - y||^2; the sum constraint's multiplier equalizes it on
+    # the support and may only be exceeded where x sits on its bound
+    grad = calibration.T @ (calibration @ x - observed)
+    support = x > 0.0
+    level = grad[support].mean()
+    assert np.any(~support)
+    assert np.max(np.abs(grad[support] - level)) < 1e-9
+    assert np.all(grad[~support] - level > -1e-9)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    (
+        [{"p01": 0.01, "p10": 0.02}],
+        {"0": {"p01": 0.01}},
+        {"0": 0.01},
+    ),
+    ids=("not-an-object", "missing-p10", "entry-not-an-object"),
+)
+def test_model_from_json_rejects_malformed(tmp_path, raw):
+    path = tmp_path / "noise.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError):
+        ReadoutModel.from_json(str(path))
+
+
 def test_mitigate_rejects_empty():
     with pytest.raises(ValueError):
         mitigate({"0": 0}, np.eye(2))

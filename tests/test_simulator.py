@@ -1,6 +1,7 @@
 """Kernel checks against a brute-force reference built from gate definitions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,34 @@ def test_register_probabilities_handcrafted():
     assert np.allclose(probs, [1 / 3, 1 / 3, 1 / 3, 0.0])
 
 
+@pytest.mark.parametrize(
+    "qubits", ((), (0,), (16,), (2, 0), (16, 1, 14), (5, 15, 9, 0), tuple(range(16, -1, -1)))
+)
+def test_register_probabilities_blockwise_is_exact(qubits):
+    q = 17  # eight blocks of 2**14 amplitudes
+    rng = np.random.default_rng(len(qubits))
+    amps = rng.standard_normal(2**q) + 1j * rng.standard_normal(2**q)
+    state = sim.Statevector(amps / np.linalg.norm(amps), q)
+    probs = np.abs(state.tensor()) ** 2
+    others = tuple(ax for ax in range(q) if ax not in qubits)
+    rows = np.transpose(probs, qubits + others).reshape(2 ** len(qubits), -1)
+    exact = np.array([math.fsum(row) for row in rows])
+    assert np.max(np.abs(sim.register_probabilities(state, qubits) - exact)) <= 1e-15
+
+
+def test_register_probabilities_memory_is_bounded():
+    q = 18
+    amps = np.full(2**q, 2 ** (-q / 2), dtype=complex)
+    state = sim.Statevector(amps, q)
+    tracemalloc.start()
+    probs = sim.register_probabilities(state, (q - 1, 0))
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert np.allclose(probs, 0.25, atol=1e-15)
+    # one full-size float temporary alone would take half the state's 4 MiB
+    assert peak < amps.nbytes / 4
+
+
 def test_sample_is_deterministic_and_complete(sys_3x3):
     built = build_pipeline(sys_3x3, FixedPointFormat(6, 0, 10), mode="fused")
     a = sim.sample(built, shots=2000, seed=42)
@@ -197,6 +226,3 @@ def test_smallest_system_end_to_end():
     omega_hat = int(built.metadata["table"].encoded_omegas[0], 2) / 2 ** 8
     assert success == pytest.approx(math.sin(math.pi * omega_hat) ** 2, abs=1e-12)
 
-
-def test_histogram_to_csv_sorted():
-    assert sim.histogram_to_csv({"11": 3, "01": 2}) == "bitstring,count\n01,2\n11,3\n"
