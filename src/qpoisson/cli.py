@@ -7,12 +7,16 @@ Subcommands
     resources      tabulate qubit/depth/CNOT estimates across problem sizes
     mitigate-demo  readout-noise corrupt/mitigate round trip on the input state
 
-Configuration precedence is defaults < --config JSON < explicit flags, and
-every run embeds its fully resolved configuration in the output so results
-are self-describing.  A config file may carry "d": 1, the only dimension
-solved.  Outputs are deterministic byte-for-byte for a fixed config and
-seed.  Exit codes: 0 success, 2 invalid configuration or input, 3 resource
-budget exceeded.
+OPTIONS declares each option once: its flag, type, default, help text and
+the subcommands that read it.  A subcommand takes only the options it reads,
+as flags and as --config keys alike, and refuses any other.  Precedence is
+defaults < --config JSON < explicit flags; config values are checked by the
+same types and choices as flags, and a config file may also carry "d": 1,
+the only dimension solved.  Every run embeds the resolved value of each option
+it read (but config, output and format) in its output, so results are
+self-describing.  Outputs are deterministic byte-for-byte for a fixed config
+and seed.  Exit codes: 0 success, 2 invalid configuration or input, 3
+resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ import dataclasses
 import json
 import sys
 from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import get_args
 
 import numpy as np
 
@@ -33,7 +39,7 @@ from .encoding import FixedPointFormat, default_format
 from .errors import QPoissonError, ResourceError, check_choice
 from .model import PoissonSystem, eigenpairs
 
-__all__ = ["DEFAULTS", "FORMATS", "PRESETS", "RESOURCE_COLUMNS", "main"]
+__all__ = ["FORMATS", "OPTIONS", "PRESETS", "RESOURCE_COLUMNS", "Option", "main"]
 
 # Right-hand sides for the three benchmark grids (unit-norm as listed; the
 # 15x15 state zeroes its last two entries).
@@ -41,30 +47,6 @@ PRESETS = {
     "table1-3x3": {"n": 2, "b": (2**-0.5, 0.5, 0.5)},
     "table1-7x7": {"n": 3, "b": (0.25, 0.25, 0.25, 0.25, 0.5, 0.5, 0.5)},
     "table1-15x15": {"n": 4, "b": (0.25,) * 12 + (0.5, 0.0, 0.0)},
-}
-
-DEFAULTS = {
-    "preset": None,
-    "n": None,
-    "b": None,
-    "d": 1,
-    "integer_bits": None,
-    "fraction_bits": 8,
-    "angle_bits": 16,
-    "mode": "auto",
-    "phase_mode": "encoded",
-    "backend": "exact",
-    "shots": 1_000_000,
-    "seed": 1234,
-    "p01": 0.02,
-    "p10": 0.05,
-    "noise_model": None,
-    "format": "json",
-    "output": None,
-    "f_values": (0, 4, 8),
-    "n_values": (2, 3, 4),
-    "eigen_index": None,
-    "input": None,
 }
 
 FORMATS = ("json", "csv")
@@ -96,63 +78,136 @@ def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",")]
 
 
+# Flag-text converters of the list types; a scalar type converts its own text.
+_LIST_PARSERS = {list[int]: _int_list, list[float]: _float_list}
+
+
+@dataclass(frozen=True)
+class Option:
+    """One option: a flag, and the --config key of the same name.
+
+    type is int, float, str, list[int] or list[float].  A default of None
+    marks an optional value, which a config file may also set to null.
+    """
+
+    name: str
+    flag: str
+    type: type
+    default: object
+    help: str
+    commands: tuple[str, ...]
+    choices: tuple[str, ...] | None = None
+
+    def from_json(self, value):
+        """The config file's value, converted as the flag's; ValueError if mistyped."""
+        if value is None and self.default is None:
+            return None
+        is_list = self.type in _LIST_PARSERS
+        item = get_args(self.type)[0] if is_list else self.type
+        items = value if is_list else [value]
+        # JSON has one number type for int and float, and bool is no number
+        accepted = (int, float) if item is float else (item,)
+        if type(items) is not list or any(type(x) not in accepted for x in items):
+            raise ValueError(f"config key {self.name!r} must be {self.type.__name__}, "
+                             f"got {value!r}")
+        value = [item(x) for x in items] if is_list else item(value)
+        if self.choices is not None:
+            check_choice(self.name, value, self.choices)
+        return value
+
+
+_ALL = ("solve", "verify-phase", "sweep", "resources", "mitigate-demo")
+_PROBLEM = ("solve", "verify-phase", "sweep", "mitigate-demo")
+_CIRCUIT = ("solve", "verify-phase", "sweep", "resources")
+_PIPELINE = ("solve", "sweep", "resources")
+_SAMPLED = ("solve", "verify-phase", "mitigate-demo")
+
+OPTIONS = (
+    Option("config", "--config", str, None, "JSON file of config overrides", _ALL),
+    Option("preset", "--preset", str, None, "named problem", _PROBLEM, tuple(PRESETS)),
+    Option("n", "--n", int, None, "grid exponent (dim = 2**n - 1)", _PROBLEM),
+    Option("b", "--b", list[float], None, "comma-separated right-hand side", _PROBLEM),
+    Option("integer_bits", "--i", int, None, "integer bits (default 2n+2)", _CIRCUIT),
+    Option("fraction_bits", "--f", int, 8, "amplification bits",
+           ("solve", "verify-phase", "resources")),
+    Option("angle_bits", "--l", int, 16, "angle register bits", _CIRCUIT),
+    Option("mode", "--mode", str, "auto", "controlled-rotation realization", _PIPELINE, qc.MODES),
+    Option("phase_mode", "--phase-mode", str, "encoded", "QPE walk phases", _CIRCUIT,
+           qc.PHASE_MODES),
+    Option("backend", "--backend", str, "exact", "read the state exactly or sample it",
+           ("solve", "verify-phase"), sim.BACKENDS),
+    Option("shots", "--shots", int, 1_000_000, "number of samples", _SAMPLED),
+    Option("seed", "--seed", int, 1234, "sampling seed", _SAMPLED),
+    Option("output", "--output", str, None, "write the result artifact to this path", _ALL),
+    Option("format", "--format", str, "json", "artifact format", _PIPELINE, FORMATS),
+    Option("eigen_index", "--eigen-index", int, None, "prepare eigenvector j (1-based)",
+           ("verify-phase",)),
+    Option("input", "--input", list[float], None, "comma-separated grid values to prepare",
+           ("verify-phase",)),
+    Option("f_values", "--f-values", list[int], (0, 4, 8),
+           "comma-separated amplification bit counts", ("sweep",)),
+    Option("n_values", "--n-values", list[int], (2, 3, 4),
+           "comma-separated grid exponents (empty for header only)", ("resources",)),
+    Option("p01", "--p01", float, 0.02, "Pr(read 1 | true 0) on every qubit", ("mitigate-demo",)),
+    Option("p10", "--p10", float, 0.05, "Pr(read 0 | true 1) on every qubit", ("mitigate-demo",)),
+    Option("noise_model", "--noise-model", str, None, "JSON noise model {qubit: {p01, p10}}",
+           ("mitigate-demo",)),
+)
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
-    path = getattr(args, "config", None)
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
+    """Each option args.command reads, resolved: defaults < --config < flags."""
+    options = [opt for opt in OPTIONS if args.command in opt.commands]
+    cfg = {opt.name: opt.default for opt in options}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
-            raise ValueError(f"config file {path} must hold a JSON object")
-        unknown = sorted(set(raw) - set(DEFAULTS))
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+        d = raw.pop("d", 1)
+        if type(d) is not int or d != 1:
+            raise ValueError(f"only 1D grids are solved (d = 1), got d = {d!r}")
+        unknown = sorted(set(raw) - (set(cfg) - {"config"}))
         if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
-        cfg.update(raw)
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
+            raise ValueError(f"unknown config keys for {args.command}: {unknown}")
+        for opt in options:
+            if opt.name in raw:
+                cfg[opt.name] = opt.from_json(raw[opt.name])
+    for name in cfg:
+        value = getattr(args, name)
         if value is not None:
-            cfg[key] = value
-    if cfg["d"] != 1:
-        raise ValueError(f"only 1D grids are solved (d = 1), got d = {cfg['d']!r}")
-    check_choice("format", cfg["format"], FORMATS)
+            cfg[name] = value
     return cfg
+
+
+def _echo(cfg: dict, system: PoissonSystem | None = None, **resolved) -> dict:
+    """The config block: each option read but config, output and format, plus d = 1.
+
+    resolved and system (n and b) give the values a run worked out itself.
+    """
+    config = {k: v for k, v in cfg.items() if k not in ("config", "output", "format")}
+    if system is not None:
+        config.update(n=system.n, b=[float(x) for x in system.b])
+    config.update(resolved, d=1)
+    return config
 
 
 def _resolve_system(cfg: dict) -> PoissonSystem:
     if cfg["preset"] is not None:
-        if cfg["preset"] not in PRESETS:
-            raise ValueError(f"unknown preset {cfg['preset']!r}; choose from {sorted(PRESETS)}")
         if cfg["n"] is not None or cfg["b"] is not None:
             raise ValueError("give either a preset or explicit --n/--b, not both")
         preset = PRESETS[cfg["preset"]]
         return PoissonSystem(n=preset["n"], b=np.asarray(preset["b"]))
     if cfg["n"] is None or cfg["b"] is None:
         raise ValueError("problem underspecified: need --preset, or both --n and --b")
-    return PoissonSystem(n=int(cfg["n"]), b=np.asarray(cfg["b"], dtype=float))
+    return PoissonSystem(n=cfg["n"], b=np.asarray(cfg["b"], dtype=float))
 
 
-def _resolve_format(cfg: dict, n: int) -> FixedPointFormat:
-    fmt = default_format(n, int(cfg["fraction_bits"]), int(cfg["angle_bits"]))
+def _resolve_format(cfg: dict, n: int, fraction_bits: int) -> FixedPointFormat:
+    fmt = default_format(n, fraction_bits, cfg["angle_bits"])
     if cfg["integer_bits"] is None:
         return fmt
-    return dataclasses.replace(fmt, integer_bits=int(cfg["integer_bits"]))
-
-
-def _base_config(cfg: dict, system: PoissonSystem, fmt: FixedPointFormat) -> dict:
-    return {
-        "preset": cfg["preset"],
-        "n": system.n,
-        "d": 1,
-        "b": [float(x) for x in system.b],
-        "integer_bits": fmt.integer_bits,
-        "fraction_bits": fmt.fraction_bits,
-        "angle_bits": fmt.angle_bits,
-        "mode": cfg["mode"],
-        "phase_mode": cfg["phase_mode"],
-        "backend": cfg["backend"],
-        "shots": int(cfg["shots"]),
-        "seed": int(cfg["seed"]),
-    }
+    return dataclasses.replace(fmt, integer_bits=cfg["integer_bits"])
 
 
 def _warn_downgrade(requested: str, resolved: str) -> None:
@@ -197,10 +252,10 @@ def _problem_label(system: PoissonSystem) -> str:
 
 def cmd_solve(cfg: dict) -> int:
     system = _resolve_system(cfg)
-    fmt = _resolve_format(cfg, system.n)
+    fmt = _resolve_format(cfg, system.n, cfg["fraction_bits"])
     record = analytics.solve(
         system, fmt, mode=cfg["mode"], phase_mode=cfg["phase_mode"], backend=cfg["backend"],
-        shots=int(cfg["shots"]), seed=int(cfg["seed"]),
+        shots=cfg["shots"], seed=cfg["seed"],
     )
     mode = record.circuit.metadata["mode"]
     _warn_downgrade(cfg["mode"], mode)
@@ -213,7 +268,7 @@ def cmd_solve(cfg: dict) -> int:
         "analytic_exact_percent": record.analytic_exact_percent,
     }
     payload: dict = {
-        "config": _base_config(cfg, system, fmt),
+        "config": _echo(cfg, system, integer_bits=fmt.integer_bits),
         "mode_resolved": mode,
         "solution": [float(x) for x in solution],
         "exact_solution": [float(x) for x in record.exact],
@@ -251,11 +306,11 @@ def cmd_solve(cfg: dict) -> int:
 
 def cmd_verify_phase(cfg: dict) -> int:
     system = _resolve_system(cfg)
-    fmt = _resolve_format(cfg, system.n)
-    if cfg["eigen_index"] is not None and cfg["input"] is not None:
+    fmt = _resolve_format(cfg, system.n, cfg["fraction_bits"])
+    j = cfg["eigen_index"]
+    if j is not None and cfg["input"] is not None:
         raise ValueError("give --eigen-index or --input, not both")
-    if cfg["eigen_index"] is not None:
-        j = int(cfg["eigen_index"])
+    if j is not None:
         if not 1 <= j <= system.dim:
             raise ValueError(f"eigen index must be in 1..{system.dim}, got {j}")
         vec = eigenpairs(system).vectors[:, j - 1]
@@ -263,13 +318,12 @@ def cmd_verify_phase(cfg: dict) -> int:
         vec = np.asarray(cfg["input"], dtype=float)
     else:
         raise ValueError("verify-phase needs --eigen-index or --input")
-    sim.check_backend(cfg["backend"], int(cfg["shots"]))
+    sim.check_backend(cfg["backend"], cfg["shots"])
 
     built = qc.build_phase_verification(system, fmt, vec, cfg["phase_mode"])
     state = sim.run_exact(built)
-    config = _base_config(cfg, system, fmt)
-    config["eigen_index"] = cfg["eigen_index"]
-    config["input"] = [float(x) for x in vec]
+    config = _echo(cfg, system, integer_bits=fmt.integer_bits,
+                   input=[float(x) for x in vec])
     payload: dict = {"config": config}
     width = fmt.total_bits
     if cfg["backend"] == "exact":
@@ -282,7 +336,7 @@ def cmd_verify_phase(cfg: dict) -> int:
         payload["probabilities"] = readout
         spec = ".6f"
     else:
-        readout = sim.sample_counts(state, built.layout.reg_e, int(cfg["shots"]), int(cfg["seed"]))
+        readout = sim.sample_counts(state, built.layout.reg_e, cfg["shots"], cfg["seed"])
         payload["histogram"] = dict(sorted(readout.items()))
         payload["rng"] = sim.RNG_NAME
         spec = ""
@@ -294,22 +348,18 @@ def cmd_verify_phase(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    f_values = [int(f) for f in cfg["f_values"]]
-    if not f_values:
+    if not cfg["f_values"]:
         raise ValueError("sweep needs at least one f value")
     system = _resolve_system(cfg)
-    fmt = _resolve_format(cfg, system.n)
+    formats = [_resolve_format(cfg, system.n, f) for f in cfg["f_values"]]
     rows = []
-    for f in f_values:
+    for fmt in formats:
         row = analytics.sweep_record(
-            _problem_label(system), system, dataclasses.replace(fmt, fraction_bits=f),
-            mode=cfg["mode"], phase_mode=cfg["phase_mode"],
+            _problem_label(system), system, fmt, mode=cfg["mode"], phase_mode=cfg["phase_mode"],
         )
         _warn_downgrade(cfg["mode"], row["mode"])
         rows.append(row)
-    config = _base_config(cfg, system, fmt)
-    del config["fraction_bits"]
-    config["f_values"] = f_values
+    config = _echo(cfg, system, integer_bits=formats[0].integer_bits)
     if cfg["format"] == "csv":
         text = _render_csv(analytics.SWEEP_COLUMNS, rows, config)
     else:
@@ -319,13 +369,12 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_resources(cfg: dict) -> int:
-    n_values = [int(n) for n in cfg["n_values"]]
     rows = []
-    for n in n_values:
+    for n in cfg["n_values"]:
         dim = 2**n - 1
         # resource shape is input-independent; a flat state stands in for b
         system = PoissonSystem(n=n, b=np.full(dim, dim**-0.5))
-        fmt = _resolve_format(cfg, n)
+        fmt = _resolve_format(cfg, n, cfg["fraction_bits"])
         built = qc.build_pipeline(system, fmt, mode=cfg["mode"], phase_mode=cfg["phase_mode"])
         _warn_downgrade(cfg["mode"], built.metadata["mode"])
         report = analytics.resource_report(built)
@@ -347,15 +396,8 @@ def cmd_resources(cfg: dict) -> int:
                 "washed_out": report.washed_out,
             }
         )
-    config = {
-        "n_values": n_values,
-        "d": 1,
-        "integer_bits": cfg["integer_bits"],
-        "fraction_bits": int(cfg["fraction_bits"]),
-        "angle_bits": int(cfg["angle_bits"]),
-        "mode": cfg["mode"],
-        "phase_mode": cfg["phase_mode"],
-    }
+    # integer_bits is echoed as given: its default differs per problem size
+    config = _echo(cfg)
     if cfg["format"] == "csv":
         text = _render_csv(RESOURCE_COLUMNS, rows, config)
     else:
@@ -396,8 +438,7 @@ def mitigation_trial(p_ideal: np.ndarray, model: noise.ReadoutModel, shots: int,
 
 def cmd_mitigate_demo(cfg: dict) -> int:
     if cfg["preset"] is None and cfg["n"] is None:
-        cfg = dict(cfg)
-        cfg["preset"] = "table1-3x3"
+        cfg = {**cfg, "preset": "table1-3x3"}
     system = _resolve_system(cfg)
     if cfg["noise_model"] is not None:
         model = noise.ReadoutModel.from_json(cfg["noise_model"])
@@ -406,23 +447,13 @@ def cmd_mitigate_demo(cfg: dict) -> int:
                 f"noise model width {model.width} does not match n = {system.n}"
             )
     else:
-        model = noise.ReadoutModel.uniform(system.n, float(cfg["p01"]), float(cfg["p10"]))
+        model = noise.ReadoutModel.uniform(system.n, cfg["p01"], cfg["p10"])
     bhat = np.asarray(system.b, dtype=float)
     bhat = bhat / np.linalg.norm(bhat)
     p_ideal = np.concatenate([[0.0], bhat**2])
-    trial = mitigation_trial(p_ideal, model, int(cfg["shots"]), int(cfg["seed"]))
+    trial = mitigation_trial(p_ideal, model, cfg["shots"], cfg["seed"])
 
-    config = {
-        "preset": cfg["preset"],
-        "n": system.n,
-        "d": 1,
-        "b": [float(x) for x in system.b],
-        "p01": list(model.p01),
-        "p10": list(model.p10),
-        "noise_model": cfg["noise_model"],
-        "shots": int(cfg["shots"]),
-        "seed": int(cfg["seed"]),
-    }
+    config = _echo(cfg, system, p01=list(model.p01), p10=list(model.p10))
     payload = {"config": config, **trial}
     rel_n = trial["relative_error_unmitigated"]
     rel_m = trial["relative_error_mitigated"]
@@ -435,61 +466,28 @@ def cmd_mitigate_demo(cfg: dict) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file of config overrides")
-    parser.add_argument("--preset", help="named problem: " + ", ".join(sorted(PRESETS)))
-    parser.add_argument("--n", type=int, help="grid exponent (dim = 2**n - 1)")
-    parser.add_argument("--b", type=_float_list, help="comma-separated right-hand side")
-    parser.add_argument("--i", dest="integer_bits", type=int, help="integer bits (default 2n+2)")
-    parser.add_argument("--f", dest="fraction_bits", type=int, help="amplification bits")
-    parser.add_argument("--l", dest="angle_bits", type=int, help="angle register bits")
-    parser.add_argument("--mode", choices=qc.MODES)
-    parser.add_argument("--phase-mode", dest="phase_mode", choices=qc.PHASE_MODES)
-    parser.add_argument("--backend", choices=sim.BACKENDS)
-    parser.add_argument("--shots", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--output", help="write the result artifact to this path")
-    parser.add_argument("--format", choices=FORMATS)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpoisson",
         description="Quantum solver pipeline for the 1D Poisson equation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="run the full pipeline")
-    _add_common(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_verify = sub.add_parser("verify-phase", help="read the eigenvalue register after QPE")
-    _add_common(p_verify)
-    p_verify.add_argument("--eigen-index", dest="eigen_index", type=int,
-                          help="prepare eigenvector j (1-based)")
-    p_verify.add_argument("--input", type=_float_list,
-                          help="comma-separated grid values to prepare")
-    p_verify.set_defaults(func=cmd_verify_phase)
-
-    p_sweep = sub.add_parser("sweep", help="metrics across amplification widths")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--f-values", dest="f_values", type=_int_list,
-                         help="comma-separated amplification bit counts")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_res = sub.add_parser("resources", help="resource estimates across sizes")
-    _add_common(p_res)
-    p_res.add_argument("--n-values", dest="n_values", type=_int_list,
-                       help="comma-separated grid exponents (empty for header only)")
-    p_res.set_defaults(func=cmd_resources)
-
-    p_mit = sub.add_parser("mitigate-demo", help="readout corrupt/mitigate round trip")
-    _add_common(p_mit)
-    p_mit.add_argument("--p01", type=float, help="Pr(read 1 | true 0) on every qubit")
-    p_mit.add_argument("--p10", type=float, help="Pr(read 0 | true 1) on every qubit")
-    p_mit.add_argument("--noise-model", dest="noise_model",
-                       help="JSON noise model {qubit: {p01, p10}}")
-    p_mit.set_defaults(func=cmd_mitigate_demo)
+    commands = {
+        "solve": (cmd_solve, "run the full pipeline"),
+        "verify-phase": (cmd_verify_phase, "read the eigenvalue register after QPE"),
+        "sweep": (cmd_sweep, "metrics across amplification widths"),
+        "resources": (cmd_resources, "resource estimates across sizes"),
+        "mitigate-demo": (cmd_mitigate_demo, "readout corrupt/mitigate round trip"),
+    }
+    for command, (func, help_text) in commands.items():
+        # no prefix matching: `resources --n` would otherwise read as --n-values
+        sub_parser = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for opt in OPTIONS:
+            if command in opt.commands:
+                parse = _LIST_PARSERS.get(opt.type, opt.type)
+                sub_parser.add_argument(opt.flag, dest=opt.name, type=parse, choices=opt.choices,
+                                        help=opt.help)
+        sub_parser.set_defaults(func=func)
     return parser
 
 

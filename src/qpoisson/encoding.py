@@ -97,15 +97,6 @@ class AngleTable:
     encoded_lambdas: tuple[str, ...]
     prefix_len: int
 
-    def as_dict(self) -> dict:
-        return {
-            "omegas": list(self.omegas),
-            "encoded_omegas": list(self.encoded_omegas),
-            "kept_columns": list(self.kept_columns),
-            "encoded_lambdas": list(self.encoded_lambdas),
-            "prefix_len": self.prefix_len,
-        }
-
 
 def amplify_encode(lam: float, fmt: FixedPointFormat) -> str:
     """Encode floor(lam * 2**f) as an m-bit string, MSB first.

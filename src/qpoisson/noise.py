@@ -40,6 +40,9 @@ MAX_CALIBRATION_WIDTH = 10
 # iterate below which it has converged.
 _MAX_ITERATIONS = 10_000
 _STEP_TOL = 1e-15
+# Uniform draws corrupt() makes per block, which bounds its memory whatever
+# the shot count.  Blocks split one random stream, so the result is the same.
+_CORRUPT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,7 @@ def corrupt(histogram: dict[str, int], model: ReadoutModel, seed: int) -> dict[s
     p10 = np.asarray(model.p10)
     rng = np.random.default_rng(seed)
     weights = 2 ** np.arange(w - 1, -1, -1)
+    rows = max(1, _CORRUPT_BLOCK // w)
     out: dict[str, int] = {}
     for bits, count in sorted(histogram.items()):
         if len(bits) != w:
@@ -100,12 +104,12 @@ def corrupt(histogram: dict[str, int], model: ReadoutModel, seed: int) -> dict[s
             continue
         row = np.array([int(ch) for ch in bits])
         flip_p = np.where(row == 0, p01, p10)
-        flips = rng.random((count, w)) < flip_p
-        read = row[None, :] ^ flips
-        values = read @ weights
-        for value, c in zip(*np.unique(values, return_counts=True)):
-            key = format(int(value), f"0{w}b")
-            out[key] = out.get(key, 0) + int(c)
+        for start in range(0, count, rows):
+            flips = rng.random((min(rows, count - start), w)) < flip_p
+            values = (row[None, :] ^ flips) @ weights
+            for value, c in zip(*np.unique(values, return_counts=True)):
+                key = format(int(value), f"0{w}b")
+                out[key] = out.get(key, 0) + int(c)
     return dict(sorted(out.items()))
 
 

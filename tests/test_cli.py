@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,8 @@ from qpoisson.analytics import SWEEP_COLUMNS
 from qpoisson.cli import main, mitigation_trial
 from qpoisson.noise import ReadoutModel
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def src_env() -> dict:
@@ -347,3 +350,122 @@ def test_cli_import_loads_no_scipy():
         check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+# The options each subcommand reads, written out here rather than taken from
+# cli.OPTIONS, so that a subcommand that starts taking one more fails a test.
+READS = {
+    "solve": {"config", "preset", "n", "b", "integer_bits", "fraction_bits", "angle_bits",
+              "mode", "phase_mode", "backend", "shots", "seed", "output", "format"},
+    "verify-phase": {"config", "preset", "n", "b", "integer_bits", "fraction_bits", "angle_bits",
+                     "phase_mode", "backend", "shots", "seed", "output", "eigen_index", "input"},
+    "sweep": {"config", "preset", "n", "b", "integer_bits", "angle_bits", "mode", "phase_mode",
+              "output", "format", "f_values"},
+    "resources": {"config", "integer_bits", "fraction_bits", "angle_bits", "mode", "phase_mode",
+                  "output", "format", "n_values"},
+    "mitigate-demo": {"config", "preset", "n", "b", "shots", "seed", "output", "p01", "p10",
+                      "noise_model"},
+}
+FLAGS = {"integer_bits": "--i", "fraction_bits": "--f", "angle_bits": "--l"}
+# A well-typed value of each option, as flag text and as a JSON config value.
+GOOD = {"preset": "table1-3x3", "n": 2, "b": [1.0, 1.0, 1.0], "integer_bits": 6,
+        "fraction_bits": 4, "angle_bits": 10, "mode": "fused", "phase_mode": "encoded",
+        "backend": "exact", "shots": 100, "seed": 3, "format": "csv", "eigen_index": 1,
+        "input": [1.0, 0.0, 0.0], "f_values": [0], "n_values": [2], "p01": 0.1, "p10": 0.1,
+        "noise_model": "noise.json", "output": "artifact.json"}
+# Wrong JSON types per option type: a list for a scalar, a scalar for a list,
+# a bool for a number, a string for a number ({"output": 1} once wrote the
+# artifact to stdout).  null is wrong where the option has a default; for the
+# others it means "unset".
+WRONG = {
+    int: [[2], True, 2.5, "2"],
+    float: [[0.1], True, "0.1"],
+    str: [["x"], 1, True],
+    list: [3, "0,4", [True], ["1"]],
+}
+OPTIONAL = {"config", "preset", "n", "b", "integer_bits", "output", "eigen_index", "input",
+            "noise_model"}
+# Includes the 19 pairs among the formerly shared flags that were taken and ignored.
+UNREAD = [(command, name) for command in READS for name in sorted(set(GOOD) - READS[command])]
+
+
+def flag(name: str) -> str:
+    return FLAGS.get(name, "--" + name.replace("_", "-"))
+
+
+def flag_text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def test_each_subcommand_accepts_only_the_options_it_reads(capsys):
+    total = 0
+    for command, names in READS.items():
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, "--help"])
+        text = capsys.readouterr().out.split("options:", 1)[1]
+        offered = set(re.findall(r"^  (--[\w-]+)", text, flags=re.M)) - {"--help"}
+        assert offered == {flag(name) for name in names}, command
+        total += len(offered)
+    assert total == 58
+
+
+@pytest.mark.parametrize("command, name", UNREAD)
+def test_unread_option_exits_2(capsys, tmp_path, command, name):
+    argv = COMMAND_ARGV[command]
+    code, out, err = run_cli(capsys, *argv, flag(name), flag_text(GOOD[name]))
+    assert code == 2 and flag(name) in err and not out
+    cfg = tmp_path / "unread.json"
+    cfg.write_text(json.dumps({name: GOOD[name]}))
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and repr(name) in err and not out
+
+
+def test_config_file_cannot_name_a_config_file(capsys, tmp_path):
+    cfg = tmp_path / "nested.json"
+    cfg.write_text(json.dumps({"config": str(cfg)}))
+    code, _, err = run_cli(capsys, "solve", "--preset", "table1-3x3", "--config", str(cfg))
+    assert code == 2 and "'config'" in err
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [(command, name) for command, names in READS.items() for name in sorted(names - {"config"})],
+)
+def test_wrong_config_type_exits_2(capsys, tmp_path, command, name):
+    wrong = WRONG[type(GOOD[name])] + ([] if name in OPTIONAL else [None])
+    cfg = tmp_path / "wrong.json"
+    for value in wrong:
+        cfg.write_text(json.dumps({name: value}))
+        code, out, err = run_cli(capsys, *COMMAND_ARGV[command], "--config", str(cfg))
+        assert (code, out) == (2, ""), value
+        assert repr(name) in err, value
+
+
+@pytest.mark.parametrize("command", tuple(COMMAND_ARGV))
+def test_config_block_echoes_the_options_read(capsys, tmp_path, command):
+    path = tmp_path / "artifact.json"
+    assert run_cli(capsys, *COMMAND_ARGV[command], "--output", str(path))[0] == 0
+    config = json.loads(path.read_text())["config"]
+    assert set(config) == READS[command] - {"config", "output", "format"} | {"d"}
+
+
+def readme_cli_section() -> list[str]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0].splitlines()
+
+
+def test_readme_option_table_matches_subcommands():
+    rows = [re.fullmatch(r"\| `([\w-]+)` \| `([^`]*)` \|", line) for line in readme_cli_section()]
+    listed = {row[1]: set(row[2].split()) for row in rows if row}
+    assert listed == {
+        command: {flag(name) for name in names - {"config", "output"}}
+        for command, names in READS.items()
+    }
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    commands = [line for line in readme_cli_section() if line.startswith("qpoisson ")]
+    assert len(commands) >= 5
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        assert run_cli(capsys, *shlex.split(line)[1:])[0] == 0, line

@@ -149,14 +149,6 @@ def test_angle_table_3x3(sys_3x3):
     assert table.prefix_len == 2
 
 
-def test_angle_table_serializes(sys_3x3):
-    fmt = FixedPointFormat(6, 0, 10)
-    table = build_angle_table(eigenpairs(sys_3x3).lambdas, fmt)
-    data = table.as_dict()
-    assert data["encoded_lambdas"] == list(table.encoded_lambdas)
-    assert "prefix_len" in data
-
-
 def test_angle_table_rejects_small_eigenvalues():
     fmt = FixedPointFormat(4, 0, 8)
     with pytest.raises(EncodingError):

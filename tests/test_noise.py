@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qpoisson import noise
 from qpoisson import (
     ReadoutModel,
     ResourceError,
@@ -75,6 +77,44 @@ def test_corrupt_rejects_bad_records():
         corrupt({"101": 1}, model, seed=0)
     with pytest.raises(ValueError):
         corrupt({"10": -1}, model, seed=0)
+
+
+def corrupt_in_one_draw(histogram, model, seed):
+    """corrupt() as one (count, w) draw per outcome: the reference for its blocks."""
+    w = model.width
+    rng = np.random.default_rng(seed)
+    weights = 2 ** np.arange(w - 1, -1, -1)
+    out = {}
+    for bits, count in sorted(histogram.items()):
+        row = np.array([int(ch) for ch in bits])
+        flips = rng.random((count, w)) < np.where(row == 0, model.p01, model.p10)
+        for value, c in zip(*np.unique((row ^ flips) @ weights, return_counts=True)):
+            key = format(int(value), f"0{w}b")
+            out[key] = out.get(key, 0) + int(c)
+    return dict(sorted(out.items()))
+
+
+@pytest.mark.parametrize("block", [None, 7, 12])
+def test_corrupt_blocks_equal_one_draw(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(noise, "_CORRUPT_BLOCK", block)
+    rows = noise._CORRUPT_BLOCK // 3
+    model = ReadoutModel(p01=(0.1, 0.2, 0.3), p10=(0.25, 0.15, 0.05))
+    # counts below, at and across the boundaries of blocks of `rows` draws
+    histogram = {"000": 1, "011": rows - 1, "101": rows, "110": 2 * rows, "111": 3 * rows + 2}
+    assert corrupt(histogram, model, seed=19) == corrupt_in_one_draw(histogram, model, seed=19)
+
+
+def test_corrupt_memory_is_bounded():
+    model = ReadoutModel.uniform(4, 0.02, 0.05)
+    histogram = {format(k, "04b"): 625_000 for k in range(16)}
+    tracemalloc.start()
+    noisy = corrupt(histogram, model, seed=7)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert sum(noisy.values()) == 10_000_000
+    # one draw per outcome held 625,000 x 4 doubles (19 MiB) and its products
+    assert peak < 4 * 2**20
 
 
 def test_calibration_matrix_single_qubit():
