@@ -437,7 +437,7 @@ def mitigation_trial(p_ideal: np.ndarray, model: noise.ReadoutModel, shots: int,
 
 
 def cmd_mitigate_demo(cfg: dict) -> int:
-    if cfg["preset"] is None and cfg["n"] is None:
+    if cfg["preset"] is None and cfg["n"] is None and cfg["b"] is None:
         cfg = {**cfg, "preset": "table1-3x3"}
     system = _resolve_system(cfg)
     if cfg["noise_model"] is not None:

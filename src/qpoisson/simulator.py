@@ -15,8 +15,8 @@ lowering rules, each exact:
 
 - SWAP relabels which buffer axis holds which qubit and moves no data.
 - X is kept as a per-qubit Pauli frame.  It flips the control value that
-  later controlled gates test, flips diagonal tables, negates Ry angles on
-  its qubit, and is applied as data only before a Hadamard on that qubit.
+  later controlled gates test, flips diagonal tables and negates Ry angles
+  on its qubit; any other gate on that qubit first applies it as data.
 - A multi-controlled X is kept pending as a conditional frame term.  A Ry
   controlled on its target reads the target through the term, which makes
   it a multiplexed Ry over the term's controls too, and the explicit
@@ -27,13 +27,12 @@ lowering rules, each exact:
 - A run of (multi-)controlled Ry gates on one target becomes one RY pass: a
   multiplexed rotation with one angle per pattern of the union of controls.
 - An uncontrolled dense CU (state preparation) stays pending until a gate
-  needs its qubits.  The QPE walk powers U**(2**k) = V D_k V^T share the
-  eigenbasis V that the builders record in metadata["walk_basis"]; once V^T
-  M V is checked diagonal, a walk power becomes a controlled diagonal in
-  that basis.  The planner emits V^T (with the pending state preparation
-  folded in) once, and V once after uncompute, since the rotation between
-  them never touches reg B.  Without the metadata, or when the check fails,
-  the gate runs as a generic dense pass.
+  needs its qubits, and then runs as one DENSE pass.  The QPE walk powers
+  U**(2**k) = V D_k V^T share the eigenbasis V that the builders record in
+  metadata["walk_basis"]; once V^T M V is checked diagonal, a walk power
+  becomes a controlled diagonal in that basis.  The planner emits V^T (with
+  the pending state preparation folded in) once, and V once after
+  uncompute, since the rotation between them never touches reg B.
 - A gate run that is exactly circuit.qft_fragment(register), or its
   inverse, becomes one QFT pass (numpy's FFT, orthonormal) when the
   register sits on consecutive axes in order; otherwise its gates are
@@ -42,10 +41,14 @@ lowering rules, each exact:
   folded into the next pass that rescales the whole state.  Hadamards on
   the untouched |0...0> state and the first state preparation only build a
   product state, which one PREP pass writes directly.
+- Any other gate (a controlled non-diagonal CU outside the walk basis, a
+  dense CU on non-consecutive axes, an X frame or MCX term applied as data)
+  runs as a GATE pass: one apply_gate call on the buffer axes.
 
-Kernels that sweep the same data several times (H, X, RY, dense blocks, the
-FFT) work through it in cache-sized blocks, so no pass allocates a copy of
-the state; the largest temporaries are 4 MiB phase tables and FFT blocks.
+The fused kernels (H, RY, DIAG, DENSE, QFT, PREP) work through the state in
+cache-sized blocks, so none of them allocates a copy of the state; the
+largest temporaries are 4 MiB phase tables and FFT blocks.  A GATE pass may
+allocate like apply_gate does; no builder circuit lowers to one.
 
 Sampling draws independent measurement records from the exact final
 distribution with numpy's PCG64 generator, as one multinomial draw over the
@@ -55,7 +58,7 @@ measured outcomes; a fixed seed reproduces results bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -217,7 +220,7 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
 # -- execution plan ------------------------------------------------------------
 
 # Amplitudes per cache block in the kernels that make several sweeps over the
-# same data (H, X, multiplexed Ry, dense blocks).
+# same data (H, multiplexed Ry, dense blocks).
 _CHUNK = 1 << 14
 # Contiguous runs at least this long are swept as separate 1-D slices.
 _LONG_RUN = 1 << 10
@@ -237,23 +240,23 @@ _DFT_BLOCK = 1 << 18
 
 @dataclass(frozen=True, eq=False)
 class Pass:
-    """One fused sweep over the state, in physical axes.
+    """One sweep over the state, in physical axes.
 
-    kind is H (axes = (target,)), X (target, with controls/values), DIAG
-    (data: phase table over axes), RY (target; data[0] and data[1]: cos and
-    sin tables over the control axes), DENSE (matrix over target axes, with
-    controls/values), SCALE (data: the factor), QFT or IQFT (the Fourier
-    transform of qft_fragment, or its inverse, over consecutive axes), or
-    PREP, which writes a product state into the |0...0> buffer: data (a
-    vector, MSB first) on axes, the unnormalized (1, 1) on each of
-    controls, 0 on the rest.
+    kind is H (axes = (target,)), DIAG (data: phase table over axes), RY
+    (target; data[0] and data[1]: cos and sin tables over the control axes),
+    DENSE (data: matrix over consecutive target axes), SCALE (data: the
+    factor), QFT or IQFT (the Fourier transform of qft_fragment, or its
+    inverse, over consecutive axes), PREP, which writes a product state into
+    the |0...0> buffer: data (a vector, MSB first) on axes, the unnormalized
+    (1, 1) on each of controls, 0 on the rest; or GATE, a gate outside the
+    fusion rules, on buffer axes, that apply_gate runs.
     """
 
     kind: str
     axes: tuple[int, ...] = ()
     controls: tuple[int, ...] = ()
-    values: tuple[int, ...] = ()
     data: np.ndarray | None = None
+    gate: Gate | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,32 +274,27 @@ class Plan:
         return out
 
 
-def _flip_matrix(dim: int, mask: int) -> np.ndarray:
-    """Permutation P with (P v)[x] = v[x ^ mask]: X on the masked targets."""
-    return np.eye(dim)[[x ^ mask for x in range(dim)]]
-
-
 class _Planner:
     """Lowers gates to passes, tracking four things that cost no data movement.
 
     - phys[l]: the state axis holding logical qubit l; SWAP only relabels.
     - frame[l]: a pending X on qubit l.  A pending X flips the control value
       later gates see, flips diagonal tables and negates Ry angles on its
-      target, conjugates dense matrices, and is applied as data only before
-      a Hadamard on that qubit.
+      target, and is applied as data before any other gate on that qubit.
     - cond[axis]: pending multi-controlled X gates on that axis, as (control
       axes, control values) terms; a repeated term cancels.  While no term's
       target is another term's control they all commute, and a Ry
       controlled on a pending target becomes a multiplexed Ry over its
       controls and theirs.  The explicit rotation's loads and unloads
       cancel this way, so the whole stage is one RY pass.  A term is applied
-      as data once a gate would change one of its control values or reads
-      its target in any other way.
+      as data, as an MCX between X gates on its 0-valued controls, once a
+      gate would change one of its control values or reads its target in
+      any other way.
     - pending: an uncontrolled dense unitary on a target tuple, applied
-      lazily.  A controlled CU that V^T M V = D diagonalizes (V the walk
-      eigenbasis) becomes a controlled diagonal once pending holds V, so the
-      walk powers cost one V^T (with load_b folded in), diagonal passes, and
-      one V at the end.
+      lazily; an X on one of its targets applies it first.  A controlled CU
+      that V^T M V = D diagonalizes (V the walk eigenbasis) becomes a
+      controlled diagonal once pending holds V, so the walk powers cost one
+      V^T (with load_b folded in), diagonal passes, and one V at the end.
 
     Consecutive diagonal gates fuse into one DIAG pass, and consecutive
     (multi-)controlled Ry gates on one target into one multiplexed RY pass.
@@ -304,7 +302,9 @@ class _Planner:
     the whole state.  A whole Fourier fragment (see _fourier_at) becomes one
     QFT pass.  Hadamards on the untouched |0...0> state, and the first
     uncontrolled dense pass on other qubits, only build a product state, so
-    they become one PREP pass that writes it.
+    they become one PREP pass that writes it.  A gate that no rule covers
+    runs through apply_gate as a GATE pass, once the pending matrix, terms
+    and frames on its qubits are applied as data.
     """
 
     def __init__(self, q: int, basis: np.ndarray | None, sink):
@@ -344,15 +344,14 @@ class _Planner:
                 return
         self.sink(p)
 
-    def _prep(self, p: Pass | None) -> Pass | None:
-        """End the product-state prologue: emit PREP, maybe absorbing p."""
+    def _prep(self, p: Pass) -> Pass | None:
+        """End the product-state prologue: emit PREP absorbing p, or the H passes."""
         spread, self.fresh = tuple(self.fresh), None
-        absorbs = p is not None and p.kind == "DENSE" and not p.controls
-        if absorbs and not set(p.axes) & set(spread):
+        if p.kind == "DENSE" and not set(p.axes) & set(spread):
             self.sink(Pass("PREP", p.axes, spread, data=p.data[:, 0].copy()))
             return None
-        if spread:
-            self.sink(Pass("PREP", (), spread))
+        for axis in spread:
+            self.sink(Pass("H", (axis,)))
         return p
 
     def _close(self) -> None:
@@ -366,13 +365,21 @@ class _Planner:
             axes, data = _ry_table(run[2], self._scale())
             self._emit(Pass("RY", (run[1],), axes, data=data))
 
-    def _dense(self, targets, matrix, controls=(), values=()) -> None:
+    def _apply(self, gate: Gate) -> None:
+        """Run a gate on buffer axes through apply_gate, after the open run."""
         self._close()
-        if not controls and self.h_count:
+        self._emit(Pass("GATE", gate=gate))
+
+    def _dense(self, targets, matrix) -> None:
+        """Uncontrolled matrix: a DENSE pass on consecutive axes, else a GATE."""
+        self._close()
+        if self.h_count:
             matrix = matrix * self._scale()
         axes = tuple(self.phys[t] for t in targets)
-        ctrl = tuple(self.phys[c] for c in controls)
-        self._emit(Pass("DENSE", axes, ctrl, tuple(values), np.asarray(matrix, dtype=complex)))
+        if axes == tuple(range(axes[0], axes[0] + len(axes))) and 1 << len(axes) <= _CHUNK:
+            self._emit(Pass("DENSE", axes, data=np.asarray(matrix, dtype=complex)))
+        else:
+            self._apply(Gate(cg.CONTROLLED_UNITARY, axes, matrix=matrix))
 
     def _flush(self, qubits=None) -> None:
         """Apply the pending dense unitary (only if it touches `qubits`)."""
@@ -384,15 +391,19 @@ class _Planner:
         self.pending = None
         self._dense(targets, matrix)
 
-    def _take_frames(self, targets) -> np.ndarray:
-        """Clear the X frame on targets, returning it as a permutation matrix."""
-        t = len(targets)
-        mask = 0
-        for pos, q in enumerate(targets):
+    def _apply_frames(self, qubits) -> None:
+        """Apply the X frame on qubits as data."""
+        for q in qubits:
             if self.frame[q]:
-                mask |= 1 << (t - 1 - pos)
                 self.frame[q] = 0
-        return _flip_matrix(2 ** t, mask)
+                self._apply(cg.pauli_x(self.phys[q]))
+
+    def _clear(self, qubits) -> None:
+        """Apply the pending matrix, MCX terms and frames on qubits as data."""
+        axes = [self.phys[q] for q in qubits]
+        self._flush(qubits)
+        self._settle(axes, axes)
+        self._apply_frames(qubits)
 
     def _settle(self, targets=(), controls=()) -> None:
         """Apply pending MCX terms that target `targets` or read `controls`."""
@@ -401,8 +412,9 @@ class _Planner:
             terms = self.cond[axis]
             due = terms if axis in targets else {t for t in terms if controls & set(t[0])}
             for ctrl, values in sorted(due):
-                self._close()
-                self._emit(Pass("X", (axis,), ctrl, values))
+                wraps = [cg.pauli_x(c) for c, v in zip(ctrl, values) if not v]
+                for gate in wraps + [cg.multi_controlled_x(ctrl, axis)] + wraps:
+                    self._apply(gate)
             terms -= due
             if not terms:
                 del self.cond[axis]
@@ -475,7 +487,8 @@ class _Planner:
                 self._flush()
                 pending = None
             if pending is None:
-                self.pending = [targets, matrix @ self._take_frames(targets), False]
+                self._apply_frames(targets)
+                self.pending = [targets, matrix, False]
             else:
                 pending[1], pending[2] = matrix @ pending[1], False
             return True
@@ -489,21 +502,16 @@ class _Planner:
         if np.max(np.abs(rotated - np.diag(diag))) > _BASIS_TOL:
             return False
         if pending is None or not pending[2]:
-            start = self._take_frames(targets) if pending is None else pending[1]
+            self._apply_frames(targets)
             self.pending = None
-            self._dense(targets, basis.T @ start)
+            self._dense(targets, basis.T if pending is None else basis.T @ pending[1])
             self.pending = [targets, basis, True]
         self._controlled_diag(controls, targets, diag)
         return True
 
     def _x(self, target: int) -> None:
-        pending = self.pending
-        if pending is not None and target in pending[0]:
-            t = len(pending[0])
-            mask = 1 << (t - 1 - pending[0].index(target))
-            pending[1], pending[2] = _flip_matrix(2 ** t, mask) @ pending[1], False
-        else:
-            self.frame[target] ^= 1
+        self._flush((target,))
+        self.frame[target] ^= 1
 
     def add(self, gate: Gate) -> None:
         kind = gate.kind
@@ -523,11 +531,8 @@ class _Planner:
         self._flush(controls + gate.targets)
         if kind == cg.HADAMARD:
             t = gate.targets[0]
-            self._settle((self.phys[t],), (self.phys[t],))
+            self._clear((t,))
             self._close()
-            if self.frame[t]:
-                self.frame[t] = 0
-                self._emit(Pass("X", (self.phys[t],)))
             self._emit(Pass("H", (self.phys[t],)))
             self.h_count += 1
             if self.h_count >= _MAX_PENDING_H:
@@ -558,25 +563,18 @@ class _Planner:
             if not np.any(m - np.diag(diag)):
                 self._controlled_diag(controls, gate.targets, diag)
             else:
-                t = len(gate.targets)
-                mask = sum(
-                    1 << (t - 1 - pos) for pos, q in enumerate(gate.targets) if self.frame[q]
-                )
-                flip = _flip_matrix(2 ** t, mask)
-                values = tuple(1 - self.frame[c] for c in controls)
-                self._dense(gate.targets, flip @ m @ flip, controls, values)
+                self._clear(gate.qubits)
+                self._apply(replace(gate, targets=tuple(self.phys[t] for t in gate.targets),
+                                    controls=tuple(self.phys[c] for c in controls)))
         else:
             raise ValueError(f"unknown gate kind {kind}")
 
     def add_qft(self, register, inverse: bool) -> bool:
         """One QFT pass for a whole Fourier fragment, if its axes allow it."""
         axes = [self.phys[q] for q in register]
-        if axes != list(range(axes[0], axes[0] + len(axes))) or any(
-            self.frame[q] for q in register
-        ):
+        if axes != list(range(axes[0], axes[0] + len(axes))):
             return False
-        self._flush(register)
-        self._settle(axes, axes)
+        self._clear(register)
         self._close()
         self._emit(Pass("IQFT" if inverse else "QFT", tuple(axes)))
         return True
@@ -585,14 +583,10 @@ class _Planner:
         """Emit what is still pending; return the final axis of each qubit."""
         self._flush()
         self._settle(range(self.q))
+        self._apply_frames(range(self.q))
         self._close()
-        for q, bit in enumerate(self.frame):
-            if bit:
-                self._emit(Pass("X", (self.phys[q],)))
-        if self.h_count:
+        if self.h_count:  # this also ends a prologue of Hadamards only
             self._emit(Pass("SCALE", data=np.asarray(self._scale())))
-        if self.fresh is not None:
-            self._prep(None)
         return tuple(self.phys)
 
 
@@ -695,7 +689,7 @@ def lower(circuit: Circuit) -> Plan:
 
     The walk eigenbasis is read from circuit.metadata["walk_basis"] when the
     builder recorded one; without it every controlled dense CU runs as a
-    dense pass.  run_exact streams the same passes instead of collecting
+    GATE pass.  run_exact streams the same passes instead of collecting
     them, so only one pass's table is alive at a time.
     """
     passes: list[Pass] = []
@@ -726,14 +720,6 @@ def _dims(q: int, table_axes=(), single_axes=()) -> tuple[list[int], list]:
         tags.append("table" if in_table else "free")
         a = b
     return dims, tags
-
-
-def _index(tags, fixed: dict) -> tuple:
-    """Index fixing the single axes in `fixed`; the Ellipsis keeps 0-d views."""
-    return tuple(
-        fixed[tag[1]] if isinstance(tag, tuple) and tag[1] in fixed else slice(None)
-        for tag in tags
-    ) + (Ellipsis,)
 
 
 def _blocks(shape):
@@ -784,34 +770,24 @@ def _run_h(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
         a1 += a0
 
 
-def _halves(psi: np.ndarray, q: int, target: int, controls=(), values=(), table_axes=()):
-    """Target-0 and target-1 views of the controlled block.
+def _halves(psi: np.ndarray, q: int, target: int, table_axes):
+    """Target-0 and target-1 views of the state.
 
     Also returns, per remaining dim, the table size it broadcasts against
     (1 unless the dim is a run of table axes).
     """
-    dims, tags = _dims(q, table_axes, (target,) + tuple(controls))
+    dims, tags = _dims(q, table_axes, (target,))
     v = psi.reshape(dims)
-    fixed = dict(zip(controls, values))
-    a0 = v[_index(tags, {**fixed, target: 0})]
-    a1 = v[_index(tags, {**fixed, target: 1})]
-    kept = [(d, t) for d, t in zip(dims, tags) if not isinstance(t, tuple)]
+    lead = (slice(None),) * tags.index(("one", target))
+    # the Ellipsis keeps 0-d results as views
+    a0, a1 = v[lead + (0, Ellipsis)], v[lead + (1, Ellipsis)]
+    kept = [(d, t) for d, t in zip(dims, tags) if t != ("one", target)]
     return a0, a1, [d if t == "table" else 1 for d, t in kept]
-
-
-def _run_x(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
-    a0, a1, _ = _halves(psi, q, p.axes[0], p.controls, p.values)
-    for idx in _blocks(a0.shape):
-        x0, x1 = a0[idx], a1[idx]
-        tmp = _scratch(buf, x0.shape)
-        np.copyto(tmp, x0)
-        np.copyto(x0, x1)
-        np.copyto(x1, tmp)
 
 
 def _run_ry(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
     """Multiplexed Ry: one angle per control pattern, as cos/sin tables."""
-    a0, a1, shape = _halves(psi, q, p.axes[0], table_axes=p.controls)
+    a0, a1, shape = _halves(psi, q, p.axes[0], p.controls)
     cos, sin = p.data[0].reshape(shape), p.data[1].reshape(shape)
     half = buf.size // 2
     for idx in _blocks(a0.shape):
@@ -836,22 +812,19 @@ def _run_diag(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
 
 
 def _run_dense(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
-    t = len(p.axes)
-    first = p.axes[0]
-    if not p.controls and p.axes == tuple(range(first, first + t)) and 1 << t <= _CHUNK:
-        # contiguous targets: blocks of columns through one small matmul each
-        dim, inner = 1 << t, 1 << (q - first - t)
-        v = psi.reshape(1 << first, dim, inner)
-        cols = max(1, _CHUNK // dim)
-        for i in range(1 << first):
-            for j in range(0, inner, cols):
-                block = v[i, :, j : j + cols]
-                block[...] = np.matmul(p.data, block, out=_scratch(buf, block.shape))
-        return
-    dims, tags = _dims(q, (), p.axes + p.controls)
-    view = psi.reshape(dims)[_index(tags, dict(zip(p.controls, p.values)))]
-    kept = [tag for tag in tags if not (isinstance(tag, tuple) and tag[1] in p.controls)]
-    _apply_dense(view, [kept.index(("one", a)) for a in p.axes], p.data)
+    """Matrix on consecutive axes: blocks of columns through one small matmul each."""
+    first, t = p.axes[0], len(p.axes)
+    dim, inner = 1 << t, 1 << (q - first - t)
+    v = psi.reshape(1 << first, dim, inner)
+    cols = max(1, _CHUNK // dim)
+    for i in range(1 << first):
+        for j in range(0, inner, cols):
+            block = v[i, :, j : j + cols]
+            block[...] = np.matmul(p.data, block, out=_scratch(buf, block.shape))
+
+
+def _run_gate(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
+    apply_gate(Statevector(psi, q), p.gate)
 
 
 def _run_scale(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
@@ -874,19 +847,16 @@ def _run_prep(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
     """Write the product state; psi still holds |0...0>."""
     dims, tags = _dims(q, (), p.axes + p.controls)
     block = psi.reshape(dims)[tuple(slice(None) if isinstance(t, tuple) else 0 for t in tags)]
-    if p.data is None:
-        block[...] = 1.0
-        return
     vec = p.data.reshape((2,) * len(p.axes)).transpose(np.argsort(p.axes))
     block[...] = vec.reshape([2 if a in p.axes else 1 for a in sorted(p.axes + p.controls)])
 
 
 _KERNELS = {
     "H": _run_h,
-    "X": _run_x,
     "RY": _run_ry,
     "DIAG": _run_diag,
     "DENSE": _run_dense,
+    "GATE": _run_gate,
     "SCALE": _run_scale,
     "PREP": _run_prep,
     "QFT": _run_qft,

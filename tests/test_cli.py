@@ -207,10 +207,39 @@ def test_resources_fused_qubit_totals(capsys, tmp_path):
     assert depths[0] < depths[1] < depths[2]
 
 
+def test_integer_bits_override_widens_reg_e(capsys, tmp_path):
+    path = tmp_path / "resources.json"
+    code, _, _ = run_cli(
+        capsys, "resources", "--n-values", "2", "--i", "7", "--f", "2", "--output", str(path)
+    )
+    assert code == 0
+    payload = json.loads(path.read_text())
+    assert payload["config"]["integer_bits"] == 7
+    assert [row["e_width"] for row in payload["rows"]] == [9]
+
+
+def test_integer_bits_too_narrow_for_the_spectrum_exits_2(capsys):
+    # the 3x3 spectrum reaches lambda = 32, which needs 8 bits at f = 2
+    code, out, err = run_cli(capsys, "solve", "--preset", "table1-3x3", "--i", "5", "--f", "2")
+    assert code == 2 and out == ""
+    assert "needs more than m = 7 bits" in err
+
+
 def test_mitigate_demo_improves_error(capsys):
     code, out, _ = run_cli(capsys, "mitigate-demo", "--shots", "100000")
     assert code == 0
     assert "mitigation helped" in out
+
+
+def test_mitigate_demo_falls_back_to_3x3_only_without_a_problem(capsys, tmp_path):
+    path = tmp_path / "demo.json"
+    code, _, _ = run_cli(capsys, "mitigate-demo", "--shots", "1000", "--output", str(path))
+    assert code == 0
+    config = json.loads(path.read_text())["config"]
+    assert config["preset"] == "table1-3x3" and config["n"] == 2
+    code, out, err = run_cli(capsys, "mitigate-demo", "--b", "1,1,1")
+    assert code == 2 and out == ""
+    assert "underspecified" in err
 
 
 def test_mitigation_trial_roundtrip():

@@ -21,6 +21,7 @@ from qpoisson import (
     build_angle_table,
     build_phase_verification,
     build_pipeline,
+    default_format,
     eigenpairs,
 )
 from qpoisson.cli import PRESETS
@@ -183,8 +184,9 @@ def test_plan_matches_reference_on_pipelines(name, f, mode, phase_mode):
     assert counts["IQFT"] == counts["QFT"] == 1
     assert counts["H"] == built.layout.e_width
     assert plan.order == tuple(range(built.layout.total))
-    # X wraps and the explicit loads and unloads cancel inside the frames
-    assert "X" not in counts and counts["RY"] == 1
+    # X wraps and the explicit loads and unloads cancel inside the frames,
+    # so nothing falls back to the generic kernel
+    assert "GATE" not in counts and counts["RY"] == 1
 
 
 @pytest.mark.parametrize("name", ["table1-3x3", "table1-7x7"])
@@ -197,19 +199,77 @@ def test_plan_matches_reference_on_phase_verification(name, phase_mode):
     assert_plan_matches(built)
     plan = sim.lower(built)
     assert plan.counts()["IQFT"] == 1 and plan.order == tuple(range(built.layout.total))
+    assert "GATE" not in plan.counts()
 
 
-@pytest.mark.parametrize("basis", ["random", "missing"])
+@pytest.mark.parametrize("basis", ["random", "missing", "complex", "non-square",
+                                   "non-orthogonal"])
 def test_walk_powers_fall_back_without_a_diagonalizing_basis(basis, sys_3x3):
     built = build_pipeline(sys_3x3, FixedPointFormat(6, 0, 8), mode="fused")
-    if basis == "random":
-        metadata = {"walk_basis": random_orthogonal(4, np.random.default_rng(3))}
-    else:
-        metadata = {}
+    v = built.metadata["walk_basis"]
+    # only a real orthogonal V that diagonalizes the walk may be used
+    bases = {
+        "random": random_orthogonal(4, np.random.default_rng(3)),
+        "complex": v.astype(complex),
+        "non-square": v[:, :3],
+        "non-orthogonal": 2.0 * v,
+    }
+    metadata = {"walk_basis": bases[basis]} if basis in bases else {}
     circuit = qc.Circuit(built.layout, built.gates, metadata)
     walk_powers = sum(1 for g in built.gates if g.label.startswith("walk"))
-    # every walk power is its own dense pass (load_b lands in the PREP pass)
-    assert sim.lower(circuit).counts()["DENSE"] == walk_powers
+    # every walk power runs through apply_gate (load_b lands in the PREP pass)
+    assert sim.lower(circuit).counts()["GATE"] == walk_powers
+    assert_plan_matches(circuit)
+
+
+@pytest.mark.parametrize("name,f,mode,passes,counts", [
+    pytest.param("table1-15x15", 8, "fused", 27,
+                 {"PREP": 1, "DIAG": 4, "IQFT": 1, "RY": 1, "QFT": 1, "H": 18, "DENSE": 1},
+                 id="15x15-f8-fused"),
+    pytest.param("table1-7x7", 0, "auto", 15,
+                 {"PREP": 1, "DIAG": 2, "IQFT": 1, "RY": 1, "QFT": 1, "H": 8, "DENSE": 1},
+                 id="7x7-f0-auto"),
+])
+def test_benchmark_solves_keep_their_plan(name, f, mode, passes, counts):
+    """The two 23-qubit solves the wide benchmark times, lowered but not run."""
+    system = _system(name)
+    built = build_pipeline(system, default_format(system.n, f, 16), mode)
+    assert built.layout.total == 23
+    plan = sim.lower(built)
+    assert len(plan.passes) == passes and plan.counts() == counts
+
+
+def _circuit(q: int, gates) -> qc.Circuit:
+    return qc.Circuit(RegisterLayout(q - 1, 0, 0), tuple(gates), {})
+
+
+def test_many_hadamards_rescale_before_the_factor_underflows():
+    gates = [qc.hadamard(k % 3) for k in range(2 * sim._MAX_PENDING_H + 7)]
+    circuit = _circuit(3, gates + [qc.ry(1, 0.4)])
+    counts = sim.lower(circuit).counts()
+    assert counts["SCALE"] == 2 and counts["H"] == len(gates)
+    assert_plan_matches(circuit)
+
+
+def test_hadamards_alone_end_their_prologue_at_finish():
+    circuit = _circuit(3, [qc.hadamard(0), qc.hadamard(2)])
+    assert [p.kind for p in sim.lower(circuit).passes] == ["H", "H", "SCALE"]
+    assert_plan_matches(circuit)
+
+
+def test_back_to_back_dense_unitaries(monkeypatch):
+    """Each flushes the one before; scattered or wider than a block, it runs as a GATE."""
+    monkeypatch.setattr(sim, "_CHUNK", 4)
+    rng = np.random.default_rng(12)
+    circuit = _circuit(4, [qc.hadamard(0)] + [
+        qc.controlled_unitary((), targets, random_unitary(2 ** len(targets), rng))
+        for targets in [(1, 2), (1, 3), (1, 2, 3), (2, 3)]
+    ])
+    plan = sim.lower(circuit)
+    assert [(p.kind, p.axes) for p in plan.passes] == [
+        ("PREP", (1, 2)), ("GATE", ()), ("GATE", ()), ("DENSE", (2, 3))
+    ]
+    assert [p.gate.targets for p in plan.passes[1:3]] == [(1, 3), (1, 2, 3)]
     assert_plan_matches(circuit)
 
 
