@@ -125,7 +125,7 @@ class ResourceReport:
         return self.estimated_fidelity < WASHED_OUT_THRESHOLD
 
 
-def resource_report(circuit: qc.Circuit, gate_accuracy: float = 0.92) -> ResourceReport:
+def resource_report(circuit: qc.Circuit) -> ResourceReport:
     """Count gates, estimate CNOTs and depth, forecast fidelity."""
     layout = circuit.layout
     widths = {
@@ -153,7 +153,7 @@ def resource_report(circuit: qc.Circuit, gate_accuracy: float = 0.92) -> Resourc
         gate_counts=dict(counts),
         depth=depth,
         estimated_cnots=cnots,
-        estimated_fidelity=fidelity_estimate(cnots, gate_accuracy),
+        estimated_fidelity=fidelity_estimate(cnots),
     )
 
 

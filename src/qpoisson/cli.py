@@ -250,6 +250,12 @@ def _problem_label(system: PoissonSystem) -> str:
     return f"{system.dim}x{system.dim}"
 
 
+def _by_bitstring(values: np.ndarray) -> dict:
+    """The nonzero entries of a vector over 2**w outcome values, keyed by w-bit strings."""
+    width = len(values).bit_length() - 1
+    return {format(v, f"0{width}b"): values[v].item() for v in np.flatnonzero(values)}
+
+
 def cmd_solve(cfg: dict) -> int:
     system = _resolve_system(cfg)
     fmt = _resolve_format(cfg, system.n, cfg["fraction_bits"])
@@ -276,8 +282,8 @@ def cmd_solve(cfg: dict) -> int:
         "success_probability": sp,
     }
     if record.sampled is not None:
-        payload["histogram"] = dict(sorted(record.sampled.histogram.items()))
-        payload["rng"] = record.sampled.rng
+        payload["histogram"] = _by_bitstring(record.sampled.counts)
+        payload["rng"] = sim.RNG_NAME
 
     print(
         f"problem {_problem_label(system)} (n={system.n}, d=1)  mode={mode}  "
@@ -325,22 +331,18 @@ def cmd_verify_phase(cfg: dict) -> int:
     config = _echo(cfg, system, integer_bits=fmt.integer_bits,
                    input=[float(x) for x in vec])
     payload: dict = {"config": config}
-    width = fmt.total_bits
     if cfg["backend"] == "exact":
         probs = sim.register_probabilities(state, built.layout.reg_e)
-        readout = {
-            format(idx, f"0{width}b"): float(p)
-            for idx, p in enumerate(probs)
-            if p > 1e-12
-        }
+        readout = _by_bitstring(np.where(probs > 1e-12, probs, 0.0))
         payload["probabilities"] = readout
         spec = ".6f"
     else:
-        readout = sim.sample_counts(state, built.layout.reg_e, cfg["shots"], cfg["seed"])
-        payload["histogram"] = dict(sorted(readout.items()))
+        counts = sim.sample_counts(state, built.layout.reg_e, cfg["shots"], cfg["seed"])
+        readout = _by_bitstring(counts)
+        payload["histogram"] = readout
         payload["rng"] = sim.RNG_NAME
         spec = ""
-    for bits, value in sorted(readout.items()):
+    for bits, value in readout.items():
         print(f"{bits} (decimal {int(bits, 2)}): {value:{spec}}")
     if cfg["output"]:
         _emit(_render_json(payload), cfg["output"])
@@ -414,16 +416,12 @@ def mitigation_trial(p_ideal: np.ndarray, model: noise.ReadoutModel, shots: int,
         raise ValueError(f"distribution length {p_ideal.size} wants width {width} bits")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, p_ideal)
-    ideal_hist = {format(k, f"0{width}b"): int(c) for k, c in enumerate(counts) if c}
-    noisy_hist = noise.corrupt(ideal_hist, model, seed + 1)
+    # refuse too wide a model before any shot is drawn
     calibration = noise.calibration_matrix(model, width)
-    mitigated = noise.mitigate(noisy_hist, calibration)
-    noisy_p = np.zeros(2**width)
-    for bits, count in noisy_hist.items():
-        noisy_p[int(bits, 2)] += count
-    noisy_p /= shots
+    rng = np.random.default_rng(seed)
+    noisy = noise.corrupt(rng.multinomial(shots, p_ideal), model, seed + 1)
+    mitigated = noise.mitigate(noisy, calibration)
+    noisy_p = noisy / shots
     amp_ideal = np.sqrt(p_ideal)
     rel_noisy = analytics.relative_error(amp_ideal, np.sqrt(noisy_p))
     rel_mitigated = analytics.relative_error(amp_ideal, np.sqrt(mitigated))

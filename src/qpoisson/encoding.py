@@ -113,7 +113,7 @@ def amplify_encode(lam: float, fmt: FixedPointFormat) -> str:
         value = math.floor(scaled)
     if value >= 2 ** fmt.total_bits:
         raise EncodingError(
-            f"{lam} * 2**{fmt.fraction_bits} needs more than m = {fmt.total_bits} bits"
+            f"amplified eigenvalue {value} needs more than m = {fmt.total_bits} bits"
         )
     return format(value, f"0{fmt.total_bits}b")
 

@@ -1,9 +1,11 @@
 """Readout error model, calibration matrices, and least-squares mitigation.
 
-Flips act independently per measured bit: p01 is the probability a true 0
-reads as 1, p10 the reverse.  The calibration matrix is the Kronecker product
-of the per-qubit column-stochastic confusion matrices, so column s holds the
-readout distribution for true state s and a noisy distribution is M @ ideal.
+Counts are vectors: counts[v] is how many records read value v, qubit 0 the
+MSB.  Flips act independently per measured bit: p01 is the probability a
+true 0 reads as 1, p10 the reverse.  The calibration matrix is the Kronecker
+product of the per-qubit column-stochastic confusion matrices, so column s
+holds the readout distribution for true state s and a noisy distribution is
+M @ ideal.
 Mitigation inverts that relation as the constrained least squares problem
 
     min ||M x - y||_2   subject to   x >= 0,  sum(x) = 1,
@@ -86,31 +88,31 @@ class ReadoutModel:
         return cls(p01=p01, p10=p10)
 
 
-def corrupt(histogram: dict[str, int], model: ReadoutModel, seed: int) -> dict[str, int]:
-    """Flip every recorded bit independently per the model; new histogram."""
+def corrupt(counts: np.ndarray, model: ReadoutModel, seed: int) -> np.ndarray:
+    """Flip every recorded bit independently per the model; new counts.
+
+    Outcomes are visited in ascending value order, so a seed fixes the result.
+    """
     w = model.width
+    counts = np.asarray(counts)
+    if counts.shape != (2 ** w,) or counts.dtype.kind not in "iu" or np.any(counts < 0):
+        raise ValueError(f"counts must be {2 ** w} non-negative integers for a {w}-bit model")
     p01 = np.asarray(model.p01)
     p10 = np.asarray(model.p10)
     rng = np.random.default_rng(seed)
     weights = 2 ** np.arange(w - 1, -1, -1)
     rows = max(1, _CORRUPT_BLOCK // w)
-    out: dict[str, int] = {}
-    for bits, count in sorted(histogram.items()):
-        if len(bits) != w:
-            raise ValueError(f"record {bits!r} does not match model width {w}")
-        if count < 0:
-            raise ValueError("counts must be non-negative")
-        if count == 0:
-            continue
-        row = np.array([int(ch) for ch in bits])
+    out = np.zeros(2 ** w, dtype=np.int64)
+    for value in np.flatnonzero(counts):
+        count = int(counts[value])
+        row = (value & weights) != 0  # the bits of value, MSB first
         flip_p = np.where(row == 0, p01, p10)
         for start in range(0, count, rows):
             flips = rng.random((min(rows, count - start), w)) < flip_p
-            values = (row[None, :] ^ flips) @ weights
-            for value, c in zip(*np.unique(values, return_counts=True)):
-                key = format(int(value), f"0{w}b")
-                out[key] = out.get(key, 0) + int(c)
-    return dict(sorted(out.items()))
+            # work in proportion to the block, not to the 2**w outcomes
+            values, hits = np.unique((row[None, :] ^ flips) @ weights, return_counts=True)
+            out[values] += hits
+    return out
 
 
 def calibration_matrix(model: ReadoutModel, width: int) -> np.ndarray:
@@ -126,21 +128,21 @@ def calibration_matrix(model: ReadoutModel, width: int) -> np.ndarray:
     return out
 
 
-def mitigate(noisy_histogram: dict[str, int], calibration: np.ndarray) -> np.ndarray:
+def mitigate(noisy_counts: np.ndarray, calibration: np.ndarray) -> np.ndarray:
     """Recover the ideal outcome distribution from noisy counts.
 
-    Returns a probability vector over all 2**w outcomes, index = bitstring
-    value.  Solves the constrained least squares problem in the module
-    docstring by accelerated projected gradient (FISTA with adaptive restart),
-    started at the observed frequencies.
+    Returns a probability vector over the calibration's outcomes.  Solves the
+    constrained least squares problem in the module docstring by accelerated
+    projected gradient (FISTA with adaptive restart), started at the observed
+    frequencies.
     """
-    total = sum(noisy_histogram.values())
+    noisy_counts = np.asarray(noisy_counts)
+    if noisy_counts.shape != (len(calibration),) or np.any(noisy_counts < 0):
+        raise ValueError(f"need {len(calibration)} non-negative counts, got {noisy_counts!r}")
+    total = noisy_counts.sum()
     if total <= 0:
-        raise ValueError("histogram has no counts")
-    observed = np.zeros(calibration.shape[0])
-    for bits, count in noisy_histogram.items():
-        observed[int(bits, 2)] += count
-    observed /= total
+        raise ValueError("counts sum to zero")
+    observed = noisy_counts / total
     gram = calibration.T @ calibration
     target = calibration.T @ observed
     # the largest row sum bounds the gradient's Lipschitz constant from above

@@ -52,7 +52,9 @@ allocate like apply_gate does; no builder circuit lowers to one.
 
 Sampling draws independent measurement records from the exact final
 distribution with numpy's PCG64 generator, as one multinomial draw over the
-measured outcomes; a fixed seed reproduces results bit for bit.
+measured outcomes; a fixed seed reproduces results bit for bit.  Readouts
+are count vectors: counts[v] is the number of records that read value v,
+MSB first over the measured qubits.
 """
 
 from __future__ import annotations
@@ -109,19 +111,18 @@ class Statevector:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of a sampling run: kept-shot solution estimate and histogram.
+    """Outcome of a sampling run: kept-shot solution estimate and counts.
 
-    Histogram keys are the measured records, ancilla bit first then reg B
-    bits MSB-first.  success_prob is the kept fraction in percent terms'
-    natural unit (a plain ratio in [0, 1]).
+    counts[v] is the number of records that read value v over the ancilla
+    (the most significant bit) and then reg B, MSB first; counts sums to
+    shots.  success_prob is the kept fraction, a plain ratio in [0, 1].
     """
 
     solution: np.ndarray
     success_prob: float
-    histogram: dict[str, int]
+    counts: np.ndarray
     shots: int
     seed: int
-    rng: str = RNG_NAME
 
 
 def zero_state(q: int) -> Statevector:
@@ -864,7 +865,7 @@ _KERNELS = {
 }
 
 
-def run_exact(circuit: Circuit, max_qubits: int = QUBIT_BUDGET) -> Statevector:
+def run_exact(circuit: Circuit) -> Statevector:
     """Run all gates from |0...0> and return the final state.
 
     The gates are lowered to fused passes (see lower), each executed on one
@@ -872,8 +873,8 @@ def run_exact(circuit: Circuit, max_qubits: int = QUBIT_BUDGET) -> Statevector:
     passes are tested against.
     """
     q = circuit.layout.total
-    if q > max_qubits:
-        raise ResourceError(f"circuit needs {q} qubits, budget is {max_qubits}")
+    if q > QUBIT_BUDGET:
+        raise ResourceError(f"circuit needs {q} qubits, budget is {QUBIT_BUDGET}")
     state = zero_state(q)
     buf = np.empty(2 * _CHUNK, dtype=complex)  # the only scratch: two cache blocks
     order = _plan(circuit, lambda p: _KERNELS[p.kind](state.amps, q, p, buf))
@@ -940,19 +941,13 @@ def register_probabilities(state: Statevector, qubits: Sequence[int]) -> np.ndar
 
 def sample_counts(
     state: Statevector, qubits: Sequence[int], shots: int, seed: int
-) -> dict[str, int]:
-    """Histogram of independent measurements of the given qubits."""
+) -> np.ndarray:
+    """How many of shots measurements of qubits read each value v, MSB first (int64)."""
     probs = register_probabilities(state, qubits)
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)  # O(2**width) memory whatever the shots
-    width = len(qubits)
-    return {
-        format(value, f"0{width}b"): int(c)
-        for value, c in enumerate(counts)
-        if c > 0
-    }
+    return rng.multinomial(shots, probs)  # O(2**width) memory whatever the shots
 
 
 def check_backend(backend: str, shots: int) -> None:
@@ -962,7 +957,7 @@ def check_backend(backend: str, shots: int) -> None:
         raise ValueError("shots must be >= 1")
 
 
-def sample(circuit: Circuit, shots: int, seed: int, max_qubits: int = QUBIT_BUDGET) -> RunResult:
+def sample(circuit: Circuit, shots: int, seed: int) -> RunResult:
     """Sampling backend: measure ancilla and reg B, keep ancilla = 1 records.
 
     solution_i = sqrt(v_i / sum v) over kept counts v_i for reg B values
@@ -970,17 +965,11 @@ def sample(circuit: Circuit, shots: int, seed: int, max_qubits: int = QUBIT_BUDG
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    state = run_exact(circuit, max_qubits=max_qubits)
+    state = run_exact(circuit)
     layout = circuit.layout
-    measured = (layout.ancilla,) + layout.reg_b
-    histogram = sample_counts(state, measured, shots, seed)
-    n_b = layout.b_width
-    kept = np.zeros(2 ** n_b, dtype=np.int64)
-    total_kept = 0
-    for bits, count in histogram.items():
-        if bits[0] == "1":
-            kept[int(bits[1:], 2)] += count
-            total_kept += count
+    counts = sample_counts(state, (layout.ancilla,) + layout.reg_b, shots, seed)
+    kept = counts.reshape(2, -1)[1]  # the ancilla is the most significant bit
+    total_kept = int(kept.sum())
     if total_kept == 0:
         raise PostselectionError(f"no ancilla=1 records in {shots} shots")
     weights = kept[1:]
@@ -990,16 +979,16 @@ def sample(circuit: Circuit, shots: int, seed: int, max_qubits: int = QUBIT_BUDG
     return RunResult(
         solution=solution,
         success_prob=total_kept / shots,
-        histogram=dict(sorted(histogram.items())),
+        counts=counts,
         shots=shots,
         seed=seed,
     )
 
 
-def fragment_unitary(gates: Sequence[Gate], q: int, max_qubits: int = 12) -> np.ndarray:
-    """Dense matrix of a gate list on q qubits; test-scale sizes only."""
-    if q > max_qubits:
-        raise ResourceError(f"refusing dense unitary on {q} qubits (cap {max_qubits})")
+def fragment_unitary(gates: Sequence[Gate], q: int) -> np.ndarray:
+    """Dense matrix of a gate list on q <= 12 qubits (a 256 MiB matrix); for tests."""
+    if q > 12:
+        raise ResourceError(f"refusing dense unitary on {q} qubits (cap 12)")
     dim = 2 ** q
     out = np.empty((dim, dim), dtype=complex)
     for col in range(dim):
@@ -1011,5 +1000,5 @@ def fragment_unitary(gates: Sequence[Gate], q: int, max_qubits: int = 12) -> np.
     return out
 
 
-def circuit_unitary(circuit: Circuit, max_qubits: int = 12) -> np.ndarray:
-    return fragment_unitary(circuit.gates, circuit.layout.total, max_qubits)
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    return fragment_unitary(circuit.gates, circuit.layout.total)

@@ -100,7 +100,7 @@ def test_empirical_success_probability():
     result = sim.RunResult(
         solution=np.array([1.0]),
         success_prob=0.0123,
-        histogram={"10": 123, "00": 9877},
+        counts=np.array([9877, 0, 123, 0]),
         shots=10_000,
         seed=1,
     )
@@ -170,7 +170,7 @@ def test_solve_matches_the_pipeline_calls(sys_3x3, backend):
     else:
         result = sim.sample(built, 20_000, 9)
         solution, run_percent = result.solution, empirical_success_probability(result)
-        assert record.sampled.histogram == result.histogram
+        assert np.array_equal(record.sampled.counts, result.counts)
     exact = exact_solve(sys_3x3)
     eigs = eigenpairs(sys_3x3)
     table = built.metadata["table"]

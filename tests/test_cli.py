@@ -223,6 +223,8 @@ def test_integer_bits_too_narrow_for_the_spectrum_exits_2(capsys):
     code, out, err = run_cli(capsys, "solve", "--preset", "table1-3x3", "--i", "5", "--f", "2")
     assert code == 2 and out == ""
     assert "needs more than m = 7 bits" in err
+    # the message names the snapped integer it rejects, not the unsnapped eigenvalue
+    assert "128" in err and "31.99999" not in err
 
 
 def test_mitigate_demo_improves_error(capsys):
@@ -240,6 +242,17 @@ def test_mitigate_demo_falls_back_to_3x3_only_without_a_problem(capsys, tmp_path
     code, out, err = run_cli(capsys, "mitigate-demo", "--b", "1,1,1")
     assert code == 2 and out == ""
     assert "underspecified" in err
+
+
+def test_mitigate_demo_refuses_a_wide_model_before_sampling(capsys, monkeypatch):
+    def corrupt(*args):
+        raise AssertionError("corrupt ran before the calibration width was checked")
+
+    monkeypatch.setattr(cli.noise, "corrupt", corrupt)
+    b = ",".join(["1"] * (2**11 - 1))
+    code, out, err = run_cli(capsys, "mitigate-demo", "--n", "11", "--b", b, "--shots", "1000")
+    assert code == 3 and out == ""
+    assert "calibration width 11 exceeds 10" in err
 
 
 def test_mitigation_trial_roundtrip():

@@ -46,26 +46,34 @@ def test_model_from_json(tmp_path):
         ReadoutModel.from_json(str(bad))
 
 
+def outcome_counts(width, entries):
+    """Count vector over 2**width outcomes from {value: count}."""
+    counts = np.zeros(2**width, dtype=np.int64)
+    for value, count in entries.items():
+        counts[value] = count
+    return counts
+
+
 def test_corrupt_zero_noise_is_identity():
     model = ReadoutModel.uniform(3, 0.0, 0.0)
-    histogram = {"010": 7, "111": 3}
-    assert corrupt(histogram, model, seed=5) == {"010": 7, "111": 3}
+    counts = outcome_counts(3, {0b010: 7, 0b111: 3})
+    assert np.array_equal(corrupt(counts, model, seed=5), counts)
 
 
 def test_corrupt_is_deterministic_and_preserves_counts():
     model = ReadoutModel.uniform(4, 0.1, 0.2)
-    histogram = {"0000": 500, "1010": 250}
-    a = corrupt(histogram, model, seed=11)
-    assert a == corrupt(histogram, model, seed=11)
-    assert a != corrupt(histogram, model, seed=12)
-    assert sum(a.values()) == 750
+    counts = outcome_counts(4, {0b0000: 500, 0b1010: 250})
+    a = corrupt(counts, model, seed=11)
+    assert np.array_equal(a, corrupt(counts, model, seed=11))
+    assert not np.array_equal(a, corrupt(counts, model, seed=12))
+    assert a.sum() == 750
 
 
 def test_corrupt_flip_rate_matches_model():
     model = ReadoutModel.uniform(4, 0.3, 0.3)
     shots = 50_000
-    noisy = corrupt({"0000": shots}, model, seed=3)
-    ones = sum(key.count("1") * count for key, count in noisy.items())
+    noisy = corrupt(outcome_counts(4, {0: shots}), model, seed=3)
+    ones = sum(bin(value).count("1") * int(count) for value, count in enumerate(noisy))
     draws = shots * 4
     sigma = math.sqrt(0.3 * 0.7 / draws)
     assert abs(ones / draws - 0.3) < 4 * sigma
@@ -74,24 +82,34 @@ def test_corrupt_flip_rate_matches_model():
 def test_corrupt_rejects_bad_records():
     model = ReadoutModel.uniform(2, 0.1, 0.1)
     with pytest.raises(ValueError):
-        corrupt({"101": 1}, model, seed=0)
+        corrupt(outcome_counts(3, {0b101: 1}), model, seed=0)
     with pytest.raises(ValueError):
-        corrupt({"10": -1}, model, seed=0)
+        corrupt(np.array([0, 0, -1, 0]), model, seed=0)
 
 
-def corrupt_in_one_draw(histogram, model, seed):
+@pytest.mark.parametrize(
+    "counts",
+    (np.array([1, 0, 0]), np.array([1.0, 0.0, 0.0, 0.0]), {"12": 5}),
+    ids=("too-short", "float", "bitstring-keys"),
+)
+def test_corrupt_takes_only_an_integer_count_per_outcome(counts):
+    with pytest.raises(ValueError):
+        corrupt(counts, ReadoutModel.uniform(2, 0.0, 0.0), seed=1)
+
+
+def corrupt_in_one_draw(counts, model, seed):
     """corrupt() as one (count, w) draw per outcome: the reference for its blocks."""
     w = model.width
     rng = np.random.default_rng(seed)
     weights = 2 ** np.arange(w - 1, -1, -1)
-    out = {}
-    for bits, count in sorted(histogram.items()):
-        row = np.array([int(ch) for ch in bits])
+    out = np.zeros(2**w, dtype=np.int64)
+    for value, count in enumerate(counts):
+        if count == 0:
+            continue
+        row = np.array([int(ch) for ch in format(value, f"0{w}b")])
         flips = rng.random((count, w)) < np.where(row == 0, model.p01, model.p10)
-        for value, c in zip(*np.unique((row ^ flips) @ weights, return_counts=True)):
-            key = format(int(value), f"0{w}b")
-            out[key] = out.get(key, 0) + int(c)
-    return dict(sorted(out.items()))
+        np.add.at(out, (row ^ flips) @ weights, 1)
+    return out
 
 
 @pytest.mark.parametrize("block", [None, 7, 12])
@@ -101,18 +119,22 @@ def test_corrupt_blocks_equal_one_draw(monkeypatch, block):
     rows = noise._CORRUPT_BLOCK // 3
     model = ReadoutModel(p01=(0.1, 0.2, 0.3), p10=(0.25, 0.15, 0.05))
     # counts below, at and across the boundaries of blocks of `rows` draws
-    histogram = {"000": 1, "011": rows - 1, "101": rows, "110": 2 * rows, "111": 3 * rows + 2}
-    assert corrupt(histogram, model, seed=19) == corrupt_in_one_draw(histogram, model, seed=19)
+    counts = outcome_counts(
+        3, {0b000: 1, 0b011: rows - 1, 0b101: rows, 0b110: 2 * rows, 0b111: 3 * rows + 2}
+    )
+    assert np.array_equal(
+        corrupt(counts, model, seed=19), corrupt_in_one_draw(counts, model, seed=19)
+    )
 
 
 def test_corrupt_memory_is_bounded():
     model = ReadoutModel.uniform(4, 0.02, 0.05)
-    histogram = {format(k, "04b"): 625_000 for k in range(16)}
+    counts = np.full(16, 625_000)
     tracemalloc.start()
-    noisy = corrupt(histogram, model, seed=7)
+    noisy = corrupt(counts, model, seed=7)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert sum(noisy.values()) == 10_000_000
+    assert noisy.sum() == 10_000_000
     # one draw per outcome held 625,000 x 4 doubles (19 MiB) and its products
     assert peak < 4 * 2**20
 
@@ -152,13 +174,13 @@ def test_calibration_matrix_bounds():
 
 
 def test_mitigate_identity_calibration_returns_frequencies():
-    recovered = mitigate({"00": 25, "01": 25, "10": 50}, np.eye(4))
+    recovered = mitigate(np.array([25, 25, 50, 0]), np.eye(4))
     assert np.allclose(recovered, [0.25, 0.25, 0.5, 0.0], atol=1e-8)
 
 
 def test_mitigate_recovers_true_distribution():
     model = ReadoutModel.uniform(2, 0.02, 0.05)
-    truth = {"00": 50_000, "01": 30_000, "10": 15_000, "11": 5_000}
+    truth = np.array([50_000, 30_000, 15_000, 5_000])
     noisy = corrupt(truth, model, seed=21)
     recovered = mitigate(noisy, calibration_matrix(model, 2))
     assert np.all(recovered >= 0.0)
@@ -169,7 +191,7 @@ def test_mitigate_recovers_true_distribution():
 
 def test_mitigate_recovers_delta():
     model = ReadoutModel.uniform(2, 0.02, 0.02)
-    noisy = corrupt({"10": 100_000}, model, seed=8)
+    noisy = corrupt(outcome_counts(2, {0b10: 100_000}), model, seed=8)
     recovered = mitigate(noisy, calibration_matrix(model, 2))
     assert recovered[0b10] > 0.99
 
@@ -177,11 +199,8 @@ def test_mitigate_recovers_delta():
 def test_mitigate_inverts_inside_the_simplex():
     model = ReadoutModel(p01=(0.02, 0.1, 0.05), p10=(0.05, 0.2, 0.01))
     calibration = calibration_matrix(model, 3)
-    noisy = corrupt({format(k, "03b"): 10_000 + 1_000 * k for k in range(8)}, model, seed=2)
-    observed = np.zeros(8)
-    for bits, count in noisy.items():
-        observed[int(bits, 2)] = count
-    observed /= observed.sum()
+    noisy = corrupt(10_000 + 1_000 * np.arange(8), model, seed=2)
+    observed = noisy / noisy.sum()
     inverse = np.linalg.solve(calibration, observed)
     assert np.all(inverse > 0.0)  # column sums of 1 keep sum(inverse) = 1
     assert np.max(np.abs(mitigate(noisy, calibration) - inverse)) < 1e-10
@@ -191,11 +210,8 @@ def test_mitigate_inverts_inside_the_simplex():
 def test_mitigate_meets_kkt_with_active_bounds(p):
     model = ReadoutModel.uniform(3, p, p)
     calibration = calibration_matrix(model, 3)
-    noisy = corrupt({"101": 2_000, "110": 500}, model, seed=4)
-    observed = np.zeros(8)
-    for bits, count in noisy.items():
-        observed[int(bits, 2)] = count
-    observed /= observed.sum()
+    noisy = corrupt(outcome_counts(3, {0b101: 2_000, 0b110: 500}), model, seed=4)
+    observed = noisy / noisy.sum()
     assert np.any(np.linalg.solve(calibration, observed) < 0.0)  # a bound must be active
     x = mitigate(noisy, calibration)
     assert np.all(x >= 0.0) and x.sum() == pytest.approx(1.0, abs=1e-12)
@@ -227,7 +243,17 @@ def test_model_from_json_rejects_malformed(tmp_path, raw):
 
 def test_mitigate_rejects_empty():
     with pytest.raises(ValueError):
-        mitigate({"0": 0}, np.eye(2))
+        mitigate(np.zeros(2, dtype=np.int64), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "counts",
+    (np.array([3, 0, 0]), np.ones(8, dtype=np.int64), {"111": 3}, np.array([5, -1, 0, 0])),
+    ids=("too-short", "too-long", "bitstring-keys", "negative"),
+)
+def test_mitigate_rejects_counts_that_do_not_fit_the_calibration(counts):
+    with pytest.raises(ValueError):
+        mitigate(counts, np.eye(4))
 
 
 def test_fidelity_estimate():

@@ -184,13 +184,13 @@ def test_sample_is_deterministic_and_complete(sys_3x3):
     built = build_pipeline(sys_3x3, FixedPointFormat(6, 0, 10), mode="fused")
     a = sim.sample(built, shots=2000, seed=42)
     b = sim.sample(built, shots=2000, seed=42)
-    assert a.histogram == b.histogram
+    assert np.array_equal(a.counts, b.counts)
     assert np.array_equal(a.solution, b.solution)
-    assert sum(a.histogram.values()) == 2000
-    assert all(len(k) == 3 and set(k) <= {"0", "1"} for k in a.histogram)
-    assert a.rng == "PCG64"
+    assert a.counts.sum() == 2000
+    assert a.counts.shape == (2**3,) and a.counts.dtype == np.int64
+    assert sim.RNG_NAME == "PCG64"
     c = sim.sample(built, shots=2000, seed=43)
-    assert c.histogram != a.histogram
+    assert not np.array_equal(c.counts, a.counts)
 
 
 def test_sample_agrees_with_exact_within_4_sigma(sys_3x3):
@@ -211,10 +211,10 @@ def test_sample_without_ancilla_hits():
         sim.sample(circuit, shots=100, seed=1)
 
 
-def test_run_exact_enforces_budget(sys_3x3):
-    built = build_pipeline(sys_3x3, FixedPointFormat(6, 0, 10), mode="fused")
+def test_run_exact_enforces_budget():
+    over = qc.Circuit(RegisterLayout(qc.QUBIT_BUDGET, 0), ())  # reg B plus the ancilla
     with pytest.raises(ResourceError):
-        sim.run_exact(built, max_qubits=built.layout.total - 1)
+        sim.run_exact(over)
 
 
 def test_smallest_system_end_to_end():
