@@ -373,6 +373,8 @@ def cmd_sweep(cfg: dict) -> int:
 def cmd_resources(cfg: dict) -> int:
     rows = []
     for n in cfg["n_values"]:
+        if n < 1:  # the flat stand-in below needs 2**n - 1 >= 1 entries
+            raise ValueError(f"n must be >= 1, got {n}")
         dim = 2**n - 1
         # resource shape is input-independent; a flat state stands in for b
         system = PoissonSystem(n=n, b=np.full(dim, dim**-0.5))

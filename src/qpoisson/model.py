@@ -98,16 +98,27 @@ class EigenData:
     kappa: float
 
 
-def build_matrix(system: PoissonSystem) -> np.ndarray:
-    """Dense system matrix (1/h**2) tridiag(-1, 2, -1)."""
+def _check_dim(system: PoissonSystem) -> int:
+    """The matrix dimension, refused above MAX_MODEL_DIM before anything dense is built."""
     dim = system.dim
     if dim > MAX_MODEL_DIM:
         raise ResourceError(f"matrix dimension {dim} exceeds budget {MAX_MODEL_DIM}")
+    return dim
+
+
+def build_matrix(system: PoissonSystem) -> np.ndarray:
+    """Dense system matrix (1/h**2) tridiag(-1, 2, -1)."""
+    dim = _check_dim(system)
     return (2.0 * np.eye(dim) - np.eye(dim, k=1) - np.eye(dim, k=-1)) * system.N ** 2
 
 
 def eigenpairs(system: PoissonSystem) -> EigenData:
-    """Closed-form eigenvalues and orthonormal eigenvectors of the matrix."""
+    """Closed-form eigenvalues and orthonormal eigenvectors of the matrix.
+
+    The eigenvectors are a dense dim x dim matrix, so dim is held to
+    MAX_MODEL_DIM as in build_matrix.
+    """
+    _check_dim(system)
     N = system.N
     j = np.arange(1, N)
     lambdas = 4.0 * N * N * np.sin(j * np.pi / (2 * N)) ** 2

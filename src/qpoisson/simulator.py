@@ -14,18 +14,15 @@ buffer as the planner emits it; the IR itself is never changed.  The
 lowering rules, each exact:
 
 - SWAP relabels which buffer axis holds which qubit and moves no data.
-- X is kept as a per-qubit Pauli frame.  It flips the control value that
-  later controlled gates test, flips diagonal tables and negates Ry angles
-  on its qubit; any other gate on that qubit first applies it as data.
-- A multi-controlled X is kept pending as a conditional frame term.  A Ry
-  controlled on its target reads the target through the term, which makes
-  it a multiplexed Ry over the term's controls too, and the explicit
-  rotation's unloading MCX cancels the term.  A term is applied as data
-  only before a gate that would break that bookkeeping.
 - A run of diagonal gates (controlled phases, diagonal CUs, PHASE) becomes
   one DIAG pass: a precomputed phase table broadcast over the state.
-- A run of (multi-)controlled Ry gates on one target becomes one RY pass: a
-  multiplexed rotation with one angle per pattern of the union of controls.
+- A rotation segment becomes one RY pass, a multiplexed rotation with one
+  angle per bit pattern of the other qubits it touches.  A segment is a
+  run of X, MCX, RY and MCRY gates whose rotations share a target that no
+  X or MCX touches; on each pattern its X and MCX gates are classical bit
+  flips, and they must return every pattern to itself.  Either rotation
+  stage is one segment: the fused stage's X wraps and the explicit stage's
+  reg A loads and unloads undo themselves on every pattern.
 - An uncontrolled dense CU (state preparation) stays pending until a gate
   needs its qubits, and then runs as one DENSE pass.  The QPE walk powers
   U**(2**k) = V D_k V^T share the eigenbasis V that the builders record in
@@ -42,8 +39,9 @@ lowering rules, each exact:
   the untouched |0...0> state and the first state preparation only build a
   product state, which one PREP pass writes directly.
 - Any other gate (a controlled non-diagonal CU outside the walk basis, a
-  dense CU on non-consecutive axes, an X frame or MCX term applied as data)
-  runs as a GATE pass: one apply_gate call on the buffer axes.
+  dense CU on non-consecutive axes, an X, MCX, RY or MCRY outside a
+  rotation segment) runs as a GATE pass: one apply_gate call on the buffer
+  axes.
 
 The fused kernels (H, RY, DIAG, DENSE, QFT, PREP) work through the state in
 cache-sized blocks, so none of them allocates a copy of the state; the
@@ -276,36 +274,26 @@ class Plan:
 
 
 class _Planner:
-    """Lowers gates to passes, tracking four things that cost no data movement.
+    """Lowers gates to passes, tracking what costs no data movement.
 
     - phys[l]: the state axis holding logical qubit l; SWAP only relabels.
-    - frame[l]: a pending X on qubit l.  A pending X flips the control value
-      later gates see, flips diagonal tables and negates Ry angles on its
-      target, and is applied as data before any other gate on that qubit.
-    - cond[axis]: pending multi-controlled X gates on that axis, as (control
-      axes, control values) terms; a repeated term cancels.  While no term's
-      target is another term's control they all commute, and a Ry
-      controlled on a pending target becomes a multiplexed Ry over its
-      controls and theirs.  The explicit rotation's loads and unloads
-      cancel this way, so the whole stage is one RY pass.  A term is applied
-      as data, as an MCX between X gates on its 0-valued controls, once a
-      gate would change one of its control values or reads its target in
-      any other way.
     - pending: an uncontrolled dense unitary on a target tuple, applied
-      lazily; an X on one of its targets applies it first.  A controlled CU
-      that V^T M V = D diagonalizes (V the walk eigenbasis) becomes a
-      controlled diagonal once pending holds V, so the walk powers cost one
-      V^T (with load_b folded in), diagonal passes, and one V at the end.
+      lazily, before any other gate on its qubits.  A controlled CU that
+      V^T M V = D diagonalizes (V the walk eigenbasis) becomes a controlled
+      diagonal once pending holds V, so the walk powers cost one V^T (with
+      load_b folded in), diagonal passes, and one V at the end.
+    - run: the terms of an open DIAG pass; consecutive diagonal gates fuse
+      into it while its table stays within table_qubits.
+    - fresh, h_count: the Hadamards of the product-state prologue, and those
+      whose 1/sqrt(2) is still to be folded into a pass that rescales the
+      whole state.
 
-    Consecutive diagonal gates fuse into one DIAG pass, and consecutive
-    (multi-)controlled Ry gates on one target into one multiplexed RY pass.
-    Every Hadamard's 1/sqrt(2) is folded into the next pass that rescales
-    the whole state.  A whole Fourier fragment (see _fourier_at) becomes one
-    QFT pass.  Hadamards on the untouched |0...0> state, and the first
-    uncontrolled dense pass on other qubits, only build a product state, so
-    they become one PREP pass that writes it.  A gate that no rule covers
-    runs through apply_gate as a GATE pass, once the pending matrix, terms
-    and frames on its qubits are applied as data.
+    A whole Fourier fragment (see _fourier_at) becomes one QFT pass, and a
+    rotation segment (see _rotation_at) one multiplexed RY pass.  Hadamards
+    on the untouched |0...0> state, and the first uncontrolled dense pass on
+    other qubits, only build a product state, so they become one PREP pass
+    that writes it.  A gate that no rule covers runs through apply_gate as a
+    GATE pass, once the pending matrix on its qubits is applied.
     """
 
     def __init__(self, q: int, basis: np.ndarray | None, sink):
@@ -314,7 +302,6 @@ class _Planner:
         # tables stay at a quarter of the state or less
         self.table_qubits = min(_TABLE_QUBITS, q - 2)
         self.phys = list(range(q))
-        self.frame = [0] * q
         if basis is not None:
             # only a real orthogonal V turns V^T M V into M's spectrum
             basis = np.asarray(basis)
@@ -325,12 +312,14 @@ class _Planner:
                 basis = None
         self.basis = basis
         self.fresh: list[int] | None = []  # H axes applied to |0...0> so far
-        self.cond: dict[int, set] = {}
-        self.run: list | None = None  # ["DIAG", terms] or ["RY", target axis, terms]
+        self.run: list | None = None  # (axes, table) terms of the open DIAG pass
         self.pending: list | None = None  # [targets, matrix, holds the basis]
         self.h_count = 0
 
     # -- emission -------------------------------------------------------------
+    def _axes(self, qubits) -> tuple[int, ...]:
+        return tuple(self.phys[q] for q in qubits)
+
     def _scale(self) -> float:
         factor, self.h_count = 0.5 ** (self.h_count / 2), 0
         return factor
@@ -356,31 +345,28 @@ class _Planner:
         return p
 
     def _close(self) -> None:
+        """Emit the open DIAG pass."""
         run, self.run = self.run, None
-        if run is None:
-            return
-        if run[0] == "DIAG":
-            axes, table = _diag_table(run[1], self.q, self._scale(), self.table_qubits)
+        if run is not None:
+            axes, table = _diag_table(run, self.q, self._scale(), self.table_qubits)
             self._emit(Pass("DIAG", axes, data=table))
-        else:
-            axes, data = _ry_table(run[2], self._scale())
-            self._emit(Pass("RY", (run[1],), axes, data=data))
 
     def _apply(self, gate: Gate) -> None:
-        """Run a gate on buffer axes through apply_gate, after the open run."""
+        """Run a gate on logical qubits through apply_gate, after the open run."""
         self._close()
-        self._emit(Pass("GATE", gate=gate))
+        self._emit(Pass("GATE", gate=replace(gate, targets=self._axes(gate.targets),
+                                             controls=self._axes(gate.controls))))
 
     def _dense(self, targets, matrix) -> None:
         """Uncontrolled matrix: a DENSE pass on consecutive axes, else a GATE."""
         self._close()
         if self.h_count:
             matrix = matrix * self._scale()
-        axes = tuple(self.phys[t] for t in targets)
+        axes = self._axes(targets)
         if axes == tuple(range(axes[0], axes[0] + len(axes))) and 1 << len(axes) <= _CHUNK:
             self._emit(Pass("DENSE", axes, data=np.asarray(matrix, dtype=complex)))
         else:
-            self._apply(Gate(cg.CONTROLLED_UNITARY, axes, matrix=matrix))
+            self._apply(Gate(cg.CONTROLLED_UNITARY, targets, matrix=matrix))
 
     def _flush(self, qubits=None) -> None:
         """Apply the pending dense unitary (only if it touches `qubits`)."""
@@ -392,91 +378,26 @@ class _Planner:
         self.pending = None
         self._dense(targets, matrix)
 
-    def _apply_frames(self, qubits) -> None:
-        """Apply the X frame on qubits as data."""
-        for q in qubits:
-            if self.frame[q]:
-                self.frame[q] = 0
-                self._apply(cg.pauli_x(self.phys[q]))
-
-    def _clear(self, qubits) -> None:
-        """Apply the pending matrix, MCX terms and frames on qubits as data."""
-        axes = [self.phys[q] for q in qubits]
-        self._flush(qubits)
-        self._settle(axes, axes)
-        self._apply_frames(qubits)
-
-    def _settle(self, targets=(), controls=()) -> None:
-        """Apply pending MCX terms that target `targets` or read `controls`."""
-        targets, controls = set(targets), set(controls)
-        for axis in list(self.cond):
-            terms = self.cond[axis]
-            due = terms if axis in targets else {t for t in terms if controls & set(t[0])}
-            for ctrl, values in sorted(due):
-                wraps = [cg.pauli_x(c) for c, v in zip(ctrl, values) if not v]
-                for gate in wraps + [cg.multi_controlled_x(ctrl, axis)] + wraps:
-                    self._apply(gate)
-            terms -= due
-            if not terms:
-                del self.cond[axis]
-
-    def _value(self, axis: int, axes) -> np.ndarray:
-        """Value of `axis` once its pending MCX terms apply, over `axes` bits."""
-        shape = [1] * len(axes)
-        shape[axes.index(axis)] = 2
-        value = np.arange(2).reshape(shape)
-        for ctrl, values in self.cond.get(axis, ()):
-            hit = np.ones([1] * len(axes), dtype=bool)
-            for c, v in zip(ctrl, values):
-                shape = [1] * len(axes)
-                shape[axes.index(c)] = 2
-                hit = hit & (np.arange(2).reshape(shape) == v)
-            value = value ^ hit
-        return value
-
     # -- fused runs -----------------------------------------------------------
     def _diag(self, qubits, table: np.ndarray) -> None:
         """Diagonal factor table[bits of qubits] on logical qubits."""
-        self._settle([self.phys[q] for q in qubits])
-        table = table.reshape((2,) * len(qubits))
-        flips = tuple(k for k, q in enumerate(qubits) if self.frame[q])
-        if flips:
-            table = np.flip(table, axis=flips)
-        axes = [self.phys[q] for q in qubits]
+        axes = self._axes(qubits)
         order = np.argsort(axes)
-        term = (tuple(axes[k] for k in order), np.transpose(table, order))
-        if self.run is not None and self.run[0] == "DIAG":
-            union = set(term[0]).union(*(a for a, _ in self.run[1]))
+        term = (tuple(axes[k] for k in order),
+                np.transpose(table.reshape((2,) * len(qubits)), order))
+        if self.run is not None:
+            union = set(term[0]).union(*(a for a, _ in self.run))
             if len(union) <= self.table_qubits:
-                self.run[1].append(term)
+                self.run.append(term)
                 return
         self._close()
-        self.run = ["DIAG", [term]]
+        self.run = [term]
 
     def _controlled_diag(self, controls, targets, diag: np.ndarray) -> None:
         """diag on targets where every control is 1, identity elsewhere."""
         table = np.ones((2,) * len(controls) + (diag.size,), dtype=complex)
         table[(1,) * len(controls)] = diag
         self._diag(controls + targets, table)
-
-    def _ry(self, controls, target: int, angle: float) -> None:
-        if self.frame[target]:
-            angle = -angle  # X Ry(a) X = Ry(-a)
-        axis = self.phys[target]
-        self._settle((axis,), (axis,))
-        ctrl = [self.phys[c] for c in controls]
-        axes = sorted(set(ctrl).union(*(t[0] for c in ctrl for t in self.cond.get(c, ()))))
-        hit = np.ones((2,) * len(axes), dtype=bool)
-        for c, q in zip(ctrl, controls):
-            hit &= self._value(c, axes) == 1 - self.frame[q]
-        term = (tuple(axes), hit, angle)
-        if self.run is not None and self.run[0] == "RY" and self.run[1] == axis:
-            union = set(term[0]).union(*(a for a, _, _ in self.run[2]))
-            if len(union) <= self.table_qubits:
-                self.run[2].append(term)
-                return
-        self._close()
-        self.run = ["RY", axis, [term]]
 
     # -- gates ----------------------------------------------------------------
     def _defer_cu(self, gate: Gate) -> bool:
@@ -488,7 +409,6 @@ class _Planner:
                 self._flush()
                 pending = None
             if pending is None:
-                self._apply_frames(targets)
                 self.pending = [targets, matrix, False]
             else:
                 pending[1], pending[2] = matrix @ pending[1], False
@@ -503,92 +423,73 @@ class _Planner:
         if np.max(np.abs(rotated - np.diag(diag))) > _BASIS_TOL:
             return False
         if pending is None or not pending[2]:
-            self._apply_frames(targets)
             self.pending = None
             self._dense(targets, basis.T if pending is None else basis.T @ pending[1])
             self.pending = [targets, basis, True]
         self._controlled_diag(controls, targets, diag)
         return True
 
-    def _x(self, target: int) -> None:
-        self._flush((target,))
-        self.frame[target] ^= 1
-
     def add(self, gate: Gate) -> None:
         kind = gate.kind
-        if kind == cg.CONTROLLED_UNITARY:
-            axes = [self.phys[t] for t in gate.targets]
-            self._settle(axes + [self.phys[c] for c in gate.controls], axes)
-            if self._defer_cu(gate):
-                return
-        if kind == cg.PAULI_X or (kind == cg.MULTI_CONTROLLED_X and not gate.controls):
-            self._x(gate.targets[0])
+        if kind == cg.CONTROLLED_UNITARY and self._defer_cu(gate):
             return
-        # apply_gate reads controls only for the controlled kinds
-        if kind in (cg.MULTI_CONTROLLED_X, cg.MULTI_CONTROLLED_RY, cg.CONTROLLED_UNITARY):
-            controls = gate.controls
-        else:
-            controls = ()
-        self._flush(controls + gate.targets)
+        self._flush(_controls(gate) + gate.targets)
         if kind == cg.HADAMARD:
-            t = gate.targets[0]
-            self._clear((t,))
             self._close()
-            self._emit(Pass("H", (self.phys[t],)))
+            self._emit(Pass("H", self._axes(gate.targets)))
             self.h_count += 1
             if self.h_count >= _MAX_PENDING_H:
                 self._emit(Pass("SCALE", data=np.asarray(self._scale())))
         elif kind == cg.SWAP:
             a, b = gate.targets
             self.phys[a], self.phys[b] = self.phys[b], self.phys[a]
-            self.frame[a], self.frame[b] = self.frame[b], self.frame[a]
-        elif kind == cg.RY:
-            self._ry((), gate.targets[0], gate.angle)
-        elif kind == cg.MULTI_CONTROLLED_RY:
-            self._ry(controls, gate.targets[0], gate.angle)
         elif kind == cg.PHASE:
             self._diag(gate.targets, np.array([1.0, np.exp(1j * gate.angle)]))
-        elif kind == cg.MULTI_CONTROLLED_X:
-            axis = self.phys[gate.targets[0]]
-            ctrl = tuple(self.phys[c] for c in controls)
-            self._settle(ctrl, (axis,))
-            values = tuple(1 - self.frame[c] for c in controls)
-            order = sorted(range(len(ctrl)), key=ctrl.__getitem__)
-            term = (tuple(ctrl[k] for k in order), tuple(values[k] for k in order))
-            self.cond.setdefault(axis, set()).symmetric_difference_update({term})
-            if not self.cond[axis]:
-                del self.cond[axis]
         elif kind == cg.CONTROLLED_UNITARY:
-            m = gate.matrix
-            diag = np.diagonal(m)
-            if not np.any(m - np.diag(diag)):
-                self._controlled_diag(controls, gate.targets, diag)
+            diag = np.diagonal(gate.matrix)
+            if np.any(gate.matrix - np.diag(diag)):
+                self._apply(gate)
             else:
-                self._clear(gate.qubits)
-                self._apply(replace(gate, targets=tuple(self.phys[t] for t in gate.targets),
-                                    controls=tuple(self.phys[c] for c in controls)))
+                self._controlled_diag(gate.controls, gate.targets, diag)
+        elif kind in (cg.PAULI_X, cg.RY, cg.MULTI_CONTROLLED_X, cg.MULTI_CONTROLLED_RY):
+            self._apply(gate)
         else:
             raise ValueError(f"unknown gate kind {kind}")
 
     def add_qft(self, register, inverse: bool) -> bool:
         """One QFT pass for a whole Fourier fragment, if its axes allow it."""
-        axes = [self.phys[q] for q in register]
-        if axes != list(range(axes[0], axes[0] + len(axes))):
+        axes = self._axes(register)
+        if axes != tuple(range(axes[0], axes[0] + len(axes))):
             return False
-        self._clear(register)
+        self._flush(register)
         self._close()
-        self._emit(Pass("IQFT" if inverse else "QFT", tuple(axes)))
+        self._emit(Pass("IQFT" if inverse else "QFT", axes))
         return True
+
+    def add_rotation(self, target: int, qubits, angles: np.ndarray) -> None:
+        """One RY pass on target: angles[bits of qubits, MSB first]."""
+        self._flush(qubits + (target,))
+        self._close()
+        axes = self._axes(qubits)
+        order = np.argsort(axes)
+        angles = angles.reshape((2,) * len(axes)).transpose(order).copy()  # C order
+        data = self._scale() * np.stack([np.cos(angles / 2), np.sin(angles / 2)]).astype(complex)
+        self._emit(Pass("RY", (self.phys[target],), tuple(sorted(axes)), data=data))
 
     def finish(self) -> tuple[int, ...]:
         """Emit what is still pending; return the final axis of each qubit."""
         self._flush()
-        self._settle(range(self.q))
-        self._apply_frames(range(self.q))
         self._close()
         if self.h_count:  # this also ends a prologue of Hadamards only
             self._emit(Pass("SCALE", data=np.asarray(self._scale())))
         return tuple(self.phys)
+
+
+def _controls(gate: Gate) -> tuple[int, ...]:
+    """The controls apply_gate reads: only the controlled kinds have any."""
+    if gate.kind in (cg.MULTI_CONTROLLED_X, cg.MULTI_CONTROLLED_RY, cg.CONTROLLED_UNITARY):
+        return gate.controls
+    return ()
 
 
 def _diag_table(terms, q: int, scale: float, cap: int) -> tuple[tuple[int, ...], np.ndarray]:
@@ -608,15 +509,6 @@ def _diag_table(terms, q: int, scale: float, cap: int) -> tuple[tuple[int, ...],
         )
         axes += range(axes[-1] + 1, q)
     return tuple(axes), table
-
-
-def _ry_table(terms, scale: float) -> tuple[tuple[int, ...], np.ndarray]:
-    """Summed Ry angle per control pattern, as stacked scale*(cos, sin) tables."""
-    axes = sorted(set().union(*(a for a, _, _ in terms)))
-    angles = np.zeros((2,) * len(axes))
-    for term_axes, hit, angle in terms:
-        angles += angle * hit.reshape([2 if a in term_axes else 1 for a in axes])
-    return tuple(axes), scale * np.stack([np.cos(angles / 2), np.sin(angles / 2)]).astype(complex)
 
 
 def _same_gate(a: Gate, b: Gate) -> bool:
@@ -671,14 +563,56 @@ def _fourier_at(gates: Sequence[Gate], i: int):
     return None
 
 
+def _rotation_at(gates: Sequence[Gate], i: int, cap: int):
+    """(target, qubits, angles, length) if gates[i:] opens a rotation segment.
+
+    The candidate is the longest run of X, MCX, RY and MCRY gates from i.
+    Its rotations must share one target that no X or MCX touches, and the
+    other qubits it touches must number at most cap.  On each bit pattern
+    of those qubits the X and MCX gates only permute classical bits, and
+    each rotation adds its angle where its controls read 1.  If every
+    pattern returns to itself, the run is one multiplexed Ry with
+    angles[pattern] (qubits MSB first); otherwise this returns None.
+    """
+    end = i
+    while end < len(gates) and gates[end].kind in (
+        cg.PAULI_X, cg.MULTI_CONTROLLED_X, cg.RY, cg.MULTI_CONTROLLED_RY
+    ):
+        end += 1
+    run = [(g, g.kind in (cg.PAULI_X, cg.MULTI_CONTROLLED_X)) for g in gates[i:end]]
+    targets = {g.targets[0] for g, flip in run if not flip}
+    if len(targets) != 1 or any(flip and targets & {*_controls(g), *g.targets} for g, flip in run):
+        return None
+    (target,) = targets
+    qubits = sorted({q for g, _ in run for q in _controls(g) + g.targets} - targets)
+    if len(qubits) > cap:
+        return None
+    row = {q: r for r, q in enumerate(qubits)}
+    start = ((np.arange(1 << len(qubits)) >> np.arange(len(qubits))[::-1, None]) & 1).astype(bool)
+    bits, angles = start.copy(), np.zeros(1 << len(qubits))
+    for g, flip in run:
+        hit = bits[[row[c] for c in _controls(g)]].all(axis=0)
+        if flip:
+            bits[row[g.targets[0]]] ^= hit
+        else:
+            angles[hit] += g.angle
+    if not np.array_equal(bits, start):
+        return None
+    return target, tuple(qubits), angles, len(run)
+
+
 def _plan(circuit: Circuit, sink) -> tuple[int, ...]:
     planner = _Planner(circuit.layout.total, circuit.metadata.get("walk_basis"), sink)
     gates = circuit.gates
     i = 0
     while i < len(gates):
         fourier = _fourier_at(gates, i)
+        rotation = _rotation_at(gates, i, planner.table_qubits)
         if fourier is not None and planner.add_qft(fourier[0], fourier[1]):
             i += fourier[2]
+        elif rotation is not None:
+            planner.add_rotation(*rotation[:3])
+            i += rotation[3]
         else:
             planner.add(gates[i])
             i += 1

@@ -192,6 +192,13 @@ def test_resources_header_only(capsys):
     )
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_resources_rejects_grid_exponents_below_1(capsys, n):
+    code, out, err = run_cli(capsys, "resources", f"--n-values={n}")
+    assert code == 2 and out == ""
+    assert f"n must be >= 1, got {n}" in err
+
+
 def test_resources_fused_qubit_totals(capsys, tmp_path):
     path = tmp_path / "resources.json"
     code, _, _ = run_cli(

@@ -106,8 +106,10 @@ def test_matrix_budget():
     n = MAX_MODEL_DIM.bit_length()  # first grid whose 2**n - 1 points exceed the budget
     system = PoissonSystem(n=n, b=np.ones(2**n - 1))
     assert system.dim > MAX_MODEL_DIM
-    with pytest.raises(ResourceError):
-        build_matrix(system)
+    # both build a dense dim x dim matrix
+    for build in (build_matrix, eigenpairs):
+        with pytest.raises(ResourceError):
+            build(system)
 
 
 def test_load_system_roundtrip(tmp_path):

@@ -18,6 +18,7 @@ from qpoisson import (
     PoissonSystem,
     PostselectionError,
     RegisterLayout,
+    ResourceError,
     build_angle_table,
     build_phase_verification,
     build_pipeline,
@@ -184,8 +185,8 @@ def test_plan_matches_reference_on_pipelines(name, f, mode, phase_mode):
     assert counts["IQFT"] == counts["QFT"] == 1
     assert counts["H"] == built.layout.e_width
     assert plan.order == tuple(range(built.layout.total))
-    # X wraps and the explicit loads and unloads cancel inside the frames,
-    # so nothing falls back to the generic kernel
+    # X wraps and the explicit loads and unloads undo themselves on every
+    # bit pattern, so nothing falls back to the generic kernel
     assert "GATE" not in counts and counts["RY"] == 1
 
 
@@ -241,6 +242,61 @@ def test_benchmark_solves_keep_their_plan(name, f, mode, passes, counts):
 
 def _circuit(q: int, gates) -> qc.Circuit:
     return qc.Circuit(RegisterLayout(q - 1, 0, 0), tuple(gates), {})
+
+
+def test_builder_rotation_stages_are_one_multiplexed_ry():
+    """Every buildable grid configuration, lowered but not run."""
+    cases = [(system, default_format(system.n, f, 16), mode)
+             for system in map(_system, PRESETS) for f in (0, 4, 8)
+             for mode in ("fused", "auto", "explicit")]
+    cases += [(PoissonSystem(n=1, b=np.ones(1)), FixedPointFormat(4, 2, 8), mode)
+              for mode in ("fused", "explicit")]
+    built = []
+    for system, fmt, mode in cases:
+        try:
+            built.append(build_pipeline(system, fmt, mode))
+        except ResourceError:
+            continue
+    assert len(built) == 26  # 7x7 f=8 and 15x15 f=4, f=8 explicit exceed the budget
+    for circuit in built:
+        layout, plan = circuit.layout, sim.lower(circuit)
+        ry = [p for p in plan.passes if p.kind == "RY"]
+        assert "GATE" not in plan.counts() and len(ry) == 1
+        assert ry[0].axes == (layout.ancilla,)
+        controls = layout.reg_e[: circuit.metadata["table"].prefix_len] + layout.reg_a
+        assert ry[0].controls == tuple(plan.order[q] for q in controls)
+        if layout.b_width == 1:  # no prefix: one eigenvalue
+            assert ry[0].controls == ((7, 8) if layout.a_width else ())
+
+
+_x, _mcx, _ry, _mcry = qc.pauli_x, qc.multi_controlled_x, qc.ry, qc.multi_controlled_ry
+# name: (qubits, gates, the GATE and RY passes they lower to)
+SEGMENT_CASES = {
+    # the first rotation runs alone; the second opens a segment of its own
+    "two-targets": (5, [_mcry((1, 2), 0, 0.7), _ry(3, -1.1), _mcry((2,), 3, 0.4)],
+                    ["GATE", "RY"]),
+    "x-on-target": (4, [_mcry((1,), 0, 0.7), _x(0), _mcry((1,), 0, -0.3)],
+                    ["GATE", "GATE", "RY"]),
+    "mcx-on-target": (4, [_mcry((1,), 0, 0.7), _mcx((2,), 0), _mcry((1,), 0, -0.3)],
+                      ["GATE", "GATE", "RY"]),
+    "mcx-reads-target": (4, [_mcry((1,), 0, 0.7), _mcx((0,), 2), _mcry((2,), 0, -0.3)],
+                         ["GATE", "GATE", "RY"]),
+    # qubit 3 returns to itself only on the patterns where qubits 1 and 2 agree
+    "load-without-unload": (5, [_mcx((1,), 3), _mcry((3,), 0, 0.9), _mcx((2,), 3)],
+                            ["GATE", "GATE", "GATE"]),
+    # 7 qubits besides the target; tables on 8 qubits stop at 6
+    "wider-than-a-table": (8, [_x(1), _mcry(tuple(range(1, 8)), 0, 1.3), _x(1)],
+                           ["GATE", "GATE", "GATE"]),
+}
+
+
+@pytest.mark.parametrize("case", list(SEGMENT_CASES))
+def test_rotation_segment_that_does_not_qualify_runs_gate_by_gate(case):
+    q, gates, kinds = SEGMENT_CASES[case]
+    circuit = _circuit(q, [qc.hadamard(t) for t in range(q)] + gates)
+    plan = sim.lower(circuit)
+    assert [p.kind for p in plan.passes if p.kind in ("GATE", "RY")] == kinds
+    assert_plan_matches(circuit)
 
 
 def test_many_hadamards_rescale_before_the_factor_underflows():
