@@ -36,7 +36,7 @@ from .encoding import (
     decode_fraction,
 )
 from .errors import ResourceError, check_choice
-from .model import PoissonSystem, EigenData, eigenpairs
+from .model import PoissonSystem, EigenData, eigenpairs, square_safe
 
 __all__ = [
     "HADAMARD", "PAULI_X", "RY", "PHASE", "CONTROLLED_UNITARY",
@@ -200,7 +200,7 @@ class RegisterLayout:
 
 @dataclass(frozen=True, eq=False)
 class Circuit:
-    """An ordered gate list over a register layout, plus builder provenance."""
+    """An ordered gate list over a register layout, plus the metadata its readers use."""
 
     layout: RegisterLayout
     gates: tuple[Gate, ...]
@@ -257,7 +257,7 @@ def state_prep_unitary(vec: np.ndarray) -> np.ndarray:
     Householder reflection mapping e_0 to the normalized vector; exact on the
     first column, deterministic, and its own inverse.
     """
-    v = np.asarray(vec, dtype=float)
+    v = square_safe(vec)
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise ValueError("cannot prepare the zero vector")
@@ -406,26 +406,10 @@ def build_rotation_fused(table: AngleTable, layout: RegisterLayout) -> list[Gate
     return gates
 
 
-def _provenance(what: str, layout: RegisterLayout, fmt: FixedPointFormat, eigs: EigenData,
-                phase_mode: str, table: AngleTable | None = None, hint: str = "") -> dict:
-    """Refuse a layout over QUBIT_BUDGET; else the metadata both builders record.
-
-    That is the phase mode, the format, the angle table (built here unless
-    given), the eigendata, and the walk eigenbasis V ("walk_basis") that the
-    simulator uses to run the walk powers as diagonals.
-    """
+def _check_budget(layout: RegisterLayout, what: str, hint: str = "") -> None:
+    """Refuse a layout over QUBIT_BUDGET; what names the circuit and its need."""
     if layout.total > QUBIT_BUDGET:
-        raise ResourceError(f"{what} needs {layout.total} qubits, budget is {QUBIT_BUDGET}{hint}")
-    return {
-        "phase_mode": phase_mode,
-        "n": layout.b_width,
-        "integer_bits": fmt.integer_bits,
-        "fraction_bits": fmt.fraction_bits,
-        "angle_bits": fmt.angle_bits,
-        "table": table if table is not None else build_angle_table(eigs.lambdas, fmt),
-        "eigs": eigs,
-        "walk_basis": _walk_basis(eigs, layout.b_width),
-    }
+        raise ResourceError(f"{what} {layout.total} qubits, budget is {QUBIT_BUDGET}{hint}")
 
 
 def build_pipeline(
@@ -438,35 +422,37 @@ def build_pipeline(
 
     The solution stays in reg B conditioned on the ancilla reading 1.  mode is
     one of MODES; "auto" resolves to explicit up to AUTO_EXPLICIT_LIMIT qubits.
-    The returned circuit's metadata records the resolved mode and what
-    _provenance lists, including the angle table the rotation stage uses.
+    The fused layout, the narrowest any mode resolves to, is checked against
+    QUBIT_BUDGET before any spectral work.  metadata holds the resolved "mode",
+    "eigs", the angle "table", and the walk eigenbasis V ("walk_basis") that
+    the simulator uses to run the walk powers as diagonals.
     """
     check_choice("mode", mode, MODES)
     check_choice("phase_mode", phase_mode, PHASE_MODES)
+    layout = RegisterLayout(system.n, fmt.total_bits, 0)
+    # auto resolves to fused whenever the fused layout is over budget
+    _check_budget(layout, "explicit pipeline needs at least" if mode == "explicit"
+                  else "fused pipeline needs")
     eigs = eigenpairs(system)
     table = build_angle_table(eigs.lambdas, fmt)
-    m = fmt.total_bits
-    explicit_total = system.n + m + len(table.kept_columns) + 1
-    resolved = mode
+    explicit = RegisterLayout(system.n, fmt.total_bits, len(table.kept_columns))
     if mode == "auto":
-        resolved = "explicit" if explicit_total <= AUTO_EXPLICIT_LIMIT else "fused"
-    if resolved == "explicit":
-        layout = RegisterLayout(system.n, m, len(table.kept_columns))
-    else:
-        layout = RegisterLayout(system.n, m, 0)
-    hint = " (fused mode would need fewer)" if resolved == "explicit" else ""
-    provenance = _provenance(f"{resolved} pipeline", layout, fmt, eigs, phase_mode, table, hint)
+        mode = "explicit" if explicit.total <= AUTO_EXPLICIT_LIMIT else "fused"
+    if mode == "explicit":
+        layout = explicit
+        _check_budget(layout, "explicit pipeline needs", " (fused mode would need fewer)")
     prep = controlled_unitary(
         (), layout.reg_b, state_prep_unitary(_embed_grid_vector(system.b, system.n)),
         label="load_b",
     )
     qpe = build_qpe(eigs, fmt, layout, phase_mode)
-    if resolved == "explicit":
+    if mode == "explicit":
         rotation = build_rotation_explicit(table, layout)
     else:
         rotation = build_rotation_fused(table, layout)
     gates = [prep] + qpe + rotation + invert_fragment(qpe)
-    metadata = {"kind": "pipeline", "mode": resolved, "requested_mode": mode, **provenance}
+    metadata = {"mode": mode, "eigs": eigs, "table": table,
+                "walk_basis": _walk_basis(eigs, system.n)}
     return Circuit(layout=layout, gates=tuple(gates), metadata=metadata)
 
 
@@ -481,13 +467,14 @@ def build_phase_verification(
     input_vector holds grid values (length 2**n - 1, or 2**n with an empty
     |0> slot); it is normalized during preparation.  No rotation or
     uncompute follows, so reg E carries the encoded eigenvalue distribution.
+    The budget is checked first; metadata holds only "walk_basis".
     """
     check_choice("phase_mode", phase_mode, PHASE_MODES)
-    eigs = eigenpairs(system)
     layout = RegisterLayout(system.n, fmt.total_bits, 0)
-    provenance = _provenance("phase verification", layout, fmt, eigs, phase_mode)
+    _check_budget(layout, "phase verification needs")
+    eigs = eigenpairs(system)
     full = _embed_grid_vector(input_vector, system.n)
     prep = controlled_unitary((), layout.reg_b, state_prep_unitary(full), label="load_input")
     gates = [prep] + build_qpe(eigs, fmt, layout, phase_mode)
-    metadata = {"kind": "phase_verification", **provenance}
-    return Circuit(layout=layout, gates=tuple(gates), metadata=metadata)
+    return Circuit(layout=layout, gates=tuple(gates),
+                   metadata={"walk_basis": _walk_basis(eigs, system.n)})

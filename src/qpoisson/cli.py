@@ -37,7 +37,7 @@ from . import noise
 from . import simulator as sim
 from .encoding import FixedPointFormat, default_format
 from .errors import QPoissonError, ResourceError, check_choice
-from .model import PoissonSystem, eigenpairs
+from .model import PoissonSystem, eigenpairs, square_safe
 
 __all__ = ["FORMATS", "OPTIONS", "PRESETS", "RESOURCE_COLUMNS", "Option", "main"]
 
@@ -448,7 +448,7 @@ def cmd_mitigate_demo(cfg: dict) -> int:
             )
     else:
         model = noise.ReadoutModel.uniform(system.n, cfg["p01"], cfg["p10"])
-    bhat = np.asarray(system.b, dtype=float)
+    bhat = square_safe(system.b)
     bhat = bhat / np.linalg.norm(bhat)
     p_ideal = np.concatenate([[0.0], bhat**2])
     trial = mitigation_trial(p_ideal, model, cfg["shots"], cfg["seed"])

@@ -122,7 +122,7 @@ def effective_lambda(encoded: str, fmt: FixedPointFormat) -> float:
     """The eigenvalue the register actually stores: int(encoded) / 2**f."""
     if len(encoded) != fmt.total_bits:
         raise EncodingError(f"expected {fmt.total_bits} bits, got {len(encoded)}")
-    return int(encoded, 2) / 2.0 ** fmt.fraction_bits
+    return int(encoded, 2) / 2 ** fmt.fraction_bits
 
 
 def angle_coefficient(lam: float) -> float:
@@ -136,14 +136,16 @@ def encode_angle(omega: float, angle_bits: int) -> str:
     """Round omega to an l-bit fraction (ties up), clamped to 2**l - 1."""
     if not 0.0 <= omega <= 0.5:
         raise EncodingError(f"omega {omega} outside [0, 1/2]")
-    value = math.floor(omega * 2.0 ** angle_bits + 0.5)
+    # omega = num / den exactly (den a power of 2): integer rounding fits any l
+    num, den = float(omega).as_integer_ratio()
+    value = (num * 2 ** (angle_bits + 1) + den) // (2 * den)
     value = min(value, 2 ** angle_bits - 1)
     return format(value, f"0{angle_bits}b")
 
 
 def decode_fraction(bits: str) -> float:
     """Value of a binary fraction string: sum of bit_k * 2**-k."""
-    return int(bits, 2) / 2.0 ** len(bits) if bits else 0.0
+    return int(bits, 2) / 2 ** len(bits) if bits else 0.0
 
 
 def prune_zero_columns(bitstrings: Sequence[str]) -> tuple[int, ...]:

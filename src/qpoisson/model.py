@@ -38,11 +38,15 @@ __all__ = [
     "eigenpairs",
     "exact_solve",
     "load_system",
+    "square_safe",
 ]
 
 # Dense storage of the operator needs dim**2 entries; keep dim below this to
 # stay well under a gigabyte.
 MAX_MODEL_DIM = 4096
+# A finite sum of squares at least this large has a normal largest square for
+# any vector of up to 2**62 entries.
+_SQUARES_MIN = 2.0 ** -960
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,19 @@ class EigenData:
     kappa: float
 
 
+def square_safe(v: np.ndarray) -> np.ndarray:
+    """v, divided by its largest magnitude only if its squares would leave the float range.
+
+    Normalize through this: it keeps 1e308- and 1e-320-scale vectors finite
+    and nonzero, and returns ordinary vectors unchanged, to the last bit.
+    """
+    v = np.asarray(v, dtype=float)
+    if _SQUARES_MIN <= np.vdot(v, v) < np.inf:  # vdot overflows to inf without a warning
+        return v
+    peak = np.max(np.abs(v), initial=0.0)
+    return v / peak if peak else v
+
+
 def _check_dim(system: PoissonSystem) -> int:
     """The matrix dimension, refused above MAX_MODEL_DIM before anything dense is built."""
     dim = system.dim
@@ -124,7 +141,8 @@ def eigenpairs(system: PoissonSystem) -> EigenData:
     lambdas = 4.0 * N * N * np.sin(j * np.pi / (2 * N)) ** 2
     k = np.arange(1, N)
     vectors = np.sqrt(2.0 / N) * np.sin(np.outer(k, j) * np.pi / N)
-    bhat = system.b / np.linalg.norm(system.b)
+    b = square_safe(system.b)
+    bhat = b / np.linalg.norm(b)
     betas = vectors.T @ bhat
     return EigenData(lambdas=lambdas, vectors=vectors, betas=betas, kappa=lambdas[-1] / lambdas[0])
 
@@ -136,7 +154,7 @@ def exact_solve(system: PoissonSystem) -> np.ndarray:
     lower = -scale
     diag = 2.0 * scale
     upper = -scale
-    b = system.b
+    b = square_safe(system.b)  # the sweep itself overflows on 1e308-scale entries
     cp = np.empty(dim)
     dp = np.empty(dim)
     cp[0] = upper / diag

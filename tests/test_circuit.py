@@ -170,12 +170,42 @@ def test_mode_resolution(sys_3x3):
     small = FixedPointFormat(6, 0, 10)
     built = build_pipeline(sys_3x3, small, mode="auto")
     assert built.metadata["mode"] == "explicit"
-    assert built.metadata["requested_mode"] == "auto"
     big = FixedPointFormat(6, 8, 16)
     built = build_pipeline(sys_3x3, big, mode="auto")
     assert built.metadata["mode"] == "fused"
     with pytest.raises(ValueError):
         build_pipeline(sys_3x3, small, mode="sideways")
+
+
+def test_metadata_holds_only_what_is_read(sys_3x3):
+    fmt = FixedPointFormat(6, 0, 10)
+    for mode in ("explicit", "fused"):
+        assert set(build_pipeline(sys_3x3, fmt, mode=mode).metadata) == {
+            "mode", "eigs", "table", "walk_basis"}
+    built = build_phase_verification(sys_3x3, fmt, sys_3x3.b)
+    assert set(built.metadata) == {"walk_basis"}
+
+
+@pytest.mark.parametrize(
+    "build",
+    (
+        lambda s, f: build_pipeline(s, f, mode="explicit"),
+        lambda s, f: build_pipeline(s, f, mode="fused"),
+        lambda s, f: build_pipeline(s, f, mode="auto"),
+        lambda s, f: build_phase_verification(s, f, s.b),
+    ),
+    ids=("pipeline-explicit", "pipeline-fused", "pipeline-auto", "verification"),
+)
+def test_builders_refuse_over_budget_before_spectral_work(monkeypatch, build):
+    def no_spectral_work(*args):
+        raise AssertionError("an over-budget layout must be refused before this")
+
+    monkeypatch.setattr(qc, "eigenpairs", no_spectral_work)
+    monkeypatch.setattr(qc, "build_angle_table", no_spectral_work)
+    n = 9  # 9 + 28 + 1 qubits: over budget, but a matrix under MAX_MODEL_DIM
+    system = PoissonSystem(n=n, b=np.ones(2**n - 1))
+    with pytest.raises(ResourceError, match="needs"):
+        build(system, FixedPointFormat(2 * n + 2, 8, 16))
 
 
 def test_explicit_layout_matches_kept_columns(sys_3x3):
@@ -190,6 +220,9 @@ def test_pipeline_budget(sys_15x15):
     fmt = FixedPointFormat(10, 8, 16)
     with pytest.raises(ResourceError):
         build_pipeline(sys_15x15, fmt, mode="explicit")
+    # refused on the fused layout alone, 4 + 30 + 1 qubits: reg A is not yet counted
+    with pytest.raises(ResourceError, match="explicit pipeline needs at least 35 qubits"):
+        build_pipeline(sys_15x15, FixedPointFormat(10, 20, 16), mode="explicit")
 
 
 @pytest.mark.parametrize(

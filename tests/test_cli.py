@@ -370,6 +370,72 @@ def test_explicit_mode_over_budget_exits_3(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("solve", "--preset", "table1-3x3", "--f", "1100"), 3,
+         "error: fused pipeline needs 1109 qubits, budget is 28\n"),
+        (("resources", "--n-values", "12", "--mode", "explicit"), 3,
+         "error: explicit pipeline needs at least 47 qubits, budget is 28\n"),
+        # the true_a walk never encodes lambda = 9, which 3 integer bits cannot hold
+        (("verify-phase", "--preset", "table1-3x3", "--f", "0", "--i", "3",
+          "--phase-mode", "true_a", "--eigen-index", "1"), 0, ""),
+        (("verify-phase", "--preset", "table1-3x3", "--eigen-index", "1", "--l", "1100"), 0, ""),
+    ],
+    ids=("f-1100", "explicit-n-12", "true-a-narrow-i", "verify-l-1100"),
+)
+def test_format_extremes_exit_codes(capsys, argv, code, message):
+    assert run_cli(capsys, *argv)[::2] == (code, message)
+
+
+def test_angle_bits_beyond_the_float_range(capsys, tmp_path):
+    artifacts = {}
+    for l in ("60", "1100"):
+        path = tmp_path / f"l{l}.json"
+        code, _, _ = run_cli(capsys, "solve", "--preset", "table1-3x3", "--f", "4", "--l", l,
+                             "--output", str(path))
+        assert code == 0
+        artifacts[l] = json.loads(path.read_text())
+        assert artifacts[l]["config"].pop("angle_bits") == int(l)
+    # omega has 53 significant bits, so 60 already holds every one of them
+    assert artifacts["60"] == artifacts["1100"]
+
+
+SCALED_ARGV = {
+    "solve": lambda b: ("solve", "--n", "2", f"--b={b}", "--f", "0", "--l", "10"),
+    "verify-phase": lambda b: ("verify-phase", "--n", "2", "--b", "1,1,1", "--f", "0",
+                               "--l", "10", f"--input={b}"),
+    "mitigate-demo": lambda b: ("mitigate-demo", "--n", "2", f"--b={b}", "--shots", "1000"),
+}
+
+
+def assert_close(got, want):
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert_close(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_close(g, w)
+    else:
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", ("1e308", "1e-320"))
+@pytest.mark.parametrize("command", tuple(SCALED_ARGV))
+def test_right_hand_side_scale_does_not_change_the_answer(capsys, tmp_path, command, scale):
+    payloads = []
+    for b in ("1,1,1", ",".join([scale] * 3)):
+        path = tmp_path / "run.json"
+        code, _, err = run_cli(capsys, *SCALED_ARGV[command](b), "--output", str(path))
+        assert code == 0, err
+        payload = json.loads(path.read_text())
+        del payload["config"]  # echoes b or the input as given
+        payloads.append(payload)
+    assert_close(payloads[1], payloads[0])
+
+
 def test_auto_downgrade_warns(capsys):
     code, _, err = run_cli(capsys, "solve", "--preset", "table1-7x7")
     assert code == 0

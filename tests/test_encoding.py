@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -97,6 +98,9 @@ def test_encode_angle_rounds_and_clamps():
     assert encode_angle(0.5, 4) == "1000"
     # round half up at the last retained bit
     assert encode_angle(3.5 / 16.0, 4) == "0100"
+    # and not up from just below a half step: omega * 2 = 1/2 - 2**-54, where
+    # the float sum omega * 2.0 + 0.5 rounds to 1
+    assert encode_angle(0.25 - 2.0**-55, 1) == "0"
     # a single-bit register is where rounding can hit the ceiling
     assert encode_angle(0.5, 1) == "1"
     # angular coefficients live in [0, 1/2]; anything else is rejected
@@ -115,6 +119,24 @@ def test_decode_fraction():
     assert decode_fraction("0000001010001100") == 652 / 65536
     assert decode_fraction("1") == 0.5
     assert decode_fraction("0000") == 0.0
+
+
+@given(st.floats(min_value=0.0, max_value=0.5), st.integers(min_value=1, max_value=60))
+def test_encode_angle_rounds_exactly(omega, angle_bits):
+    # the exact value of floor(omega * 2**l + 1/2), clamped below 2**l
+    exact = min(math.floor(Fraction(omega) * 2**angle_bits + Fraction(1, 2)), 2**angle_bits - 1)
+    assert int(encode_angle(omega, angle_bits), 2) == exact
+
+
+def test_angle_widths_beyond_the_float_range():
+    omega = angle_coefficient(9.0)
+    bits = encode_angle(omega, 1100)
+    assert len(bits) == 1100 and bits[:60] == encode_angle(omega, 60)
+    # omega is a 53-bit float: every bit past its last one is 0, and decoding is exact
+    assert decode_fraction(bits) == omega
+    assert decode_fraction("1" + "0" * 1099) == 0.5
+    wide = FixedPointFormat(1, 1100, 16)
+    assert effective_lambda("11" + "0" * 1099, wide) == 1.5
 
 
 def test_prune_zero_columns_reference():

@@ -11,7 +11,7 @@ from qpoisson import (
     exact_solve,
     load_system,
 )
-from qpoisson.model import MAX_MODEL_DIM
+from qpoisson.model import MAX_MODEL_DIM, square_safe
 
 # Normalized reference solutions, computed by tridiagonal elimination and
 # cross-checked against dense numpy solves.
@@ -100,6 +100,22 @@ def test_exact_solve_matches_dense(n):
     got = exact_solve(system)
     sign = np.sign(ref @ got)
     assert np.max(np.abs(ref - sign * got)) < 1e-12
+
+
+@pytest.mark.parametrize("scale", (1e308, 1e-320))
+def test_right_hand_sides_near_the_float_range(scale):
+    # 1e308 * (1, 1, 1) squares to inf and 1e-320 * (1, 1, 1) to 0
+    ref = PoissonSystem(n=2, b=np.ones(3))
+    system = PoissonSystem(n=2, b=np.full(3, scale))
+    assert np.max(np.abs(exact_solve(system) - exact_solve(ref))) < 1e-12
+    assert np.max(np.abs(eigenpairs(system).betas - eigenpairs(ref).betas)) < 1e-12
+    assert np.array_equal(square_safe(system.b), np.ones(3))
+
+
+def test_square_safe_keeps_ordinary_vectors():
+    b = np.random.default_rng(0).normal(size=15) * 1e100
+    assert square_safe(b) is b
+    assert square_safe([0.0, -2.0**-400]).tolist() == [0.0, -2.0**-400]
 
 
 def test_matrix_budget():
