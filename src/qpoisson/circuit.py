@@ -306,16 +306,22 @@ def _spectral_powers(
     basis = _walk_basis(eigs, n)
     if phase_mode == "encoded":
         encoded = [int(amplify_encode(lam, fmt), 2) for lam in eigs.lambdas]
+    else:
+        ratios = [float(lam).as_integer_ratio() for lam in eigs.lambdas]
     powers = []
     for k in range(m):
         phases = np.ones(dim, dtype=complex)
-        for j, lam in enumerate(eigs.lambdas):
+        for j in range(len(eigs.lambdas)):
             if phase_mode == "encoded":
                 # exact modular arithmetic keeps repeated doubling drift-free
                 step = (encoded[j] * 2 ** k) % 2 ** m
                 phases[j + 1] = np.exp(2j * np.pi * step / 2 ** m)
             else:
-                phases[j + 1] = np.exp(2j * np.pi * lam * 2.0 ** fmt.fraction_bits * 2 ** k / 2 ** m)
+                # lam * 2**(k - i) turns, scaled exactly in integers; whole turns
+                # past 2**1020 are dropped, so 2 pi times the rest stays finite
+                num, den = ratios[j]
+                turns = (num << (fmt.fraction_bits + k)) % (den << (m + 1020)) / (den << m)
+                phases[j + 1] = np.exp(2j * np.pi * turns)
         powers.append(basis @ np.diag(phases) @ basis.T)
     return powers
 
@@ -412,6 +418,13 @@ def _check_budget(layout: RegisterLayout, what: str, hint: str = "") -> None:
         raise ResourceError(f"{what} {layout.total} qubits, budget is {QUBIT_BUDGET}{hint}")
 
 
+def _verification_layout(n: int, fmt: FixedPointFormat) -> RegisterLayout:
+    """Reg B and reg E of a phase verification, refused over QUBIT_BUDGET."""
+    layout = RegisterLayout(n, fmt.total_bits, 0)
+    _check_budget(layout, "phase verification needs")
+    return layout
+
+
 def build_pipeline(
     system: PoissonSystem,
     fmt: FixedPointFormat,
@@ -470,8 +483,7 @@ def build_phase_verification(
     The budget is checked first; metadata holds only "walk_basis".
     """
     check_choice("phase_mode", phase_mode, PHASE_MODES)
-    layout = RegisterLayout(system.n, fmt.total_bits, 0)
-    _check_budget(layout, "phase verification needs")
+    layout = _verification_layout(system.n, fmt)
     eigs = eigenpairs(system)
     full = _embed_grid_vector(input_vector, system.n)
     prep = controlled_unitary((), layout.reg_b, state_prep_unitary(full), label="load_input")

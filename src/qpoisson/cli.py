@@ -319,6 +319,7 @@ def cmd_verify_phase(cfg: dict) -> int:
     if j is not None:
         if not 1 <= j <= system.dim:
             raise ValueError(f"eigen index must be in 1..{system.dim}, got {j}")
+        qc._verification_layout(system.n, fmt)  # refuse before the O(N**2) eigenvectors
         vec = eigenpairs(system).vectors[:, j - 1]
     elif cfg["input"] is not None:
         vec = np.asarray(cfg["input"], dtype=float)
@@ -419,7 +420,7 @@ def mitigation_trial(p_ideal: np.ndarray, model: noise.ReadoutModel, shots: int,
     if shots < 1:
         raise ValueError("shots must be >= 1")
     # refuse too wide a model before any shot is drawn
-    calibration = noise.calibration_matrix(model, width)
+    calibration = noise.calibration_matrix(model)
     rng = np.random.default_rng(seed)
     noisy = noise.corrupt(rng.multinomial(shots, p_ideal), model, seed + 1)
     mitigated = noise.mitigate(noisy, calibration)

@@ -91,7 +91,6 @@ class AngleTable:
     prefix_len the shortest register prefix distinguishing all rows.
     """
 
-    omegas: tuple[float, ...]
     encoded_omegas: tuple[str, ...]
     kept_columns: tuple[int, ...]
     encoded_lambdas: tuple[str, ...]
@@ -105,12 +104,16 @@ def amplify_encode(lam: float, fmt: FixedPointFormat) -> str:
     """
     if lam < 1.0:
         raise EncodingError(f"eigenvalue {lam} is below 1; rotation amplitudes would exceed 1")
-    scaled = lam * 2.0 ** fmt.fraction_bits
-    nearest = round(scaled)
-    if abs(scaled - nearest) <= _SNAP_RTOL * max(1.0, abs(scaled)):
-        value = int(nearest)
-    else:
-        value = math.floor(scaled)
+    # lam * 2**f = scaled / den exactly (den a power of 2): integers fit any f
+    num, den = float(lam).as_integer_ratio()
+    scaled = num << fmt.fraction_bits
+    value, rest = divmod(scaled, den)
+    # snap up when the next integer is the nearest one (ties to even) and
+    # lies within _SNAP_RTOL of lam * 2**f
+    rtol_num, rtol_den = _SNAP_RTOL.as_integer_ratio()
+    nearer_up = 2 * rest > den or (2 * rest == den and value % 2 == 1)
+    if nearer_up and (den - rest) * rtol_den <= rtol_num * scaled:
+        value += 1
     if value >= 2 ** fmt.total_bits:
         raise EncodingError(
             f"amplified eigenvalue {value} needs more than m = {fmt.total_bits} bits"
@@ -191,7 +194,6 @@ def build_angle_table(lambdas: Iterable[float], fmt: FixedPointFormat) -> AngleT
     if not all(col <= fmt.angle_bits for col in kept_columns):
         raise RuntimeError(f"kept columns {kept_columns} exceed l = {fmt.angle_bits}")
     return AngleTable(
-        omegas=omegas,
         encoded_omegas=encoded_omegas,
         kept_columns=kept_columns,
         encoded_lambdas=encoded_lambdas,

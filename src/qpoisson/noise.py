@@ -115,12 +115,10 @@ def corrupt(counts: np.ndarray, model: ReadoutModel, seed: int) -> np.ndarray:
     return out
 
 
-def calibration_matrix(model: ReadoutModel, width: int) -> np.ndarray:
+def calibration_matrix(model: ReadoutModel) -> np.ndarray:
     """Column-stochastic 2**w x 2**w confusion matrix, qubit 0 outermost."""
-    if width != model.width:
-        raise ValueError(f"width {width} does not match model width {model.width}")
-    if width > MAX_CALIBRATION_WIDTH:
-        raise ResourceError(f"calibration width {width} exceeds {MAX_CALIBRATION_WIDTH}")
+    if model.width > MAX_CALIBRATION_WIDTH:
+        raise ResourceError(f"calibration width {model.width} exceeds {MAX_CALIBRATION_WIDTH}")
     out = np.array([[1.0]])
     for p01, p10 in zip(model.p01, model.p10):
         single = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])

@@ -10,10 +10,10 @@ views.  fragment_unitary and the tests use it.
 
 run_exact does not replay gates one at a time.  lower() turns the gate list
 into a short plan of fused passes, and run_exact executes each pass on one
-buffer as the planner emits it; the IR itself is never changed.  The
+buffer as the planner emits it; the IR itself is never changed.  Every pass
+addresses the qubits' own axes: buffer axis g holds qubit g throughout.  The
 lowering rules, each exact:
 
-- SWAP relabels which buffer axis holds which qubit and moves no data.
 - A run of diagonal gates (controlled phases, diagonal CUs, PHASE) becomes
   one DIAG pass: a precomputed phase table broadcast over the state.
 - A rotation segment becomes one RY pass, a multiplexed rotation with one
@@ -24,24 +24,25 @@ lowering rules, each exact:
   stage is one segment: the fused stage's X wraps and the explicit stage's
   reg A loads and unloads undo themselves on every pattern.
 - An uncontrolled dense CU (state preparation) stays pending until a gate
-  needs its qubits, and then runs as one DENSE pass.  The QPE walk powers
-  U**(2**k) = V D_k V^T share the eigenbasis V that the builders record in
-  metadata["walk_basis"]; once V^T M V is checked diagonal, a walk power
-  becomes a controlled diagonal in that basis.  The planner emits V^T (with
-  the pending state preparation folded in) once, and V once after
-  uncompute, since the rotation between them never touches reg B.
+  needs its qubits or the next uncontrolled CU arrives, and then runs as
+  one DENSE pass.  The QPE walk powers U**(2**k) = V D_k V^T share the
+  eigenbasis V that the builders record in metadata["walk_basis"]; once
+  V^T M V is checked diagonal, a walk power becomes a controlled diagonal
+  in that basis.  The planner emits V^T (with the pending state preparation
+  folded in) once, and V once after uncompute, since the rotation between
+  them never touches reg B.
 - A gate run that is exactly circuit.qft_fragment(register), or its
   inverse, becomes one QFT pass (numpy's FFT, orthonormal) when the
-  register sits on consecutive axes in order; otherwise its gates are
-  lowered one by one.
+  register is consecutive qubits in order; otherwise its gates are lowered
+  one by one.
 - H runs in place as (a, b) -> (a + b, a - b); the 1/sqrt(2) factors are
   folded into the next pass that rescales the whole state.  Hadamards on
   the untouched |0...0> state and the first state preparation only build a
   product state, which one PREP pass writes directly.
-- Any other gate (a controlled non-diagonal CU outside the walk basis, a
-  dense CU on non-consecutive axes, an X, MCX, RY or MCRY outside a
-  rotation segment) runs as a GATE pass: one apply_gate call on the buffer
-  axes.
+- Any other gate (a SWAP outside a Fourier fragment, a controlled
+  non-diagonal CU outside the walk basis, a dense CU on non-consecutive
+  qubits, an X, MCX, RY or MCRY outside a rotation segment) runs as a GATE
+  pass: one apply_gate call.
 
 The fused kernels (H, RY, DIAG, DENSE, QFT, PREP) work through the state in
 cache-sized blocks, so none of them allocates a copy of the state; the
@@ -58,7 +59,7 @@ MSB first over the measured qubits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -239,16 +240,16 @@ _DFT_BLOCK = 1 << 18
 
 @dataclass(frozen=True, eq=False)
 class Pass:
-    """One sweep over the state, in physical axes.
+    """One sweep over the state; axes and controls name qubits.
 
     kind is H (axes = (target,)), DIAG (data: phase table over axes), RY
-    (target; data[0] and data[1]: cos and sin tables over the control axes),
-    DENSE (data: matrix over consecutive target axes), SCALE (data: the
+    (target; data[0] and data[1]: cos and sin tables over the controls),
+    DENSE (data: matrix over consecutive target qubits), SCALE (data: the
     factor), QFT or IQFT (the Fourier transform of qft_fragment, or its
-    inverse, over consecutive axes), PREP, which writes a product state into
-    the |0...0> buffer: data (a vector, MSB first) on axes, the unnormalized
-    (1, 1) on each of controls, 0 on the rest; or GATE, a gate outside the
-    fusion rules, on buffer axes, that apply_gate runs.
+    inverse, over consecutive qubits), PREP, which writes a product state
+    into the |0...0> buffer: data (a vector, MSB first) on axes, the
+    unnormalized (1, 1) on each of controls, 0 on the rest; or GATE, a gate
+    outside the fusion rules, that apply_gate runs.
     """
 
     kind: str
@@ -260,11 +261,10 @@ class Pass:
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """Fused passes for a circuit; order[l] is the final axis of qubit l."""
+    """Fused passes for a circuit, in the order run_exact executes them."""
 
     q: int
     passes: tuple[Pass, ...]
-    order: tuple[int, ...]
 
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -274,14 +274,14 @@ class Plan:
 
 
 class _Planner:
-    """Lowers gates to passes, tracking what costs no data movement.
+    """Lowers gates to passes on the qubits' own axes, deferring what it can.
 
-    - phys[l]: the state axis holding logical qubit l; SWAP only relabels.
     - pending: an uncontrolled dense unitary on a target tuple, applied
-      lazily, before any other gate on its qubits.  A controlled CU that
-      V^T M V = D diagonalizes (V the walk eigenbasis) becomes a controlled
-      diagonal once pending holds V, so the walk powers cost one V^T (with
-      load_b folded in), diagonal passes, and one V at the end.
+      lazily, before any other gate on its qubits and before the next
+      uncontrolled one.  A controlled CU that V^T M V = D diagonalizes (V
+      the walk eigenbasis) becomes a controlled diagonal once pending holds
+      V, so the walk powers cost one V^T (with load_b folded in), diagonal
+      passes, and one V at the end.
     - run: the terms of an open DIAG pass; consecutive diagonal gates fuse
       into it while its table stays within table_qubits.
     - fresh, h_count: the Hadamards of the product-state prologue, and those
@@ -301,7 +301,6 @@ class _Planner:
         self.sink = sink  # receives each pass as soon as it is final
         # tables stay at a quarter of the state or less
         self.table_qubits = min(_TABLE_QUBITS, q - 2)
-        self.phys = list(range(q))
         if basis is not None:
             # only a real orthogonal V turns V^T M V into M's spectrum
             basis = np.asarray(basis)
@@ -313,13 +312,10 @@ class _Planner:
         self.basis = basis
         self.fresh: list[int] | None = []  # H axes applied to |0...0> so far
         self.run: list | None = None  # (axes, table) terms of the open DIAG pass
-        self.pending: list | None = None  # [targets, matrix, holds the basis]
+        self.pending: tuple | None = None  # (targets, matrix, holds the basis)
         self.h_count = 0
 
     # -- emission -------------------------------------------------------------
-    def _axes(self, qubits) -> tuple[int, ...]:
-        return tuple(self.phys[q] for q in qubits)
-
     def _scale(self) -> float:
         factor, self.h_count = 0.5 ** (self.h_count / 2), 0
         return factor
@@ -352,19 +348,17 @@ class _Planner:
             self._emit(Pass("DIAG", axes, data=table))
 
     def _apply(self, gate: Gate) -> None:
-        """Run a gate on logical qubits through apply_gate, after the open run."""
+        """Run a gate through apply_gate, after the open run."""
         self._close()
-        self._emit(Pass("GATE", gate=replace(gate, targets=self._axes(gate.targets),
-                                             controls=self._axes(gate.controls))))
+        self._emit(Pass("GATE", gate=gate))
 
     def _dense(self, targets, matrix) -> None:
-        """Uncontrolled matrix: a DENSE pass on consecutive axes, else a GATE."""
+        """Uncontrolled matrix: a DENSE pass on consecutive qubits, else a GATE."""
         self._close()
         if self.h_count:
             matrix = matrix * self._scale()
-        axes = self._axes(targets)
-        if axes == tuple(range(axes[0], axes[0] + len(axes))) and 1 << len(axes) <= _CHUNK:
-            self._emit(Pass("DENSE", axes, data=np.asarray(matrix, dtype=complex)))
+        if _consecutive(targets) and 1 << len(targets) <= _CHUNK:
+            self._emit(Pass("DENSE", targets, data=np.asarray(matrix, dtype=complex)))
         else:
             self._apply(Gate(cg.CONTROLLED_UNITARY, targets, matrix=matrix))
 
@@ -380,11 +374,9 @@ class _Planner:
 
     # -- fused runs -----------------------------------------------------------
     def _diag(self, qubits, table: np.ndarray) -> None:
-        """Diagonal factor table[bits of qubits] on logical qubits."""
-        axes = self._axes(qubits)
-        order = np.argsort(axes)
-        term = (tuple(axes[k] for k in order),
-                np.transpose(table.reshape((2,) * len(qubits)), order))
+        """Diagonal factor table[bits of qubits], qubits in any order."""
+        table = np.transpose(table.reshape((2,) * len(qubits)), np.argsort(qubits))
+        term = (tuple(sorted(qubits)), table)
         if self.run is not None:
             union = set(term[0]).union(*(a for a, _ in self.run))
             if len(union) <= self.table_qubits:
@@ -403,16 +395,11 @@ class _Planner:
     def _defer_cu(self, gate: Gate) -> bool:
         """Keep an uncontrolled CU pending, or run a walk power as a diagonal."""
         controls, targets, matrix = gate.controls, gate.targets, gate.matrix
-        pending = self.pending
         if not controls:
-            if pending is not None and pending[0] != targets:
-                self._flush()
-                pending = None
-            if pending is None:
-                self.pending = [targets, matrix, False]
-            else:
-                pending[1], pending[2] = matrix @ pending[1], False
+            self._flush()
+            self.pending = (targets, matrix, False)
             return True
+        pending = self.pending
         basis = self.basis
         if basis is None or matrix.shape != basis.shape:
             return False
@@ -425,7 +412,7 @@ class _Planner:
         if pending is None or not pending[2]:
             self.pending = None
             self._dense(targets, basis.T if pending is None else basis.T @ pending[1])
-            self.pending = [targets, basis, True]
+            self.pending = (targets, basis, True)
         self._controlled_diag(controls, targets, diag)
         return True
 
@@ -436,13 +423,10 @@ class _Planner:
         self._flush(_controls(gate) + gate.targets)
         if kind == cg.HADAMARD:
             self._close()
-            self._emit(Pass("H", self._axes(gate.targets)))
+            self._emit(Pass("H", gate.targets))
             self.h_count += 1
             if self.h_count >= _MAX_PENDING_H:
                 self._emit(Pass("SCALE", data=np.asarray(self._scale())))
-        elif kind == cg.SWAP:
-            a, b = gate.targets
-            self.phys[a], self.phys[b] = self.phys[b], self.phys[a]
         elif kind == cg.PHASE:
             self._diag(gate.targets, np.array([1.0, np.exp(1j * gate.angle)]))
         elif kind == cg.CONTROLLED_UNITARY:
@@ -451,38 +435,37 @@ class _Planner:
                 self._apply(gate)
             else:
                 self._controlled_diag(gate.controls, gate.targets, diag)
-        elif kind in (cg.PAULI_X, cg.RY, cg.MULTI_CONTROLLED_X, cg.MULTI_CONTROLLED_RY):
+        elif kind in (cg.SWAP, cg.PAULI_X, cg.RY, cg.MULTI_CONTROLLED_X, cg.MULTI_CONTROLLED_RY):
             self._apply(gate)
         else:
             raise ValueError(f"unknown gate kind {kind}")
 
     def add_qft(self, register, inverse: bool) -> bool:
-        """One QFT pass for a whole Fourier fragment, if its axes allow it."""
-        axes = self._axes(register)
-        if axes != tuple(range(axes[0], axes[0] + len(axes))):
+        """One QFT pass for a whole Fourier fragment on consecutive qubits."""
+        if not _consecutive(register):
             return False
         self._flush(register)
         self._close()
-        self._emit(Pass("IQFT" if inverse else "QFT", axes))
+        self._emit(Pass("IQFT" if inverse else "QFT", register))
         return True
 
     def add_rotation(self, target: int, qubits, angles: np.ndarray) -> None:
-        """One RY pass on target: angles[bits of qubits, MSB first]."""
+        """One RY pass on target: angles[bits of qubits (ascending), MSB first]."""
         self._flush(qubits + (target,))
         self._close()
-        axes = self._axes(qubits)
-        order = np.argsort(axes)
-        angles = angles.reshape((2,) * len(axes)).transpose(order).copy()  # C order
         data = self._scale() * np.stack([np.cos(angles / 2), np.sin(angles / 2)]).astype(complex)
-        self._emit(Pass("RY", (self.phys[target],), tuple(sorted(axes)), data=data))
+        self._emit(Pass("RY", (target,), qubits, data=data))
 
-    def finish(self) -> tuple[int, ...]:
-        """Emit what is still pending; return the final axis of each qubit."""
+    def finish(self) -> None:
+        """Emit what is still pending."""
         self._flush()
         self._close()
         if self.h_count:  # this also ends a prologue of Hadamards only
             self._emit(Pass("SCALE", data=np.asarray(self._scale())))
-        return tuple(self.phys)
+
+
+def _consecutive(qubits) -> bool:
+    return tuple(qubits) == tuple(range(qubits[0], qubits[0] + len(qubits)))
 
 
 def _controls(gate: Gate) -> tuple[int, ...]:
@@ -522,44 +505,38 @@ def _same_gate(a: Gate, b: Gate) -> bool:
 def _fourier_at(gates: Sequence[Gate], i: int):
     """(register, inverse, length) if gates[i:] is a qft_fragment or its inverse.
 
-    The register is read off the gates, then the whole fragment is compared
-    gate by gate (angles and matrices to 1e-12) with what the builder emits.
+    The width w comes from the opening gates: a forward fragment opens with
+    H and w - 1 phases, an inverse one with floor(w/2) swaps.  The register
+    is read off the fragment's Hadamards, then the whole window of
+    w(w+1)/2 + floor(w/2) gates is compared gate by gate (angles and
+    matrices to 1e-12) with what the builder emits.
     """
     def kind(j):
         return gates[j].kind if j < len(gates) else None
 
-    candidates = []
-    if kind(i) == cg.HADAMARD:  # forward: H(Q0), then phases controlled by Q1, Q2, ...
-        register = [gates[i].targets[0]]
-        j = i + 1
-        while kind(j) == cg.CONTROLLED_UNITARY and gates[j].targets == (register[0],) \
-                and len(gates[j].controls) == 1:
-            register.append(gates[j].controls[0])
-            j += 1
-        candidates.append((register, False))
-    elif kind(i) == cg.SWAP:  # inverse: swaps, H(Q[n-1]), phases into Q[n-2], H(Q[n-2]), ...
-        swaps = 0
-        while kind(i + swaps) == cg.SWAP:
-            swaps += 1
-        for width in (2 * swaps, 2 * swaps + 1):
-            register = [None] * width
-            j = i + swaps
-            for a in range(width - 1, -1, -1):
-                j += width - 1 - a  # the phases into register[a]
-                if kind(j) != cg.HADAMARD:
-                    break
-                register[a] = gates[j].targets[0]
-                j += 1
-            candidates.append((register, True))
-    for register, inverse in candidates:
-        if len(register) < 2 or None in register or len(set(register)) != len(register):
+    opening = kind(i)
+    if opening not in (cg.HADAMARD, cg.SWAP):
+        return None
+    j = i + 1
+    while kind(j) == (cg.CONTROLLED_UNITARY if opening == cg.HADAMARD else cg.SWAP):
+        j += 1
+    inverse = opening == cg.SWAP
+    for width in (2 * (j - i), 2 * (j - i) + 1) if inverse else (j - i,):
+        length = width * (width + 1) // 2 + width // 2
+        window = gates[i : i + length]
+        if width < 2 or len(window) < length:
+            continue
+        # in qft_fragment, the Hadamard on register[a] opens row a of the ladder
+        rows = [a * width - a * (a - 1) // 2 for a in range(width)]
+        hadamards = [window[length - 1 - r if inverse else r] for r in rows]
+        register = tuple(g.targets[0] for g in hadamards)
+        if any(g.kind != cg.HADAMARD for g in hadamards) or len(set(register)) < width:
             continue
         fragment = cg.qft_fragment(register)
         if inverse:
             fragment = cg.invert_fragment(fragment)
-        window = gates[i : i + len(fragment)]
-        if len(window) == len(fragment) and all(map(_same_gate, window, fragment)):
-            return tuple(register), inverse, len(fragment)
+        if all(map(_same_gate, window, fragment)):
+            return register, inverse, length
     return None
 
 
@@ -601,7 +578,7 @@ def _rotation_at(gates: Sequence[Gate], i: int, cap: int):
     return target, tuple(qubits), angles, len(run)
 
 
-def _plan(circuit: Circuit, sink) -> tuple[int, ...]:
+def _plan(circuit: Circuit, sink) -> None:
     planner = _Planner(circuit.layout.total, circuit.metadata.get("walk_basis"), sink)
     gates = circuit.gates
     i = 0
@@ -616,7 +593,7 @@ def _plan(circuit: Circuit, sink) -> tuple[int, ...]:
         else:
             planner.add(gates[i])
             i += 1
-    return planner.finish()
+    planner.finish()
 
 
 def lower(circuit: Circuit) -> Plan:
@@ -628,33 +605,8 @@ def lower(circuit: Circuit) -> Plan:
     them, so only one pass's table is alive at a time.
     """
     passes: list[Pass] = []
-    order = _plan(circuit, passes.append)
-    return Plan(q=circuit.layout.total, passes=tuple(passes), order=order)
-
-
-def _dims(q: int, table_axes=(), single_axes=()) -> tuple[list[int], list]:
-    """Reshape of a q-qubit buffer: one dim per single axis, merged runs else.
-
-    Each entry of the returned tags is ("one", axis), "table" for a run of
-    table axes or "free" for a run of the remaining axes.
-    """
-    dims: list[int] = []
-    tags: list = []
-    a = 0
-    while a < q:
-        if a in single_axes:
-            dims.append(2)
-            tags.append(("one", a))
-            a += 1
-            continue
-        in_table = a in table_axes
-        b = a + 1
-        while b < q and b not in single_axes and (b in table_axes) == in_table:
-            b += 1
-        dims.append(1 << (b - a))
-        tags.append("table" if in_table else "free")
-        a = b
-    return dims, tags
+    _plan(circuit, passes.append)
+    return Plan(q=circuit.layout.total, passes=tuple(passes))
 
 
 def _blocks(shape):
@@ -706,18 +658,16 @@ def _run_h(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
 
 
 def _halves(psi: np.ndarray, q: int, target: int, table_axes):
-    """Target-0 and target-1 views of the state.
+    """Target-0 and target-1 views of the state, one axis per other qubit.
 
-    Also returns, per remaining dim, the table size it broadcasts against
-    (1 unless the dim is a run of table axes).
+    Also returns the shape a table over table_axes broadcasts as against
+    them: 2 on a table axis, 1 elsewhere.
     """
-    dims, tags = _dims(q, table_axes, (target,))
-    v = psi.reshape(dims)
-    lead = (slice(None),) * tags.index(("one", target))
+    v = psi.reshape((2,) * q)
+    lead = (slice(None),) * target
     # the Ellipsis keeps 0-d results as views
     a0, a1 = v[lead + (0, Ellipsis)], v[lead + (1, Ellipsis)]
-    kept = [(d, t) for d, t in zip(dims, tags) if t != ("one", target)]
-    return a0, a1, [d if t == "table" else 1 for d, t in kept]
+    return a0, a1, [2 if a in table_axes else 1 for a in range(q) if a != target]
 
 
 def _run_ry(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
@@ -741,9 +691,8 @@ def _run_ry(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
 
 
 def _run_diag(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
-    dims, tags = _dims(q, p.axes)
-    table = p.data.reshape([d if t == "table" else 1 for d, t in zip(dims, tags)])
-    psi.reshape(dims)[...] *= table
+    table = p.data.reshape([2 if a in p.axes else 1 for a in range(q)])
+    psi.reshape((2,) * q)[...] *= table
 
 
 def _run_dense(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
@@ -780,10 +729,9 @@ def _run_qft(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
 
 def _run_prep(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
     """Write the product state; psi still holds |0...0>."""
-    dims, tags = _dims(q, (), p.axes + p.controls)
-    block = psi.reshape(dims)[tuple(slice(None) if isinstance(t, tuple) else 0 for t in tags)]
-    vec = p.data.reshape((2,) * len(p.axes)).transpose(np.argsort(p.axes))
-    block[...] = vec.reshape([2 if a in p.axes else 1 for a in sorted(p.axes + p.controls)])
+    spread = set(p.axes + p.controls)
+    block = psi.reshape((2,) * q)[tuple(slice(None) if a in spread else 0 for a in range(q))]
+    block[...] = p.data.reshape([2 if a in p.axes else 1 for a in sorted(spread)])
 
 
 _KERNELS = {
@@ -811,9 +759,7 @@ def run_exact(circuit: Circuit) -> Statevector:
         raise ResourceError(f"circuit needs {q} qubits, budget is {QUBIT_BUDGET}")
     state = zero_state(q)
     buf = np.empty(2 * _CHUNK, dtype=complex)  # the only scratch: two cache blocks
-    order = _plan(circuit, lambda p: _KERNELS[p.kind](state.amps, q, p, buf))
-    if order != tuple(range(q)):
-        state.amps = np.ascontiguousarray(state.tensor().transpose(order)).reshape(-1)
+    _plan(circuit, lambda p: _KERNELS[p.kind](state.amps, q, p, buf))
     drift = abs(state.norm() - 1.0)
     if not drift < 1e-9:
         raise RuntimeError(f"norm drifted by {drift:.3e}")

@@ -166,6 +166,16 @@ def test_true_phase_mode_spreads_non_integer_eigenvalues(sys_3x3):
     assert probs[9] < 1.0 - 1e-6
 
 
+def test_true_a_phases_beyond_the_float_range():
+    eigs = eigenpairs(PoissonSystem(n=1, b=np.ones(1)))  # lambda = 8
+    powers = qc._spectral_powers(eigs, FixedPointFormat(6, 1100, 16), 1, "true_a")
+    assert len(powers) == 1106
+    assert all(np.allclose(u @ u.conj().T, np.eye(2)) for u in powers)
+    # U**(2**k) turns by lambda 2**(k - i) = 2**(k - 3): 1/8, 1/4 and 1/2 for k < 3
+    assert [u[1, 1] for u in powers[:3]] == pytest.approx([np.exp(0.25j * np.pi), 1j, -1])
+    assert powers[-1][1, 1] == 1  # 2**1102 whole turns
+
+
 def test_mode_resolution(sys_3x3):
     small = FixedPointFormat(6, 0, 10)
     built = build_pipeline(sys_3x3, small, mode="auto")

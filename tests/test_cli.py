@@ -388,6 +388,18 @@ def test_format_extremes_exit_codes(capsys, argv, code, message):
     assert run_cli(capsys, *argv)[::2] == (code, message)
 
 
+def test_verify_phase_refuses_over_budget_before_the_eigenvectors(capsys, monkeypatch):
+    def no_eigenpairs(system):
+        raise AssertionError("eigenpairs ran before the budget check")
+
+    monkeypatch.setattr(cli, "eigenpairs", no_eigenpairs)
+    ones = ",".join(["1"] * 4095)
+    code, _, err = run_cli(capsys, "verify-phase", "--n", "12", f"--b={ones}",
+                           "--eigen-index", "1")
+    assert code == 3
+    assert "phase verification needs 47 qubits" in err
+
+
 def test_angle_bits_beyond_the_float_range(capsys, tmp_path):
     artifacts = {}
     for l in ("60", "1100"):

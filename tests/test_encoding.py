@@ -68,6 +68,35 @@ def test_amplify_encode_bounds():
         amplify_encode(16.0, fmt)
 
 
+def float_amplify(lam, fmt):
+    """floor(lam * 2**f), snapped as amplify_encode does, in float arithmetic."""
+    scaled = lam * 2.0**fmt.fraction_bits
+    nearest = round(scaled)
+    if abs(scaled - nearest) <= 1e-12 * max(1.0, abs(scaled)):
+        return int(nearest)
+    return math.floor(scaled)
+
+
+@st.composite
+def near_integers(draw):
+    """(lam, f) with lam * 2**f within a few snap tolerances of an integer, or halfway."""
+    f = draw(st.integers(0, 60))
+    k = draw(st.integers(2**f, 2 ** (f + 40)))
+    if draw(st.booleans()):
+        scaled = k + 0.5  # a tie: round() goes to the even neighbour
+    else:
+        scaled = k * (1.0 + draw(st.floats(-3e-12, 3e-12)))
+    return max(1.0, math.ldexp(scaled, -f)), f
+
+
+@given(st.one_of(st.tuples(st.floats(1.0, 2.0**40), st.integers(0, 60)), near_integers()))
+def test_amplify_encode_matches_the_float_form(case):
+    # lam * 2**f is exact in floats for f <= 60, so the integer form must agree
+    lam, f = case
+    fmt = FixedPointFormat(41, f, 8)
+    assert int(amplify_encode(lam, fmt), 2) == float_amplify(lam, fmt)
+
+
 @given(st.floats(min_value=1.0, max_value=1023.0, allow_nan=False))
 def test_effective_lambda_truncates_from_below(lam):
     fmt = FixedPointFormat(10, 4, 8)
@@ -137,6 +166,15 @@ def test_angle_widths_beyond_the_float_range():
     assert decode_fraction("1" + "0" * 1099) == 0.5
     wide = FixedPointFormat(1, 1100, 16)
     assert effective_lambda("11" + "0" * 1099, wide) == 1.5
+
+
+def test_amplification_beyond_the_float_range():
+    fmt = FixedPointFormat(6, 1100, 16)  # 2**f is no float
+    table = build_angle_table([9.0], fmt)
+    assert table.encoded_lambdas == (format(9 << 1100, "01106b"),)
+    assert effective_lambda(table.encoded_lambdas[0], fmt) == 9.0
+    with pytest.raises(EncodingError):
+        amplify_encode(64.0, fmt)
 
 
 def test_prune_zero_columns_reference():

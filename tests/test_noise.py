@@ -141,14 +141,14 @@ def test_corrupt_memory_is_bounded():
 
 def test_calibration_matrix_single_qubit():
     model = ReadoutModel(p01=(0.02,), p10=(0.05,))
-    m = calibration_matrix(model, 1)
+    m = calibration_matrix(model)
     assert np.allclose(m, [[0.98, 0.05], [0.02, 0.95]])
-    assert np.allclose(calibration_matrix(ReadoutModel.uniform(2, 0.0, 0.0), 2), np.eye(4))
+    assert np.allclose(calibration_matrix(ReadoutModel.uniform(2, 0.0, 0.0)), np.eye(4))
 
 
 def test_calibration_matrix_matches_flip_enumeration():
     model = ReadoutModel(p01=(0.02, 0.3), p10=(0.05, 0.1))
-    m = calibration_matrix(model, 2)
+    m = calibration_matrix(model)
     expected = np.zeros((4, 4))
     for true in range(4):
         true_bits = [(true >> 1) & 1, true & 1]  # qubit 0 is the MSB
@@ -167,10 +167,8 @@ def test_calibration_matrix_matches_flip_enumeration():
 
 
 def test_calibration_matrix_bounds():
-    with pytest.raises(ValueError):
-        calibration_matrix(ReadoutModel.uniform(2, 0.1, 0.1), 3)
     with pytest.raises(ResourceError):
-        calibration_matrix(ReadoutModel.uniform(11, 0.1, 0.1), 11)
+        calibration_matrix(ReadoutModel.uniform(11, 0.1, 0.1))
 
 
 def test_mitigate_identity_calibration_returns_frequencies():
@@ -182,7 +180,7 @@ def test_mitigate_recovers_true_distribution():
     model = ReadoutModel.uniform(2, 0.02, 0.05)
     truth = np.array([50_000, 30_000, 15_000, 5_000])
     noisy = corrupt(truth, model, seed=21)
-    recovered = mitigate(noisy, calibration_matrix(model, 2))
+    recovered = mitigate(noisy, calibration_matrix(model))
     assert np.all(recovered >= 0.0)
     assert recovered.sum() == pytest.approx(1.0, abs=1e-9)
     true_freqs = np.array([0.5, 0.3, 0.15, 0.05])
@@ -192,13 +190,13 @@ def test_mitigate_recovers_true_distribution():
 def test_mitigate_recovers_delta():
     model = ReadoutModel.uniform(2, 0.02, 0.02)
     noisy = corrupt(outcome_counts(2, {0b10: 100_000}), model, seed=8)
-    recovered = mitigate(noisy, calibration_matrix(model, 2))
+    recovered = mitigate(noisy, calibration_matrix(model))
     assert recovered[0b10] > 0.99
 
 
 def test_mitigate_inverts_inside_the_simplex():
     model = ReadoutModel(p01=(0.02, 0.1, 0.05), p10=(0.05, 0.2, 0.01))
-    calibration = calibration_matrix(model, 3)
+    calibration = calibration_matrix(model)
     noisy = corrupt(10_000 + 1_000 * np.arange(8), model, seed=2)
     observed = noisy / noisy.sum()
     inverse = np.linalg.solve(calibration, observed)
@@ -209,7 +207,7 @@ def test_mitigate_inverts_inside_the_simplex():
 @pytest.mark.parametrize("p", (0.05, 0.3, 0.45))
 def test_mitigate_meets_kkt_with_active_bounds(p):
     model = ReadoutModel.uniform(3, p, p)
-    calibration = calibration_matrix(model, 3)
+    calibration = calibration_matrix(model)
     noisy = corrupt(outcome_counts(3, {0b101: 2_000, 0b110: 500}), model, seed=4)
     observed = noisy / noisy.sum()
     assert np.any(np.linalg.solve(calibration, observed) < 0.0)  # a bound must be active

@@ -106,7 +106,7 @@ def random_circuit(seed: int, with_basis: bool) -> qc.Circuit:
             gates.append(qc.hadamard(pick(1)[0]))
         elif choice == 7:
             gates.append(qc.ry(pick(1)[0], float(rng.uniform(-3, 3))))
-        elif choice == 8:  # uncontrolled dense on the block (folds into a pending matrix)
+        elif choice == 8:  # uncontrolled dense on the block (flushes the pending one)
             gates.append(qc.controlled_unitary((), block, random_unitary(4, rng)))
         elif choice == 9:  # walk-style power in the recorded eigenbasis
             if rng.random() < 0.5:  # an X between powers leaves the eigenbasis
@@ -184,7 +184,6 @@ def test_plan_matches_reference_on_pipelines(name, f, mode, phase_mode):
     # each Fourier fragment is one pass; only the closing Hadamards remain
     assert counts["IQFT"] == counts["QFT"] == 1
     assert counts["H"] == built.layout.e_width
-    assert plan.order == tuple(range(built.layout.total))
     # X wraps and the explicit loads and unloads undo themselves on every
     # bit pattern, so nothing falls back to the generic kernel
     assert "GATE" not in counts and counts["RY"] == 1
@@ -199,7 +198,7 @@ def test_plan_matches_reference_on_phase_verification(name, phase_mode):
     )
     assert_plan_matches(built)
     plan = sim.lower(built)
-    assert plan.counts()["IQFT"] == 1 and plan.order == tuple(range(built.layout.total))
+    assert plan.counts()["IQFT"] == 1
     assert "GATE" not in plan.counts()
 
 
@@ -264,7 +263,7 @@ def test_builder_rotation_stages_are_one_multiplexed_ry():
         assert "GATE" not in plan.counts() and len(ry) == 1
         assert ry[0].axes == (layout.ancilla,)
         controls = layout.reg_e[: circuit.metadata["table"].prefix_len] + layout.reg_a
-        assert ry[0].controls == tuple(plan.order[q] for q in controls)
+        assert ry[0].controls == controls
         if layout.b_width == 1:  # no prefix: one eigenvalue
             assert ry[0].controls == ((7, 8) if layout.a_width else ())
 
@@ -319,13 +318,29 @@ def test_back_to_back_dense_unitaries(monkeypatch):
     rng = np.random.default_rng(12)
     circuit = _circuit(4, [qc.hadamard(0)] + [
         qc.controlled_unitary((), targets, random_unitary(2 ** len(targets), rng))
-        for targets in [(1, 2), (1, 3), (1, 2, 3), (2, 3)]
+        for targets in [(1, 2), (1, 3), (1, 2, 3), (2, 3), (2, 3)]
     ])
     plan = sim.lower(circuit)
     assert [(p.kind, p.axes) for p in plan.passes] == [
-        ("PREP", (1, 2)), ("GATE", ()), ("GATE", ()), ("DENSE", (2, 3))
+        ("PREP", (1, 2)), ("GATE", ()), ("GATE", ()), ("DENSE", (2, 3)), ("DENSE", (2, 3))
     ]
     assert [p.gate.targets for p in plan.passes[1:3]] == [(1, 3), (1, 2, 3)]
+    assert_plan_matches(circuit)
+
+
+@pytest.mark.parametrize("reader", ["RY", "DIAG"])
+def test_lone_swap_runs_through_apply_gate(reader):
+    """A SWAP outside a Fourier fragment is one GATE pass; the next pass reads the moved qubits."""
+    rng = np.random.default_rng(5)
+    load = qc.controlled_unitary((), (1, 2), random_orthogonal(4, rng), label="load")
+    after = {
+        "RY": [qc.multi_controlled_ry((0,), 3, 0.7), qc.multi_controlled_ry((1, 2), 3, -1.2)],
+        "DIAG": [qc.controlled_phase(0, 1, 0.9), qc.phase(2, -0.4)],
+    }[reader]
+    circuit = _circuit(5, [qc.hadamard(0), load, qc.swap(0, 2)] + after)
+    plan = sim.lower(circuit)
+    assert [p.kind for p in plan.passes] == ["PREP", "GATE", reader]
+    assert plan.passes[1].gate == circuit.gates[2]
     assert_plan_matches(circuit)
 
 
