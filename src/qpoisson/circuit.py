@@ -134,8 +134,9 @@ def controlled_unitary(
     dim = 2 ** len(targets)
     if matrix.shape != (dim, dim):
         raise ValueError(f"matrix shape {matrix.shape} does not match {len(targets)} targets")
-    drift = np.max(np.abs(matrix.conj().T @ matrix - np.eye(dim)))
-    if drift > 1e-10:
+    with np.errstate(all="ignore"):  # a non-finite entry makes the drift nan
+        drift = np.max(np.abs(matrix.conj().T @ matrix - np.eye(dim)))
+    if not drift <= 1e-10:
         raise ValueError(f"matrix is not unitary (max deviation {drift:.3e})")
     matrix = matrix.copy()
     matrix.setflags(write=False)
@@ -273,6 +274,8 @@ def state_prep_unitary(vec: np.ndarray) -> np.ndarray:
 def _embed_grid_vector(values: np.ndarray, n: int) -> np.ndarray:
     """Lift grid values v_1..v_{N-1} into the 2**n register (slot 0 empty)."""
     values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("vector entries must be finite")
     full = np.zeros(2 ** n)
     if values.size == 2 ** n - 1:
         full[1:] = values
@@ -317,10 +320,9 @@ def _spectral_powers(
                 step = (encoded[j] * 2 ** k) % 2 ** m
                 phases[j + 1] = np.exp(2j * np.pi * step / 2 ** m)
             else:
-                # lam * 2**(k - i) turns, scaled exactly in integers; whole turns
-                # past 2**1020 are dropped, so 2 pi times the rest stays finite
+                # lam * 2**(k - i) turns, reduced mod 1 exactly in integers
                 num, den = ratios[j]
-                turns = (num << (fmt.fraction_bits + k)) % (den << (m + 1020)) / (den << m)
+                turns = (num << (fmt.fraction_bits + k)) % (den << m) / (den << m)
                 phases[j + 1] = np.exp(2j * np.pi * turns)
         powers.append(basis @ np.diag(phases) @ basis.T)
     return powers

@@ -11,9 +11,13 @@ views.  fragment_unitary and the tests use it.
 run_exact does not replay gates one at a time.  lower() turns the gate list
 into a short plan of fused passes, and run_exact executes each pass on one
 buffer as the planner emits it; the IR itself is never changed.  Every pass
-addresses the qubits' own axes: buffer axis g holds qubit g throughout.  The
-lowering rules, each exact:
+addresses the qubits' own axes: buffer axis g holds qubit g throughout, and
+every pass normalizes itself.  The lowering rules, each exact:
 
+- At the start, Hadamards on untouched qubits and uncontrolled dense CUs
+  on consecutive qubits (state preparation) only build a product state,
+  which one PREP pass writes.  Any later run of Hadamards on distinct
+  qubits is one H pass, over their axes in gate order.
 - A run of diagonal gates (controlled phases, diagonal CUs, PHASE) becomes
   one DIAG pass: a precomputed phase table broadcast over the state.
 - A rotation segment becomes one RY pass, a multiplexed rotation with one
@@ -23,22 +27,16 @@ lowering rules, each exact:
   flips, and they must return every pattern to itself.  Either rotation
   stage is one segment: the fused stage's X wraps and the explicit stage's
   reg A loads and unloads undo themselves on every pattern.
-- An uncontrolled dense CU (state preparation) stays pending until a gate
-  needs its qubits or the next uncontrolled CU arrives, and then runs as
-  one DENSE pass.  The QPE walk powers U**(2**k) = V D_k V^T share the
-  eigenbasis V that the builders record in metadata["walk_basis"]; once
-  V^T M V is checked diagonal, a walk power becomes a controlled diagonal
-  in that basis.  The planner emits V^T (with the pending state preparation
-  folded in) once, and V once after uncompute, since the rotation between
-  them never touches reg B.
+- The QPE walk powers U**(2**k) = V D_k V^T share the eigenbasis V that
+  the builders record in metadata["walk_basis"]; once V^T M V is checked
+  diagonal, a walk power becomes a controlled diagonal in that basis.  V^T
+  runs once (folded into the PREP), and V once after uncompute, since the
+  rotation between them never touches reg B.  Any other uncontrolled dense
+  CU is one DENSE pass.
 - A gate run that is exactly circuit.qft_fragment(register), or its
   inverse, becomes one QFT pass (numpy's FFT, orthonormal) when the
   register is consecutive qubits in order; otherwise its gates are lowered
   one by one.
-- H runs in place as (a, b) -> (a + b, a - b); the 1/sqrt(2) factors are
-  folded into the next pass that rescales the whole state.  Hadamards on
-  the untouched |0...0> state and the first state preparation only build a
-  product state, which one PREP pass writes directly.
 - Any other gate (a SWAP outside a Fourier fragment, a controlled
   non-diagonal CU outside the walk basis, a dense CU on non-consecutive
   qubits, an X, MCX, RY or MCRY outside a rotation segment) runs as a GATE
@@ -232,8 +230,6 @@ _TABLE_QUBITS = 18
 _SHORT_TAIL = 32
 # Off-diagonal tolerance of V^T M V before a CU runs in the walk eigenbasis.
 _BASIS_TOL = 1e-12
-# Hadamards whose 1/sqrt(2) may stay pending before a separate scale pass.
-_MAX_PENDING_H = 512
 # Amplitudes per np.fft call of a QFT pass (4 MiB of complex128).
 _DFT_BLOCK = 1 << 18
 
@@ -242,14 +238,15 @@ _DFT_BLOCK = 1 << 18
 class Pass:
     """One sweep over the state; axes and controls name qubits.
 
-    kind is H (axes = (target,)), DIAG (data: phase table over axes), RY
-    (target; data[0] and data[1]: cos and sin tables over the controls),
-    DENSE (data: matrix over consecutive target qubits), SCALE (data: the
-    factor), QFT or IQFT (the Fourier transform of qft_fragment, or its
-    inverse, over consecutive qubits), PREP, which writes a product state
-    into the |0...0> buffer: data (a vector, MSB first) on axes, the
-    unnormalized (1, 1) on each of controls, 0 on the rest; or GATE, a gate
-    outside the fusion rules, that apply_gate runs.
+    kind is H (a Hadamard on each of axes, distinct qubits in gate order),
+    DIAG (data: phase table over axes), RY (target; data[0] and data[1]:
+    cos and sin tables over the controls), DENSE (data: matrix over
+    consecutive target qubits), QFT or IQFT (the Fourier transform of
+    qft_fragment, or its inverse, over consecutive qubits), PREP, which
+    writes a product state into the |0...0> buffer: data (a vector, MSB
+    first, that carries the 2**(-k/2) of the k controls) on axes, (1, 1) on
+    each of controls, 0 on the rest; or GATE, a gate outside the fusion
+    rules, that apply_gate runs.
     """
 
     kind: str
@@ -276,24 +273,20 @@ class Plan:
 class _Planner:
     """Lowers gates to passes on the qubits' own axes, deferring what it can.
 
-    - pending: an uncontrolled dense unitary on a target tuple, applied
-      lazily, before any other gate on its qubits and before the next
-      uncontrolled one.  A controlled CU that V^T M V = D diagonalizes (V
-      the walk eigenbasis) becomes a controlled diagonal once pending holds
-      V, so the walk powers cost one V^T (with load_b folded in), diagonal
-      passes, and one V at the end.
+    - spread, prep_axes, prep_matrix: the product-state prologue, |0...0>
+      with Hadamards on spread and prep_matrix on the consecutive qubits
+      prep_axes.  An uncontrolled CU on prep_axes folds in as
+      matrix @ prep_matrix, and Hadamards on untouched qubits join spread;
+      the first other pass ends it with one PREP (spread is then None).
+    - frame: the targets whose walk eigenbasis V is owed.  A walk power
+      (V^T M V diagonal) runs as a controlled diagonal once V^T has run
+      through _unitary; V runs before the next gate on them, or at finish.
     - run: the terms of an open DIAG pass; consecutive diagonal gates fuse
       into it while its table stays within table_qubits.
-    - fresh, h_count: the Hadamards of the product-state prologue, and those
-      whose 1/sqrt(2) is still to be folded into a pass that rescales the
-      whole state.
 
-    A whole Fourier fragment (see _fourier_at) becomes one QFT pass, and a
-    rotation segment (see _rotation_at) one multiplexed RY pass.  Hadamards
-    on the untouched |0...0> state, and the first uncontrolled dense pass on
-    other qubits, only build a product state, so they become one PREP pass
-    that writes it.  A gate that no rule covers runs through apply_gate as a
-    GATE pass, once the pending matrix on its qubits is applied.
+    Fourier fragments, rotation segments and Hadamard runs arrive whole (see
+    _fourier_at, _rotation_at, _hadamards_at).  A gate that no rule covers
+    runs through apply_gate as a GATE pass.
     """
 
     def __init__(self, q: int, basis: np.ndarray | None, sink):
@@ -310,41 +303,29 @@ class _Planner:
             ) > _BASIS_TOL:
                 basis = None
         self.basis = basis
-        self.fresh: list[int] | None = []  # H axes applied to |0...0> so far
+        self.spread: tuple[int, ...] | None = ()
+        self.prep_axes: tuple[int, ...] = ()
+        self.prep_matrix: np.ndarray | None = None
+        self.frame: tuple[int, ...] = ()
         self.run: list | None = None  # (axes, table) terms of the open DIAG pass
-        self.pending: tuple | None = None  # (targets, matrix, holds the basis)
-        self.h_count = 0
 
     # -- emission -------------------------------------------------------------
-    def _scale(self) -> float:
-        factor, self.h_count = 0.5 ** (self.h_count / 2), 0
-        return factor
+    def _end_prologue(self) -> None:
+        """Write the product state built so far as one PREP pass."""
+        spread, self.spread = self.spread, None
+        if spread is not None and spread + self.prep_axes:
+            column = np.ones(1) if self.prep_matrix is None else self.prep_matrix[:, 0]
+            self.sink(Pass("PREP", self.prep_axes, spread, data=column * 0.5 ** (len(spread) / 2)))
 
     def _emit(self, p: Pass) -> None:
-        if self.fresh is not None:
-            if p.kind == "H" and p.axes[0] not in self.fresh:
-                self.fresh.append(p.axes[0])
-                return
-            p = self._prep(p)
-            if p is None:
-                return
+        self._end_prologue()
         self.sink(p)
-
-    def _prep(self, p: Pass) -> Pass | None:
-        """End the product-state prologue: emit PREP absorbing p, or the H passes."""
-        spread, self.fresh = tuple(self.fresh), None
-        if p.kind == "DENSE" and not set(p.axes) & set(spread):
-            self.sink(Pass("PREP", p.axes, spread, data=p.data[:, 0].copy()))
-            return None
-        for axis in spread:
-            self.sink(Pass("H", (axis,)))
-        return p
 
     def _close(self) -> None:
         """Emit the open DIAG pass."""
         run, self.run = self.run, None
         if run is not None:
-            axes, table = _diag_table(run, self.q, self._scale(), self.table_qubits)
+            axes, table = _diag_table(run, self.q, self.table_qubits)
             self._emit(Pass("DIAG", axes, data=table))
 
     def _apply(self, gate: Gate) -> None:
@@ -352,29 +333,29 @@ class _Planner:
         self._close()
         self._emit(Pass("GATE", gate=gate))
 
-    def _dense(self, targets, matrix) -> None:
-        """Uncontrolled matrix: a DENSE pass on consecutive qubits, else a GATE."""
+    def _unitary(self, targets, matrix) -> None:
+        """Uncontrolled matrix: folded into the prologue, else a DENSE or GATE pass."""
+        if (self.spread is not None and self.prep_axes in ((), targets)
+                and _consecutive(targets) and not set(targets) & set(self.spread)):
+            self.prep_axes = targets
+            self.prep_matrix = matrix if self.prep_matrix is None else matrix @ self.prep_matrix
+            return
         self._close()
-        if self.h_count:
-            matrix = matrix * self._scale()
         if _consecutive(targets) and 1 << len(targets) <= _CHUNK:
             self._emit(Pass("DENSE", targets, data=np.asarray(matrix, dtype=complex)))
         else:
             self._apply(Gate(cg.CONTROLLED_UNITARY, targets, matrix=matrix))
 
-    def _flush(self, qubits=None) -> None:
-        """Apply the pending dense unitary (only if it touches `qubits`)."""
-        if self.pending is None:
-            return
-        targets, matrix, _ = self.pending
-        if qubits is not None and not set(qubits) & set(targets):
-            return
-        self.pending = None
-        self._dense(targets, matrix)
+    def _settle(self, qubits) -> None:
+        """Run the owed V if it acts on any of qubits."""
+        if set(qubits) & set(self.frame):
+            frame, self.frame = self.frame, ()
+            self._unitary(frame, self.basis)
 
     # -- fused runs -----------------------------------------------------------
     def _diag(self, qubits, table: np.ndarray) -> None:
         """Diagonal factor table[bits of qubits], qubits in any order."""
+        self._end_prologue()
         table = np.transpose(table.reshape((2,) * len(qubits)), np.argsort(qubits))
         term = (tuple(sorted(qubits)), table)
         if self.run is not None:
@@ -392,46 +373,34 @@ class _Planner:
         self._diag(controls + targets, table)
 
     # -- gates ----------------------------------------------------------------
-    def _defer_cu(self, gate: Gate) -> bool:
-        """Keep an uncontrolled CU pending, or run a walk power as a diagonal."""
-        controls, targets, matrix = gate.controls, gate.targets, gate.matrix
-        if not controls:
-            self._flush()
-            self.pending = (targets, matrix, False)
-            return True
-        pending = self.pending
-        basis = self.basis
-        if basis is None or matrix.shape != basis.shape:
+    def _walk(self, gate: Gate) -> bool:
+        """Run a controlled CU that the walk eigenbasis diagonalizes as a diagonal."""
+        basis, targets = self.basis, gate.targets
+        if (not gate.controls or basis is None or gate.matrix.shape != basis.shape
+                or self.frame not in ((), targets)):
             return False
-        if pending is not None and pending[0] != targets:
-            return False
-        rotated = basis.T @ matrix @ basis
+        rotated = basis.T @ gate.matrix @ basis
         diag = np.diagonal(rotated).copy()
         if np.max(np.abs(rotated - np.diag(diag))) > _BASIS_TOL:
             return False
-        if pending is None or not pending[2]:
-            self.pending = None
-            self._dense(targets, basis.T if pending is None else basis.T @ pending[1])
-            self.pending = (targets, basis, True)
-        self._controlled_diag(controls, targets, diag)
+        if not self.frame:
+            self._unitary(targets, basis.T)
+            self.frame = targets
+        self._controlled_diag(gate.controls, targets, diag)
         return True
 
     def add(self, gate: Gate) -> None:
         kind = gate.kind
-        if kind == cg.CONTROLLED_UNITARY and self._defer_cu(gate):
+        if kind == cg.CONTROLLED_UNITARY and self._walk(gate):
             return
-        self._flush(_controls(gate) + gate.targets)
-        if kind == cg.HADAMARD:
-            self._close()
-            self._emit(Pass("H", gate.targets))
-            self.h_count += 1
-            if self.h_count >= _MAX_PENDING_H:
-                self._emit(Pass("SCALE", data=np.asarray(self._scale())))
-        elif kind == cg.PHASE:
+        self._settle(_controls(gate) + gate.targets)
+        if kind == cg.PHASE:
             self._diag(gate.targets, np.array([1.0, np.exp(1j * gate.angle)]))
         elif kind == cg.CONTROLLED_UNITARY:
             diag = np.diagonal(gate.matrix)
-            if np.any(gate.matrix - np.diag(diag)):
+            if not gate.controls:
+                self._unitary(gate.targets, gate.matrix)
+            elif np.any(gate.matrix - np.diag(diag)):
                 self._apply(gate)
             else:
                 self._controlled_diag(gate.controls, gate.targets, diag)
@@ -440,28 +409,36 @@ class _Planner:
         else:
             raise ValueError(f"unknown gate kind {kind}")
 
+    def add_hadamards(self, axes) -> None:
+        """Hadamards on distinct qubits: spread in the prologue, else one H pass."""
+        if self.spread is not None and not set(axes) & set(self.spread + self.prep_axes):
+            self.spread += axes
+            return
+        self._settle(axes)
+        self._close()
+        self._emit(Pass("H", axes))
+
     def add_qft(self, register, inverse: bool) -> bool:
         """One QFT pass for a whole Fourier fragment on consecutive qubits."""
         if not _consecutive(register):
             return False
-        self._flush(register)
+        self._settle(register)
         self._close()
         self._emit(Pass("IQFT" if inverse else "QFT", register))
         return True
 
     def add_rotation(self, target: int, qubits, angles: np.ndarray) -> None:
         """One RY pass on target: angles[bits of qubits (ascending), MSB first]."""
-        self._flush(qubits + (target,))
+        self._settle(qubits + (target,))
         self._close()
-        data = self._scale() * np.stack([np.cos(angles / 2), np.sin(angles / 2)]).astype(complex)
+        data = np.stack([np.cos(angles / 2), np.sin(angles / 2)]).astype(complex)
         self._emit(Pass("RY", (target,), qubits, data=data))
 
     def finish(self) -> None:
-        """Emit what is still pending."""
-        self._flush()
+        """Emit what is still owed."""
+        self._settle(self.frame)
         self._close()
-        if self.h_count:  # this also ends a prologue of Hadamards only
-            self._emit(Pass("SCALE", data=np.asarray(self._scale())))
+        self._end_prologue()
 
 
 def _consecutive(qubits) -> bool:
@@ -475,9 +452,9 @@ def _controls(gate: Gate) -> tuple[int, ...]:
     return ()
 
 
-def _diag_table(terms, q: int, scale: float, cap: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """scale times the product of diagonal terms, over the union of their axes."""
-    axes, table = [], np.full((), scale, dtype=complex)
+def _diag_table(terms, q: int, cap: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The product of diagonal terms, over the union of their axes."""
+    axes, table = [], np.ones((), dtype=complex)
     for term_axes, values in terms:
         # widen the table only as far as the terms so far reach
         union = sorted(set(axes).union(term_axes))
@@ -540,6 +517,17 @@ def _fourier_at(gates: Sequence[Gate], i: int):
     return None
 
 
+def _hadamards_at(gates: Sequence[Gate], i: int) -> tuple[int, ...]:
+    """Targets (gate order) of the Hadamards on distinct qubits from i, short of a QFT."""
+    axes: list[int] = []
+    while i < len(gates) and gates[i].kind == cg.HADAMARD and gates[i].targets[0] not in axes:
+        if axes and _fourier_at(gates, i):
+            break
+        axes.append(gates[i].targets[0])
+        i += 1
+    return tuple(axes)
+
+
 def _rotation_at(gates: Sequence[Gate], i: int, cap: int):
     """(target, qubits, angles, length) if gates[i:] opens a rotation segment.
 
@@ -585,11 +573,15 @@ def _plan(circuit: Circuit, sink) -> None:
     while i < len(gates):
         fourier = _fourier_at(gates, i)
         rotation = _rotation_at(gates, i, planner.table_qubits)
+        hadamards = _hadamards_at(gates, i)
         if fourier is not None and planner.add_qft(fourier[0], fourier[1]):
             i += fourier[2]
         elif rotation is not None:
             planner.add_rotation(*rotation[:3])
             i += rotation[3]
+        elif hadamards:
+            planner.add_hadamards(hadamards)
+            i += len(hadamards)
         else:
             planner.add(gates[i])
             i += 1
@@ -629,32 +621,37 @@ def _scratch(buf: np.ndarray, shape) -> np.ndarray:
 
 
 def _run_h(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
-    """Unnormalized H, in place: (a, b) -> (a + b, a - b)."""
-    axis = p.axes[0]
-    outer, inner = 1 << axis, 1 << (q - axis - 1)
-    v = psi.reshape(outer, 2, inner)
-    if inner <= 4:
-        # tiny inner runs: sweep each column of a row block as one long line
-        rows = max(1, _CHUNK // inner)
-        pairs = (
-            (v[i : i + rows, 0, r], v[i : i + rows, 1, r])
-            for i in range(0, outer, rows)
-            for r in range(inner)
-        )
-    elif inner >= _LONG_RUN:
-        # 1-D slices: numpy iterates them far faster than 2-D row blocks
-        pairs = (
-            (v[i, 0, j : j + _CHUNK], v[i, 1, j : j + _CHUNK])
-            for i in range(outer)
-            for j in range(0, inner, _CHUNK)
-        )
-    else:
-        rows = _CHUNK // inner
-        pairs = ((v[i : i + rows, 0], v[i : i + rows, 1]) for i in range(0, outer, rows))
-    for a0, a1 in pairs:
-        a0 += a1
-        a1 *= -2.0
-        a1 += a0
+    """(a, b) -> (a + b, a - b) on each axis in turn; the last also scales by 2**(-k/2)."""
+    scale = 0.5 ** (len(p.axes) / 2)
+    for axis in p.axes:
+        outer, inner = 1 << axis, 1 << (q - axis - 1)
+        v = psi.reshape(outer, 2, inner)
+        if inner <= 4:
+            # tiny inner runs: sweep each column of a row block as one long line
+            rows = max(1, _CHUNK // inner)
+            pairs = (
+                (v[i : i + rows, 0, r], v[i : i + rows, 1, r])
+                for i in range(0, outer, rows)
+                for r in range(inner)
+            )
+        elif inner >= _LONG_RUN:
+            # 1-D slices: numpy iterates them far faster than 2-D row blocks
+            pairs = (
+                (v[i, 0, j : j + _CHUNK], v[i, 1, j : j + _CHUNK])
+                for i in range(outer)
+                for j in range(0, inner, _CHUNK)
+            )
+        else:
+            rows = _CHUNK // inner
+            pairs = ((v[i : i + rows, 0], v[i : i + rows, 1]) for i in range(0, outer, rows))
+        last = axis == p.axes[-1]
+        for a0, a1 in pairs:
+            a0 += a1
+            a1 *= -2.0
+            a1 += a0
+            if last:
+                a0 *= scale
+                a1 *= scale
 
 
 def _halves(psi: np.ndarray, q: int, target: int, table_axes):
@@ -711,10 +708,6 @@ def _run_gate(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
     apply_gate(Statevector(psi, q), p.gate)
 
 
-def _run_scale(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
-    psi *= p.data
-
-
 def _run_qft(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
     """|x> -> 2**(-w/2) sum_y exp(+-2 pi i x y / 2**w) |y> over the axes."""
     width = len(p.axes)
@@ -740,7 +733,6 @@ _KERNELS = {
     "DIAG": _run_diag,
     "DENSE": _run_dense,
     "GATE": _run_gate,
-    "SCALE": _run_scale,
     "PREP": _run_prep,
     "QFT": _run_qft,
     "IQFT": _run_qft,

@@ -1,4 +1,6 @@
 from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,11 +112,21 @@ def test_embedding_accepts_grid_or_full_vector():
     with pytest.raises(ValueError):
         # a full-length vector must leave the boundary slot empty
         qc._embed_grid_vector(np.ones(4), 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            qc._embed_grid_vector(np.array([1.0, bad, 3.0]), 2)
 
 
 def test_gate_factories_validate():
     with pytest.raises(ValueError):
         qc.controlled_unitary((), (0,), np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # a non-finite entry makes the drift nan, which must not pass as small
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+        for where in ((0, 0), (1, 0)):
+            matrix = np.eye(2, dtype=complex)
+            matrix[where] = bad
+            with pytest.raises(ValueError, match="not unitary"):
+                qc.controlled_unitary((), (0,), matrix)
     with pytest.raises(ValueError):
         qc.multi_controlled_ry((1,), 1, 0.3)
     with pytest.raises(ValueError):
@@ -174,6 +186,29 @@ def test_true_a_phases_beyond_the_float_range():
     # U**(2**k) turns by lambda 2**(k - i) = 2**(k - 3): 1/8, 1/4 and 1/2 for k < 3
     assert [u[1, 1] for u in powers[:3]] == pytest.approx([np.exp(0.25j * np.pi), 1j, -1])
     assert powers[-1][1, 1] == 1  # 2**1102 whole turns
+
+
+@pytest.mark.parametrize("n,fmt", [
+    (2, FixedPointFormat(6, 0, 10)), (2, FixedPointFormat(6, 8, 16)),
+    (3, FixedPointFormat(8, 4, 16)), (4, FixedPointFormat(10, 8, 16)),
+])
+def test_true_a_phases_match_an_exact_reference(n, fmt):
+    eigs = eigenpairs(PoissonSystem(n=n, b=np.ones(2**n - 1)))
+    basis = qc._walk_basis(eigs, n)
+    powers = qc._spectral_powers(eigs, fmt, n, "true_a")
+    for k, power in enumerate(powers):
+        # U**(2**k) turns by lambda 2**(k - i), reduced mod 1 before the float
+        turns = [float(Fraction(lam) * 2**k / 2**fmt.integer_bits % 1) for lam in eigs.lambdas]
+        phases = np.exp(2j * np.pi * np.array([0.0] + turns))
+        assert np.max(np.abs(power - basis @ np.diag(phases) @ basis.T)) <= 1e-15
+
+
+def test_true_a_whole_turns_are_exactly_one():
+    # the closed form gives 7.999999999999998 for n = 1; take lambda = 8 exactly
+    eigs = replace(eigenpairs(PoissonSystem(n=1, b=np.ones(1))), lambdas=np.array([8.0]))
+    powers = qc._spectral_powers(eigs, FixedPointFormat(3, 6, 16), 1, "true_a")
+    # U**(2**k) turns by 8 * 2**(k - 3) = 2**k, a whole number for every k
+    assert all(np.array_equal(u, np.eye(2)) for u in powers)
 
 
 def test_mode_resolution(sys_3x3):

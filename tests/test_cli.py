@@ -152,6 +152,10 @@ def test_verify_phase_input_flag_conflicts(capsys):
     code, _, err = run_cli(capsys, "verify-phase", "--preset", "table1-3x3")
     assert code == 2
     assert "needs --eigen-index or --input" in err
+    for vector in ("nan,1,1", "inf,1,1"):
+        code, out, err = run_cli(capsys, "verify-phase", "--preset", "table1-3x3", "--f", "0",
+                                 "--l", "10", f"--input={vector}")
+        assert (code, out, err) == (2, "", "error: vector entries must be finite\n")
 
 
 def test_sweep_csv(capsys, tmp_path):

@@ -181,9 +181,11 @@ def test_plan_matches_reference_on_pipelines(name, f, mode, phase_mode):
     assert prep.kind == "PREP" and prep.axes == built.layout.reg_b
     assert sorted(prep.controls) == list(built.layout.reg_e)
     assert counts["DENSE"] == 1 and counts["PREP"] == 1
-    # each Fourier fragment is one pass; only the closing Hadamards remain
+    # each Fourier fragment is one pass; the closing Hadamards are one more,
+    # over reg E in gate order
     assert counts["IQFT"] == counts["QFT"] == 1
-    assert counts["H"] == built.layout.e_width
+    (closing,) = [p for p in plan.passes if p.kind == "H"]
+    assert closing.axes == built.layout.reg_e[::-1]
     # X wraps and the explicit loads and unloads undo themselves on every
     # bit pattern, so nothing falls back to the generic kernel
     assert "GATE" not in counts and counts["RY"] == 1
@@ -223,11 +225,11 @@ def test_walk_powers_fall_back_without_a_diagonalizing_basis(basis, sys_3x3):
 
 
 @pytest.mark.parametrize("name,f,mode,passes,counts", [
-    pytest.param("table1-15x15", 8, "fused", 27,
-                 {"PREP": 1, "DIAG": 4, "IQFT": 1, "RY": 1, "QFT": 1, "H": 18, "DENSE": 1},
+    pytest.param("table1-15x15", 8, "fused", 10,
+                 {"PREP": 1, "DIAG": 4, "IQFT": 1, "RY": 1, "QFT": 1, "H": 1, "DENSE": 1},
                  id="15x15-f8-fused"),
-    pytest.param("table1-7x7", 0, "auto", 15,
-                 {"PREP": 1, "DIAG": 2, "IQFT": 1, "RY": 1, "QFT": 1, "H": 8, "DENSE": 1},
+    pytest.param("table1-7x7", 0, "auto", 8,
+                 {"PREP": 1, "DIAG": 2, "IQFT": 1, "RY": 1, "QFT": 1, "H": 1, "DENSE": 1},
                  id="7x7-f0-auto"),
 ])
 def test_benchmark_solves_keep_their_plan(name, f, mode, passes, counts):
@@ -237,6 +239,8 @@ def test_benchmark_solves_keep_their_plan(name, f, mode, passes, counts):
     assert built.layout.total == 23
     plan = sim.lower(built)
     assert len(plan.passes) == passes and plan.counts() == counts
+    (closing,) = [p for p in plan.passes if p.kind == "H"]
+    assert closing.axes == built.layout.reg_e[::-1]
 
 
 def _circuit(q: int, gates) -> qc.Circuit:
@@ -299,21 +303,74 @@ def test_rotation_segment_that_does_not_qualify_runs_gate_by_gate(case):
 
 
 def test_many_hadamards_rescale_before_the_factor_underflows():
-    gates = [qc.hadamard(k % 3) for k in range(2 * sim._MAX_PENDING_H + 7)]
-    circuit = _circuit(3, gates + [qc.ry(1, 0.4)])
-    counts = sim.lower(circuit).counts()
-    assert counts["SCALE"] == 2 and counts["H"] == len(gates)
+    """1,031 Hadamards on 3 qubits: each H pass applies its own factor."""
+    circuit = _circuit(3, [qc.hadamard(k % 3) for k in range(1031)])
+    plan = sim.lower(circuit)
+    # the first run writes the product state; every later run is one H pass
+    assert [p.kind for p in plan.passes] == ["PREP"] + ["H"] * 343
+    assert [p.axes for p in plan.passes[1:]] == [(0, 1, 2)] * 342 + [(0, 1)]
     assert_plan_matches(circuit)
 
 
 def test_hadamards_alone_end_their_prologue_at_finish():
     circuit = _circuit(3, [qc.hadamard(0), qc.hadamard(2)])
-    assert [p.kind for p in sim.lower(circuit).passes] == ["H", "H", "SCALE"]
+    (prep,) = sim.lower(circuit).passes
+    assert (prep.kind, prep.axes, prep.controls) == ("PREP", (), (0, 2))
+    assert_plan_matches(circuit)
+
+
+@pytest.mark.parametrize("targets,runs", [
+    pytest.param((2, 0, 2, 1), [(2, 0), (2, 1)], id="split-at-a-repeated-qubit"),
+    # 2**(-3/2) is not a power of two
+    pytest.param((3, 1, 0), [(3, 1, 0)], id="odd-length"),
+])
+def test_hadamard_runs_are_one_pass_each(targets, runs):
+    # the RY pass ends the prologue, so every run is an H pass
+    circuit = _circuit(4, [qc.ry(1, 0.3)] + [qc.hadamard(t) for t in targets])
+    plan = sim.lower(circuit)
+    assert [p.kind for p in plan.passes] == ["RY"] + ["H"] * len(runs)
+    assert [p.axes for p in plan.passes[1:]] == runs
+    assert_plan_matches(circuit)
+
+
+def test_hadamard_run_stops_short_of_a_fourier_fragment():
+    circuit = _circuit(3, [qc.hadamard(0)] + qc.qft_fragment((1, 2)))
+    assert [p.kind for p in sim.lower(circuit).passes] == ["PREP", "QFT"]
+    assert_plan_matches(circuit)
+
+
+def _load(targets, seed):
+    dim = 2 ** len(targets)
+    return qc.controlled_unitary((), targets, random_unitary(dim, np.random.default_rng(seed)))
+
+
+# name: (gates after a Hadamard on qubit 0, the (kind, axes) of the passes they lower to);
+# test_back_to_back_dense_unitaries ends a prologue with a non-consecutive CU
+PROLOGUE_CASES = {
+    "fold": ([_load((1, 2), 1), qc.hadamard(3), _load((1, 2), 2)], [("PREP", (1, 2))]),
+    "diag": ([_load((1, 2), 1), qc.phase(1, 0.4), _load((1, 2), 2)],
+             [("PREP", (1, 2)), ("DIAG", (1,)), ("DENSE", (1, 2))]),
+    "hadamard-on-prep-axes": ([_load((1, 2), 1), qc.hadamard(2)],
+                              [("PREP", (1, 2)), ("H", (2,))]),
+}
+
+
+@pytest.mark.parametrize("case", list(PROLOGUE_CASES))
+def test_product_state_prologue(case):
+    gates, passes = PROLOGUE_CASES[case]
+    circuit = _circuit(4, [qc.hadamard(0)] + gates)
+    plan = sim.lower(circuit)
+    assert [(p.kind, p.axes) for p in plan.passes] == passes
+    if case == "fold":  # both loads, times 1/2 for the two Hadamards
+        prep = plan.passes[0]
+        assert prep.controls == (0, 3)
+        want = (gates[2].matrix @ gates[0].matrix)[:, 0] * 0.5
+        assert np.array_equal(prep.data, want)
     assert_plan_matches(circuit)
 
 
 def test_back_to_back_dense_unitaries(monkeypatch):
-    """Each flushes the one before; scattered or wider than a block, it runs as a GATE."""
+    """The first joins the prologue and the scattered one ends it; wider than a block, a GATE."""
     monkeypatch.setattr(sim, "_CHUNK", 4)
     rng = np.random.default_rng(12)
     circuit = _circuit(4, [qc.hadamard(0)] + [
