@@ -9,17 +9,17 @@ away the control axes and updating the target axes through the resulting
 views.  fragment_unitary and the tests use it.
 
 run_exact does not replay gates one at a time.  lower() turns the gate list
-into a short plan of fused passes, and run_exact executes each pass on one
-buffer as the planner emits it; the IR itself is never changed.  Every pass
-addresses the qubits' own axes: buffer axis g holds qubit g throughout, and
-every pass normalizes itself.  The lowering rules, each exact:
+into a short plan of fused passes, planned once; the IR itself is never
+changed.  Every pass addresses the qubits' own axes and normalizes itself.
+The lowering rules, each exact:
 
 - At the start, Hadamards on untouched qubits and uncontrolled dense CUs
   on consecutive qubits (state preparation) only build a product state,
   which one PREP pass writes.  Any later run of Hadamards on distinct
   qubits is one H pass, over their axes in gate order.
 - A run of diagonal gates (controlled phases, diagonal CUs, PHASE) becomes
-  one DIAG pass: a precomputed phase table broadcast over the state.
+  one DIAG pass, which keeps each gate's small table and multiplies the
+  state by their product when it runs.
 - A rotation segment becomes one RY pass, a multiplexed rotation with one
   angle per bit pattern of the other qubits it touches.  A segment is a
   run of X, MCX, RY and MCRY gates whose rotations share a target that no
@@ -42,10 +42,23 @@ every pass normalizes itself.  The lowering rules, each exact:
   qubits, an X, MCX, RY or MCRY outside a rotation segment) runs as a GATE
   pass: one apply_gate call.
 
+run_exact executes the plan on its live qubits only.  H, DENSE, QFT and
+IQFT axes, the RY target and the PREP axes and controls are written; DIAG
+axes and RY controls are only read, and a GATE pass may write any qubit.  A
+qubit no pass writes stays |0> throughout, so it is held outside the buffer:
+the tables are read at 0 on it, the other axes are renumbered, and the same
+kernels run on 2**live amplitudes.  The explicit rotation stage's reg A is
+such a qubit, since its loads and unloads undo themselves inside the one RY
+pass.  Buffer axis k then holds the k-th live qubit.
+
 The fused kernels (H, RY, DIAG, DENSE, QFT, PREP) work through the state in
 cache-sized blocks, so none of them allocates a copy of the state; the
 largest temporaries are 4 MiB phase tables and FFT blocks.  A GATE pass may
 allocate like apply_gate does; no builder circuit lowers to one.
+
+The readouts (postselect, register_probabilities, sample_counts) read the
+live amplitudes directly and a held qubit as a point mass on 0; no state is
+scattered back to full width.
 
 Sampling draws independent measurement records from the exact final
 distribution with numpy's PCG64 generator, as one multinomial draw over the
@@ -94,13 +107,25 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 @dataclass
 class Statevector:
-    """Mutable amplitude buffer over q qubits."""
+    """Mutable amplitude buffer over q qubits.
+
+    The qubits in held are |0> and kept outside amps, which runs over the
+    others (live, ascending; the lowest is the most significant bit).
+    """
 
     amps: np.ndarray
     q: int
+    held: tuple[int, ...] = ()
+
+    @property
+    def axes(self) -> dict[int, int]:
+        """Each live qubit's axis in amps, in qubit order."""
+        live = (g for g in range(self.q) if g not in self.held)
+        return {g: k for k, g in enumerate(live)}
 
     def tensor(self) -> np.ndarray:
-        return self.amps.reshape((2,) * self.q)
+        """amps with one axis per live qubit."""
+        return self.amps.reshape((2,) * (self.q - len(self.held)))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -176,7 +201,9 @@ def _apply_dense(view: np.ndarray, axes: Sequence[int], matrix: np.ndarray):
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    """Apply one gate in place and return the state."""
+    """Apply one gate in place and return the state; no qubit may be held."""
+    if state.held:
+        raise ValueError(f"apply_gate needs every qubit in amps; qubits {state.held} are held")
     tensor = state.tensor()
     kind = gate.kind
     if kind == cg.HADAMARD:
@@ -239,7 +266,9 @@ class Pass:
     """One sweep over the state; axes and controls name qubits.
 
     kind is H (a Hadamard on each of axes, distinct qubits in gate order),
-    DIAG (data: phase table over axes), RY (target; data[0] and data[1]:
+    DIAG (data: (qubits, values) terms, one per gate, values[bits of
+    qubits] over ascending qubits; their product multiplies the state, and
+    axes is the union of their qubits), RY (target; data[0] and data[1]:
     cos and sin tables over the controls), DENSE (data: matrix over
     consecutive target qubits), QFT or IQFT (the Fourier transform of
     qft_fragment, or its inverse, over consecutive qubits), PREP, which
@@ -252,7 +281,7 @@ class Pass:
     kind: str
     axes: tuple[int, ...] = ()
     controls: tuple[int, ...] = ()
-    data: np.ndarray | None = None
+    data: np.ndarray | tuple | None = None
     gate: Gate | None = None
 
 
@@ -268,6 +297,18 @@ class Plan:
         for p in self.passes:
             out[p.kind] = out.get(p.kind, 0) + 1
         return out
+
+    def live(self) -> tuple[int, ...]:
+        """The qubits some pass writes, ascending; the others stay |0>."""
+        written: set[int] = set()
+        for p in self.passes:
+            if p.kind == "GATE":
+                return tuple(range(self.q))
+            if p.kind != "DIAG":  # DIAG axes and RY controls are only read
+                written.update(p.axes)
+            if p.kind == "PREP":
+                written.update(p.controls)
+        return tuple(sorted(written))
 
 
 class _Planner:
@@ -289,11 +330,9 @@ class _Planner:
     runs through apply_gate as a GATE pass.
     """
 
-    def __init__(self, q: int, basis: np.ndarray | None, sink):
-        self.q = q
-        self.sink = sink  # receives each pass as soon as it is final
-        # tables stay at a quarter of the state or less
-        self.table_qubits = min(_TABLE_QUBITS, q - 2)
+    def __init__(self, q: int, basis: np.ndarray | None):
+        self.passes: list[Pass] = []
+        self.table_qubits = _table_qubits(q)
         if basis is not None:
             # only a real orthogonal V turns V^T M V into M's spectrum
             basis = np.asarray(basis)
@@ -315,18 +354,20 @@ class _Planner:
         spread, self.spread = self.spread, None
         if spread is not None and spread + self.prep_axes:
             column = np.ones(1) if self.prep_matrix is None else self.prep_matrix[:, 0]
-            self.sink(Pass("PREP", self.prep_axes, spread, data=column * 0.5 ** (len(spread) / 2)))
+            self.passes.append(
+                Pass("PREP", self.prep_axes, spread, data=column * 0.5 ** (len(spread) / 2))
+            )
 
     def _emit(self, p: Pass) -> None:
         self._end_prologue()
-        self.sink(p)
+        self.passes.append(p)
 
     def _close(self) -> None:
         """Emit the open DIAG pass."""
         run, self.run = self.run, None
         if run is not None:
-            axes, table = _diag_table(run, self.q, self.table_qubits)
-            self._emit(Pass("DIAG", axes, data=table))
+            axes = sorted(set().union(*(qubits for qubits, _ in run)))
+            self._emit(Pass("DIAG", tuple(axes), data=tuple(run)))
 
     def _apply(self, gate: Gate) -> None:
         """Run a gate through apply_gate, after the open run."""
@@ -452,6 +493,11 @@ def _controls(gate: Gate) -> tuple[int, ...]:
     return ()
 
 
+def _table_qubits(q: int) -> int:
+    """Widest phase or multiplexor table on q qubits: a quarter of the state or less."""
+    return min(_TABLE_QUBITS, q - 2)
+
+
 def _diag_table(terms, q: int, cap: int) -> tuple[tuple[int, ...], np.ndarray]:
     """The product of diagonal terms, over the union of their axes."""
     axes, table = [], np.ones((), dtype=complex)
@@ -462,7 +508,7 @@ def _diag_table(terms, q: int, cap: int) -> tuple[tuple[int, ...], np.ndarray]:
             table = table.reshape([2 if a in axes else 1 for a in union])
         table = table * values.reshape([2 if a in term_axes else 1 for a in union])
         axes = union
-    tail = q - 1 - axes[-1]
+    tail = q - 1 - axes[-1] if axes else 0  # terms on held qubits alone: a scalar
     if 0 < tail and 2 ** tail < _SHORT_TAIL and len(axes) + tail <= cap:
         table = np.ascontiguousarray(
             np.broadcast_to(table.reshape(table.shape + (1,) * tail), table.shape + (2,) * tail)
@@ -566,8 +612,15 @@ def _rotation_at(gates: Sequence[Gate], i: int, cap: int):
     return target, tuple(qubits), angles, len(run)
 
 
-def _plan(circuit: Circuit, sink) -> None:
-    planner = _Planner(circuit.layout.total, circuit.metadata.get("walk_basis"), sink)
+def lower(circuit: Circuit) -> Plan:
+    """The fused passes run_exact executes.
+
+    The walk eigenbasis is read from circuit.metadata["walk_basis"] when the
+    builder recorded one; without it every controlled dense CU runs as a
+    GATE pass.  DIAG passes keep their per-gate terms, so the plan holds no
+    product table.
+    """
+    planner = _Planner(circuit.layout.total, circuit.metadata.get("walk_basis"))
     gates = circuit.gates
     i = 0
     while i < len(gates):
@@ -586,19 +639,27 @@ def _plan(circuit: Circuit, sink) -> None:
             planner.add(gates[i])
             i += 1
     planner.finish()
+    return Plan(q=circuit.layout.total, passes=tuple(planner.passes))
 
 
-def lower(circuit: Circuit) -> Plan:
-    """The fused passes run_exact executes, collected for inspection.
+def _on_live(p: Pass, axis: dict[int, int]) -> Pass:
+    """p on the live axes (axis[qubit]); its tables read a held qubit at 0."""
+    if p.kind == "GATE":  # a GATE pass keeps every qubit live, on its own axis
+        return p
 
-    The walk eigenbasis is read from circuit.metadata["walk_basis"] when the
-    builder recorded one; without it every controlled dense CU runs as a
-    GATE pass.  run_exact streams the same passes instead of collecting
-    them, so only one pass's table is alive at a time.
-    """
-    passes: list[Pass] = []
-    _plan(circuit, passes.append)
-    return Plan(q=circuit.layout.total, passes=tuple(passes))
+    def cut(qubits):
+        return tuple(slice(None) if g in axis else 0 for g in qubits) + (Ellipsis,)
+
+    def renumber(qubits):
+        return tuple(axis[g] for g in qubits if g in axis)
+
+    data = p.data
+    if p.kind == "DIAG":
+        data = tuple((renumber(qubits), values[cut(qubits)]) for qubits, values in data)
+    elif p.kind == "RY":
+        tables = data.reshape((2,) * (1 + len(p.controls)))
+        data = tables[(slice(None),) + cut(p.controls)].reshape(2, -1)
+    return Pass(p.kind, renumber(p.axes), renumber(p.controls), data)
 
 
 def _blocks(shape):
@@ -688,8 +749,8 @@ def _run_ry(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
 
 
 def _run_diag(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
-    table = p.data.reshape([2 if a in p.axes else 1 for a in range(q)])
-    psi.reshape((2,) * q)[...] *= table
+    axes, table = _diag_table(p.data, q, _table_qubits(q))
+    psi.reshape((2,) * q)[...] *= table.reshape([2 if a in axes else 1 for a in range(q)])
 
 
 def _run_dense(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
@@ -742,16 +803,20 @@ _KERNELS = {
 def run_exact(circuit: Circuit) -> Statevector:
     """Run all gates from |0...0> and return the final state.
 
-    The gates are lowered to fused passes (see lower), each executed on one
-    buffer as soon as the planner emits it; apply_gate is the reference the
-    passes are tested against.
+    The gates are lowered to fused passes (see lower), which run on one
+    buffer over the plan's live qubits; the others are held at |0>.
+    apply_gate is the reference the passes are tested against.
     """
     q = circuit.layout.total
     if q > QUBIT_BUDGET:
         raise ResourceError(f"circuit needs {q} qubits, budget is {QUBIT_BUDGET}")
-    state = zero_state(q)
+    plan = lower(circuit)
+    live = plan.live()
+    state = Statevector(zero_state(len(live)).amps, q, tuple(g for g in range(q) if g not in live))
+    axis = state.axes
     buf = np.empty(2 * _CHUNK, dtype=complex)  # the only scratch: two cache blocks
-    _plan(circuit, lambda p: _KERNELS[p.kind](state.amps, q, p, buf))
+    for p in plan.passes:
+        _KERNELS[p.kind](state.amps, len(live), _on_live(p, axis), buf)
     drift = abs(state.norm() - 1.0)
     if not drift < 1e-9:
         raise RuntimeError(f"norm drifted by {drift:.3e}")
@@ -766,20 +831,23 @@ def postselect(state: Statevector, layout: RegisterLayout) -> tuple[np.ndarray, 
     are read from that sub-block and renormalized.  Every pipeline gate is
     real apart from the phase-estimation phases, which uncompute cancels, so
     the block is real and carries the sign of the solution; an imaginary
-    part above 1e-9 of the block norm raises PostselectionError.
+    part above 1e-9 of the block norm raises PostselectionError.  A held
+    qubit reads 0: a held ancilla keeps no branch.
     """
-    tensor = state.tensor()
-    anc = state.amps.reshape(2 ** layout.ancilla, 2, -1)[:, 1, :]
-    # block by block: squaring the whole half-state would double peak memory
-    success = sum(float(np.vdot(anc[idx], anc[idx]).real) for idx in _blocks(anc.shape))
+    axis = state.axes
+    success = 0.0
+    if layout.ancilla in axis:
+        anc = state.amps.reshape(2 ** axis[layout.ancilla], 2, -1)[:, 1, :]
+        # block by block: squaring the whole half-state would double peak memory
+        success = sum(float(np.vdot(anc[idx], anc[idx]).real) for idx in _blocks(anc.shape))
     if success < 1e-15:
         raise PostselectionError(f"ancilla=1 probability {success:.3e} is degenerate")
-    index = [slice(None)] * layout.total
-    for q in layout.reg_e + layout.reg_a:
-        index[q] = 0
-    index[layout.ancilla] = 1
-    block = tensor[tuple(index)].reshape(-1)[1:]  # remaining axes are reg B, MSB first
-    amplitudes = block.real.copy()
+    index = tuple(1 if g == layout.ancilla else slice(None) if g in layout.reg_b else 0
+                  for g in axis)
+    block = np.zeros((2,) * layout.b_width, dtype=complex)
+    block[tuple(slice(None) if g in axis else 0 for g in layout.reg_b)] = state.tensor()[index]
+    block = block.reshape(-1)[1:]  # reg B, MSB first
+    amplitudes = block.real
     norm = np.linalg.norm(amplitudes)
     if norm < 1e-15:
         raise PostselectionError("kept branch has no weight on reg B states 1..N-1")
@@ -794,21 +862,30 @@ def postselect(state: Statevector, layout: RegisterLayout) -> tuple[np.ndarray, 
 def register_probabilities(state: Statevector, qubits: Sequence[int]) -> np.ndarray:
     """Marginal probabilities over the given qubits, read MSB-first.
 
-    The state is reduced one block of _CHUNK amplitudes at a time, so no
-    temporary grows with the state.
+    qubits must be distinct qubit indices of the state; a held qubit reads
+    0 with certainty.  The live amplitudes are reduced one block of _CHUNK
+    at a time, so no temporary grows with the state.
     """
     qubits = tuple(qubits)
-    low = min(state.q, _CHUNK.bit_length() - 1)
-    high = state.q - low  # a block fixes qubits 0..high-1
-    kept = [g - high for g in qubits if g >= high]
-    axes = kept + [ax for ax in range(low) if ax + high not in qubits]
-    out = np.zeros((2,) * len(qubits))
+    if len(set(qubits)) < len(qubits) or not all(
+        isinstance(g, (int, np.integer)) and 0 <= g < state.q for g in qubits
+    ):
+        raise ValueError(f"qubits must be distinct indices in 0..{state.q - 1}, got {qubits}")
+    axis = state.axes
+    read = [axis[g] for g in qubits if g in axis]
+    low = min(len(axis), _CHUNK.bit_length() - 1)
+    high = len(axis) - low  # a block fixes axes 0..high-1
+    kept = [a - high for a in read if a >= high]
+    axes = kept + [ax for ax in range(low) if ax + high not in read]
+    out = np.zeros((2,) * len(read))
     for row, block in enumerate(state.amps.reshape(1 << high, 1 << low)):
         probs = (np.square(block.real) + np.square(block.imag)).reshape((2,) * low)
         part = probs.transpose(axes).reshape((2,) * len(kept) + (-1,)).sum(axis=-1)
-        index = tuple((row >> (high - 1 - g)) & 1 if g < high else slice(None) for g in qubits)
+        index = tuple((row >> (high - 1 - a)) & 1 if a < high else slice(None) for a in read)
         out[index] += part
-    return out.reshape(-1)
+    full = np.zeros((2,) * len(qubits))
+    full[tuple(slice(None) if g in axis else 0 for g in qubits)] = out
+    return full.reshape(-1)
 
 
 def sample_counts(

@@ -37,10 +37,18 @@ def reference_state(circuit: qc.Circuit) -> np.ndarray:
     return state.amps
 
 
-def assert_plan_matches(circuit: qc.Circuit) -> None:
-    got = sim.run_exact(circuit).amps
+def expand(state: sim.Statevector) -> np.ndarray:
+    """The amplitudes over all q qubits: a held qubit is |0>."""
+    full = np.zeros((2,) * state.q, dtype=complex)
+    full[tuple(0 if g in state.held else slice(None) for g in range(state.q))] = state.tensor()
+    return full.reshape(-1)
+
+
+def assert_plan_matches(circuit: qc.Circuit) -> sim.Statevector:
+    state = sim.run_exact(circuit)
     want = reference_state(circuit)
-    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.max(np.abs(expand(state) - want)) < 1e-12
+    return state
 
 
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -172,7 +180,8 @@ def test_plan_matches_reference_on_pipelines(name, f, mode, phase_mode):
     system = _system(name)
     built = build_pipeline(system, FixedPointFormat(2 * system.n + 2, f, 8), mode, phase_mode)
     assert built.metadata["mode"] == mode and built.layout.total <= 17
-    assert_plan_matches(built)
+    # reg A only controls the rotation, so it is held at |0> outside the buffer
+    assert assert_plan_matches(built).held == built.layout.reg_a
     plan = sim.lower(built)
     counts = plan.counts()
     # load_b, V^T and the first Hadamards on reg E write one product state;
@@ -198,7 +207,8 @@ def test_plan_matches_reference_on_phase_verification(name, phase_mode):
     built = build_phase_verification(
         system, FixedPointFormat(2 * system.n + 2, 2, 8), system.b, phase_mode
     )
-    assert_plan_matches(built)
+    # the ancilla is never written
+    assert assert_plan_matches(built).held == (built.layout.ancilla,)
     plan = sim.lower(built)
     assert plan.counts()["IQFT"] == 1
     assert "GATE" not in plan.counts()
@@ -224,21 +234,22 @@ def test_walk_powers_fall_back_without_a_diagonalizing_basis(basis, sys_3x3):
     assert_plan_matches(circuit)
 
 
-@pytest.mark.parametrize("name,f,mode,passes,counts", [
+@pytest.mark.parametrize("name,f,mode,passes,counts,live", [
     pytest.param("table1-15x15", 8, "fused", 10,
-                 {"PREP": 1, "DIAG": 4, "IQFT": 1, "RY": 1, "QFT": 1, "H": 1, "DENSE": 1},
+                 {"PREP": 1, "DIAG": 4, "IQFT": 1, "RY": 1, "QFT": 1, "H": 1, "DENSE": 1}, 23,
                  id="15x15-f8-fused"),
     pytest.param("table1-7x7", 0, "auto", 8,
-                 {"PREP": 1, "DIAG": 2, "IQFT": 1, "RY": 1, "QFT": 1, "H": 1, "DENSE": 1},
+                 {"PREP": 1, "DIAG": 2, "IQFT": 1, "RY": 1, "QFT": 1, "H": 1, "DENSE": 1}, 12,
                  id="7x7-f0-auto"),
 ])
-def test_benchmark_solves_keep_their_plan(name, f, mode, passes, counts):
+def test_benchmark_solves_keep_their_plan(name, f, mode, passes, counts, live):
     """The two 23-qubit solves the wide benchmark times, lowered but not run."""
     system = _system(name)
     built = build_pipeline(system, default_format(system.n, f, 16), mode)
     assert built.layout.total == 23
     plan = sim.lower(built)
     assert len(plan.passes) == passes and plan.counts() == counts
+    assert len(plan.live()) == live
     (closing,) = [p for p in plan.passes if p.kind == "H"]
     assert closing.axes == built.layout.reg_e[::-1]
 
@@ -270,6 +281,20 @@ def test_builder_rotation_stages_are_one_multiplexed_ry():
         assert ry[0].controls == controls
         if layout.b_width == 1:  # no prefix: one eigenvalue
             assert ry[0].controls == ((7, 8) if layout.a_width else ())
+        # only reg A is never written
+        assert plan.live() == tuple(g for g in range(layout.total) if g not in layout.reg_a)
+
+
+@pytest.mark.parametrize("name,f,live", [("table1-7x7", 0, 12), ("table1-3x3", 4, 13)])
+def test_explicit_solves_run_on_their_live_qubits(name, f, live):
+    """auto resolves to explicit at 23 qubits, and reg A is held."""
+    system = _system(name)
+    built = build_pipeline(system, default_format(system.n, f, 16), "auto")
+    state = sim.run_exact(built)
+    assert (built.layout.total, state.q, state.held) == (23, 23, built.layout.reg_a)
+    assert state.amps.size == 2**live
+    solution, _ = sim.postselect(state, built.layout)
+    assert np.max(np.abs(solution - closed_form(system, default_format(system.n, f, 16)))) < 1e-9
 
 
 _x, _mcx, _ry, _mcry = qc.pauli_x, qc.multi_controlled_x, qc.ry, qc.multi_controlled_ry
@@ -342,6 +367,31 @@ def test_hadamard_run_stops_short_of_a_fourier_fragment():
 def _load(targets, seed):
     dim = 2 ** len(targets)
     return qc.controlled_unitary((), targets, random_unitary(dim, np.random.default_rng(seed)))
+
+
+_cphase, _cu, _h = qc.controlled_phase, qc.controlled_unitary, qc.hadamard
+# name: (qubits, gates, the qubits run_exact holds at |0>)
+HELD_CASES = {
+    # qubit 3 is loaded and unloaded inside the rotation segment and qubit 4
+    # is never set, so the RY table is read at 0 on both (its four control
+    # qubits fit the 6-qubit table cap of four)
+    "ry-control": (6, [_h(0), _h(1), _h(5), _mcx((0,), 3), _mcry((3, 1), 2, 0.9),
+                       _mcx((0,), 3), _mcry((4,), 2, 0.3), _mcry((), 2, -0.5)], (3, 4)),
+    # qubits 2 and 3 only carry phases; the second DIAG pass acts on them alone
+    "diag-axis": (4, [_h(0), _h(1), _cphase(0, 2, 0.9), _cu((1,), (3,), np.diag([1j, -1])),
+                      qc.phase(1, 0.4), _h(0), qc.phase(2, 0.5), _cphase(2, 3, 0.2)], (2, 3)),
+    "untouched": (4, [_h(0), _h(2), _cphase(0, 2, 0.4), _load((1, 2), 3), _h(1)], (3,)),
+    # an X outside a rotation segment runs as a GATE pass, which may write anything
+    "x-outside-a-segment": (4, [_h(0), _x(3), _cphase(0, 3, 0.7)], ()),
+    "gate-pass": (4, [_h(0), _h(1), qc.swap(0, 1), _cphase(1, 2, 0.3)], ()),
+}
+
+
+@pytest.mark.parametrize("case", list(HELD_CASES))
+def test_run_exact_holds_the_qubits_no_pass_writes(case):
+    q, gates, held = HELD_CASES[case]
+    state = assert_plan_matches(_circuit(q, gates))
+    assert state.held == held and state.amps.size == 2 ** (q - len(held))
 
 
 # name: (gates after a Hadamard on qubit 0, the (kind, axes) of the passes they lower to);
@@ -433,6 +483,51 @@ def test_postselect_rejects_a_complex_block():
     amps[0b000] = math.sqrt(1 - 0.25)
     with pytest.raises(PostselectionError):
         sim.postselect(sim.Statevector(amps, 3), layout)
+
+
+def _held_pipeline_state():
+    """A 3x3 explicit run (reg A held) and the same state over all qubits."""
+    built = build_pipeline(_system("table1-3x3"), FixedPointFormat(6, 2, 8), "explicit")
+    state = sim.run_exact(built)
+    assert state.held == built.layout.reg_a
+    return built.layout, state, sim.Statevector(expand(state), state.q)
+
+
+def test_postselect_reads_held_qubits_as_zero():
+    layout, state, full = _held_pipeline_state()
+    solution, success = sim.postselect(state, layout)
+    want_solution, want_success = sim.postselect(full, layout)
+    assert np.max(np.abs(solution - want_solution)) < 1e-15
+    assert success == pytest.approx(want_success, abs=1e-15)
+    # a held reg B qubit reads 0, and a held ancilla keeps no branch
+    layout = RegisterLayout(2, 1, 0)
+    amps = np.array([0.6, 0.0, 0.0, 0.8])  # over reg B's qubit 1 and the ancilla
+    solution, success = sim.postselect(sim.Statevector(amps, 4, held=(0, 2)), layout)
+    assert np.array_equal(solution, [1.0, 0.0, 0.0]) and success == pytest.approx(0.64)
+    with pytest.raises(PostselectionError):
+        sim.postselect(sim.Statevector(amps, 4, held=(2, 3)), layout)
+
+
+@pytest.mark.parametrize("which", ["ancilla-b", "e-a", "a-then-b", "held-only", "all"])
+def test_readouts_on_held_qubits_match_the_expanded_state(which):
+    layout, state, full = _held_pipeline_state()
+    qubits = {
+        "ancilla-b": (layout.ancilla,) + layout.reg_b,
+        "e-a": layout.reg_e + layout.reg_a,
+        "a-then-b": (layout.reg_a[1], layout.reg_b[1], layout.reg_a[0], layout.ancilla),
+        "held-only": layout.reg_a[::-1],
+        "all": tuple(range(state.q))[::-1],
+    }[which]
+    probs = sim.register_probabilities(state, qubits)
+    assert np.max(np.abs(probs - sim.register_probabilities(full, qubits))) < 1e-15
+    counts = sim.sample_counts(state, qubits, 10**5, seed=11)
+    assert np.array_equal(counts, sim.sample_counts(full, qubits, 10**5, seed=11))
+
+
+def test_apply_gate_refuses_held_qubits():
+    state = sim.Statevector(np.array([1.0, 0.0], dtype=complex), 2, held=(1,))
+    with pytest.raises(ValueError, match="held"):
+        sim.apply_gate(state, qc.hadamard(0))
 
 
 def test_sample_counts_memory_does_not_grow_with_shots(sys_3x3):

@@ -167,6 +167,15 @@ def test_register_probabilities_blockwise_is_exact(qubits):
     assert np.max(np.abs(sim.register_probabilities(state, qubits) - exact)) <= 1e-15
 
 
+@pytest.mark.parametrize("qubits", [(-1,), (0, 0), (3,), (2, 1, 2), (0.0,)])
+def test_register_probabilities_refuses_qubits_that_are_not_distinct_indices(qubits):
+    state = sim.zero_state(3)
+    with pytest.raises(ValueError, match="distinct indices in 0..2"):
+        sim.register_probabilities(state, qubits)
+    with pytest.raises(ValueError, match="distinct indices in 0..2"):
+        sim.sample_counts(state, qubits, 10, seed=1)
+
+
 def test_register_probabilities_memory_is_bounded():
     q = 18
     amps = np.full(2**q, 2 ** (-q / 2), dtype=complex)
