@@ -498,7 +498,7 @@ def _table_qubits(q: int) -> int:
     return min(_TABLE_QUBITS, q - 2)
 
 
-def _diag_table(terms, q: int, cap: int) -> tuple[tuple[int, ...], np.ndarray]:
+def _diag_table(terms, q: int) -> tuple[tuple[int, ...], np.ndarray]:
     """The product of diagonal terms, over the union of their axes."""
     axes, table = [], np.ones((), dtype=complex)
     for term_axes, values in terms:
@@ -509,7 +509,7 @@ def _diag_table(terms, q: int, cap: int) -> tuple[tuple[int, ...], np.ndarray]:
         table = table * values.reshape([2 if a in term_axes else 1 for a in union])
         axes = union
     tail = q - 1 - axes[-1] if axes else 0  # terms on held qubits alone: a scalar
-    if 0 < tail and 2 ** tail < _SHORT_TAIL and len(axes) + tail <= cap:
+    if 0 < tail and 2 ** tail < _SHORT_TAIL and len(axes) + tail <= _table_qubits(q):
         table = np.ascontiguousarray(
             np.broadcast_to(table.reshape(table.shape + (1,) * tail), table.shape + (2,) * tail)
         )
@@ -749,7 +749,7 @@ def _run_ry(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
 
 
 def _run_diag(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
-    axes, table = _diag_table(p.data, q, _table_qubits(q))
+    axes, table = _diag_table(p.data, q)
     psi.reshape((2,) * q)[...] *= table.reshape([2 if a in axes else 1 for a in range(q)])
 
 
