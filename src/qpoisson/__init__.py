@@ -64,6 +64,7 @@ from .simulator import (
     RunResult,
     Statevector,
     postselect,
+    readout,
     register_probabilities,
     run_exact,
     sample,
@@ -113,6 +114,7 @@ __all__ = [
     "mitigate",
     "postselect",
     "prune_zero_columns",
+    "readout",
     "register_probabilities",
     "relative_error",
     "resource_report",

@@ -191,7 +191,7 @@ def solve(system: PoissonSystem, fmt: FixedPointFormat, *, mode: str = "auto",
     table: AngleTable = built.metadata["table"]
     sampled = None
     if backend == "exact":
-        solution, success = sim.postselect(sim.run_exact(built), built.layout)
+        solution, success = sim.readout(built)
         run_percent = float(100.0 * success)
     else:
         sampled = sim.sample(built, shots, seed)

@@ -177,6 +177,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
         value = getattr(args, name)
         if value is not None:
             cfg[name] = value
+    # numpy refuses a negative seed only when it draws, after the whole run
+    if cfg.get("seed", 0) < 0:
+        raise ValueError(f"--seed must be >= 0, got {cfg['seed']}")
     return cfg
 
 
@@ -328,18 +331,16 @@ def cmd_verify_phase(cfg: dict) -> int:
     sim.check_backend(cfg["backend"], cfg["shots"])
 
     built = qc.build_phase_verification(system, fmt, vec, cfg["phase_mode"])
-    state = sim.run_exact(built)
+    probs = sim.readout(built, built.layout.reg_e)
     config = _echo(cfg, system, integer_bits=fmt.integer_bits,
                    input=[float(x) for x in vec])
     payload: dict = {"config": config}
     if cfg["backend"] == "exact":
-        probs = sim.register_probabilities(state, built.layout.reg_e)
         readout = _by_bitstring(np.where(probs > 1e-12, probs, 0.0))
         payload["probabilities"] = readout
         spec = ".6f"
     else:
-        counts = sim.sample_counts(state, built.layout.reg_e, cfg["shots"], cfg["seed"])
-        readout = _by_bitstring(counts)
+        readout = _by_bitstring(sim.draw_counts(probs, cfg["shots"], cfg["seed"]))
         payload["histogram"] = readout
         payload["rng"] = sim.RNG_NAME
         spec = ""

@@ -51,14 +51,44 @@ kernels run on 2**live amplitudes.  The explicit rotation stage's reg A is
 such a qubit, since its loads and unloads undo themselves inside the one RY
 pass.  Buffer axis k then holds the k-th live qubit.
 
-The fused kernels (H, RY, DIAG, DENSE, QFT, PREP) work through the state in
-cache-sized blocks, so none of them allocates a copy of the state; the
-largest temporaries are 4 MiB phase tables and FFT blocks.  A GATE pass may
-allocate like apply_gate does; no builder circuit lowers to one.
+readout computes only what a solve or a phase read takes from the final
+state: the clean block (reg B where the ancilla reads 1 and reg E and reg A
+read 0) with its ancilla = 1 weight, or the marginal over some qubits.  It
+runs the same plan in three parts: the PREP, a middle segment, and a tail.
 
-The readouts (postselect, register_probabilities, sample_counts) read the
-live amplitudes directly and a held qubit as a point mass on 0; no state is
-scattered back to full width.
+- Tail.  The trailing H and DENSE passes on pairwise distinct qubits
+  commute.  A trailing H on qubits the readout projects onto |0> is a sum
+  over them scaled by 2**(-k/2), since <0|H = (<0| + <1|)/sqrt(2); a
+  trailing pass on traced-out qubits is dropped; and for the clean block,
+  the final V (a DENSE pass on reg B) runs on the 2**n result.  Any other
+  tail pass stays in the middle segment.  (This is light-cone pruning of
+  the closing Hadamard layer.)
+- Slabs.  The slab qubits are the k leading live qubits that the PREP
+  writes and no later pass does, so the middle segment reads them only as
+  DIAG axes or RY controls: between the V^T folded into the PREP and the
+  final V, a pipeline is block diagonal in the walk eigenbasis, and reg B
+  leads the layout.  Slab j, one bit pattern of them, is one contiguous
+  block of 2**(live - k) amplitudes.  The PREP writes its part of the
+  product state into one reused buffer and every middle pass runs on it,
+  with the tables reading each slab qubit at its bit in j, as they read a
+  held qubit at 0.  The exact backend keeps one value per slab and the
+  ancilla = 1 weight; a phase read adds up each slab's marginal.  Where a
+  middle pass writes the leading qubit, k = 0 and the one slab is the whole
+  buffer, which is what run_exact runs.  The sample backend reads reg B
+  after V, which mixes the slabs, so it runs with k = 0; its closing H on
+  the traced-out reg E is still dropped.  The norm summed over the slabs
+  must stay 1 within 1e-9.
+
+The fused kernels (RY, DIAG, DENSE, QFT, PREP) work through the state in
+cache-sized blocks, and none of them (H included) allocates a copy of the
+state; the largest temporaries are 4 MiB phase tables and FFT blocks.  A
+GATE pass may allocate like apply_gate does; no builder circuit lowers to
+one.
+
+The state readers (postselect, register_probabilities, sample_counts) read
+the live amplitudes of a state directly and a held qubit as a point mass on
+0; no state is scattered back to full width.  They are readout's reductions
+run on one slab, and the reference readout is tested against.
 
 Sampling draws independent measurement records from the exact final
 distribution with numpy's PCG64 generator, as one multinomial draw over the
@@ -90,8 +120,10 @@ __all__ = [
     "Plan",
     "lower",
     "run_exact",
+    "readout",
     "postselect",
     "register_probabilities",
+    "draw_counts",
     "sample_counts",
     "sample",
     "fragment_unitary",
@@ -126,9 +158,6 @@ class Statevector:
     def tensor(self) -> np.ndarray:
         """amps with one axis per live qubit."""
         return self.amps.reshape((2,) * (self.q - len(self.held)))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
 
 @dataclass(frozen=True)
@@ -245,10 +274,8 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
 # -- execution plan ------------------------------------------------------------
 
 # Amplitudes per cache block in the kernels that make several sweeps over the
-# same data (H, multiplexed Ry, dense blocks).
+# same data (multiplexed Ry, dense blocks) and in the readouts' reductions.
 _CHUNK = 1 << 14
-# Contiguous runs at least this long are swept as separate 1-D slices.
-_LONG_RUN = 1 << 10
 # Widest fused diagonal or multiplexor table, in qubits (2**18 complex128 =
 # 4 MiB); a longer run is split into several passes.
 _TABLE_QUBITS = 18
@@ -642,13 +669,17 @@ def lower(circuit: Circuit) -> Plan:
     return Plan(q=circuit.layout.total, passes=tuple(planner.passes))
 
 
-def _on_live(p: Pass, axis: dict[int, int]) -> Pass:
-    """p on the live axes (axis[qubit]); its tables read a held qubit at 0."""
+def _on_live(p: Pass, axis: dict[int, int], fixed: dict[int, int]) -> Pass:
+    """p on the buffer axes (axis[qubit]); its tables read a qubit off the buffer at a bit.
+
+    That bit is fixed[qubit]: a slab qubit's bit in the slab's index, and 0
+    for a held qubit (absent from fixed).
+    """
     if p.kind == "GATE":  # a GATE pass keeps every qubit live, on its own axis
         return p
 
     def cut(qubits):
-        return tuple(slice(None) if g in axis else 0 for g in qubits) + (Ellipsis,)
+        return tuple(slice(None) if g in axis else fixed.get(g, 0) for g in qubits) + (Ellipsis,)
 
     def renumber(qubits):
         return tuple(axis[g] for g in qubits if g in axis)
@@ -659,6 +690,8 @@ def _on_live(p: Pass, axis: dict[int, int]) -> Pass:
     elif p.kind == "RY":
         tables = data.reshape((2,) * (1 + len(p.controls)))
         data = tables[(slice(None),) + cut(p.controls)].reshape(2, -1)
+    elif p.kind == "PREP":  # a spread qubit off the buffer only drops its factor 1
+        data = data.reshape((2,) * len(p.axes))[cut(p.axes)].reshape(-1)
     return Pass(p.kind, renumber(p.axes), renumber(p.controls), data)
 
 
@@ -682,37 +715,14 @@ def _scratch(buf: np.ndarray, shape) -> np.ndarray:
 
 
 def _run_h(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
-    """(a, b) -> (a + b, a - b) on each axis in turn; the last also scales by 2**(-k/2)."""
-    scale = 0.5 ** (len(p.axes) / 2)
+    """(a, b) -> (a + b, a - b) on each axis in turn, then a scale by 2**(-k/2)."""
     for axis in p.axes:
-        outer, inner = 1 << axis, 1 << (q - axis - 1)
-        v = psi.reshape(outer, 2, inner)
-        if inner <= 4:
-            # tiny inner runs: sweep each column of a row block as one long line
-            rows = max(1, _CHUNK // inner)
-            pairs = (
-                (v[i : i + rows, 0, r], v[i : i + rows, 1, r])
-                for i in range(0, outer, rows)
-                for r in range(inner)
-            )
-        elif inner >= _LONG_RUN:
-            # 1-D slices: numpy iterates them far faster than 2-D row blocks
-            pairs = (
-                (v[i, 0, j : j + _CHUNK], v[i, 1, j : j + _CHUNK])
-                for i in range(outer)
-                for j in range(0, inner, _CHUNK)
-            )
-        else:
-            rows = _CHUNK // inner
-            pairs = ((v[i : i + rows, 0], v[i : i + rows, 1]) for i in range(0, outer, rows))
-        last = axis == p.axes[-1]
-        for a0, a1 in pairs:
-            a0 += a1
-            a1 *= -2.0
-            a1 += a0
-            if last:
-                a0 *= scale
-                a1 *= scale
+        v = psi.reshape(1 << axis, 2, -1)
+        a0, a1 = v[:, 0], v[:, 1]
+        a0 += a1
+        a1 *= -2.0
+        a1 += a0
+    psi *= 0.5 ** (len(p.axes) / 2)
 
 
 def _halves(psi: np.ndarray, q: int, target: int, table_axes):
@@ -784,7 +794,8 @@ def _run_qft(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
 def _run_prep(psi: np.ndarray, q: int, p: Pass, buf: np.ndarray) -> None:
     """Write the product state; psi still holds |0...0>."""
     spread = set(p.axes + p.controls)
-    block = psi.reshape((2,) * q)[tuple(slice(None) if a in spread else 0 for a in range(q))]
+    index = tuple(slice(None) if a in spread else 0 for a in range(q)) + (Ellipsis,)
+    block = psi.reshape((2,) * q)[index]
     block[...] = p.data.reshape([2 if a in p.axes else 1 for a in sorted(spread)])
 
 
@@ -800,27 +811,158 @@ _KERNELS = {
 }
 
 
+def _lowered(circuit: Circuit) -> Plan:
+    """lower(circuit), once the circuit is known to fit QUBIT_BUDGET."""
+    q = circuit.layout.total
+    if q > QUBIT_BUDGET:
+        raise ResourceError(f"circuit needs {q} qubits, budget is {QUBIT_BUDGET}")
+    return lower(circuit)
+
+
+def _slabs(passes: Sequence[Pass], slab: tuple[int, ...], axis: dict[int, int]):
+    """Run passes from |0...0> once per slab: each bit pattern j of the slab qubits.
+
+    The buffer holds the qubits in axis (axis[qubit] is its buffer axis); a
+    slab qubit reads its bit in j and any other qubit off the buffer reads
+    0.  Yields (fixed, amps) per slab: fixed maps each slab qubit to its
+    bit, and amps is the slab's final buffer, which the next slab reuses.
+    Once the last slab is read, the norm summed over all slabs must be 1
+    within 1e-9.
+    """
+    width, k = len(axis), len(slab)
+    amps = np.empty(2 ** width, dtype=complex)
+    buf = np.empty(2 * _CHUNK, dtype=complex)  # the only scratch: two cache blocks
+    weight = 0.0
+    for j in range(2 ** k):
+        fixed = {g: j >> (k - 1 - i) & 1 for i, g in enumerate(slab)}
+        amps[:] = 0.0
+        amps[0] = 1.0
+        for p in passes:
+            _KERNELS[p.kind](amps, width, _on_live(p, axis, fixed), buf)
+        weight += float(np.vdot(amps, amps).real)
+        yield fixed, amps
+    drift = abs(math.sqrt(weight) - 1.0)
+    if not drift < 1e-9:
+        raise RuntimeError(f"norm drifted by {drift:.3e}")
+
+
 def run_exact(circuit: Circuit) -> Statevector:
     """Run all gates from |0...0> and return the final state.
 
     The gates are lowered to fused passes (see lower), which run on one
-    buffer over the plan's live qubits; the others are held at |0>.
-    apply_gate is the reference the passes are tested against.
+    buffer over the plan's live qubits; the others are held at |0>.  This
+    is readout's loop with no slab qubits, and the reference readout is
+    tested against; apply_gate is the reference the passes are tested
+    against.
     """
-    q = circuit.layout.total
-    if q > QUBIT_BUDGET:
-        raise ResourceError(f"circuit needs {q} qubits, budget is {QUBIT_BUDGET}")
-    plan = lower(circuit)
+    plan = _lowered(circuit)
     live = plan.live()
-    state = Statevector(zero_state(len(live)).amps, q, tuple(g for g in range(q) if g not in live))
-    axis = state.axes
-    buf = np.empty(2 * _CHUNK, dtype=complex)  # the only scratch: two cache blocks
-    for p in plan.passes:
-        _KERNELS[p.kind](state.amps, len(live), _on_live(p, axis), buf)
-    drift = abs(state.norm() - 1.0)
-    if not drift < 1e-9:
-        raise RuntimeError(f"norm drifted by {drift:.3e}")
-    return state
+    for _, amps in _slabs(plan.passes, (), {g: a for a, g in enumerate(live)}):
+        pass  # no slab qubits: one slab, the whole buffer
+    return Statevector(amps, plan.q, tuple(g for g in range(plan.q) if g not in live))
+
+
+def _readout_plan(circuit: Circuit, qubits: tuple[int, ...] | None):
+    """(plan, k, summed, closing): what readout runs on each slab, and its tail.
+
+    qubits None reads the clean block: reg B, with reg E and reg A
+    projected onto 0 and the ancilla onto 1.  Otherwise the marginal over
+    qubits is read and the other qubits are traced out.  The tail is the
+    trailing run of H and DENSE passes on pairwise distinct qubits, which
+    commute with one another:
+    - a pass on traced-out qubits only is dropped;
+    - an H pass on qubits projected onto 0 is a sum over them (summed),
+      times 2**(-1/2) per qubit;
+    - for the clean block, a DENSE pass on reg B (the walk basis V) runs on
+      the 2**n result (closing).
+    Any other tail pass stays in plan, after the others.  The k slab qubits
+    are plan's leading live qubits that its PREP writes and no later pass
+    does, so every later pass reads them only as DIAG axes or RY controls.
+    """
+    layout = circuit.layout
+    passes = _lowered(circuit).passes
+    read = layout.reg_b if qubits is None else qubits
+    zeros = layout.reg_e + layout.reg_a if qubits is None else ()
+    start, seen = len(passes), set()
+    while start and passes[start - 1].kind in ("H", "DENSE"):
+        axes = set(passes[start - 1].axes)
+        if axes & seen:
+            break
+        start -= 1
+        seen |= axes
+    run, summed, closing = list(passes[:start]), [], []
+    for p in passes[start:]:
+        if qubits is not None and not set(p.axes) & set(read):
+            continue
+        if p.kind == "H" and set(p.axes) <= set(zeros):
+            summed += p.axes
+        elif p.kind == "DENSE" and qubits is None and set(p.axes) <= set(read):
+            closing.append(p)
+        else:
+            run.append(p)
+    plan = Plan(layout.total, tuple(run))
+    k = 0
+    if run and run[0].kind == "PREP":
+        later, live = Plan(layout.total, tuple(run[1:])).live(), plan.live()
+        k = next((i for i, g in enumerate(live) if g in later), len(live))
+    return plan, k, tuple(summed), tuple(closing)
+
+
+def _check_qubits(qubits: Sequence[int], q: int) -> tuple[int, ...]:
+    """qubits as a tuple; ValueError unless they are distinct qubit indices below q."""
+    qubits = tuple(qubits)
+    if len(set(qubits)) < len(qubits) or not all(
+        isinstance(g, (int, np.integer)) and not isinstance(g, bool) and 0 <= g < q
+        for g in qubits
+    ):
+        raise ValueError(f"qubits must be distinct indices in 0..{q - 1}, got {qubits}")
+    return qubits
+
+
+def _clean_block(slabs, axis: dict[int, int], layout: RegisterLayout, summed=()):
+    """(block, weight), each summed over slabs.
+
+    block holds reg B's amplitudes, MSB first, where the ancilla reads 1
+    and reg E and reg A read 0; a qubit in summed is summed over instead of
+    read at 0, unscaled.  weight is the ancilla = 1 probability.  A qubit
+    off the buffer reads its fixed bit (0 when held), so a slab fixed off
+    the block adds only to the weight.
+    """
+    anc, reg_b = layout.ancilla, layout.reg_b
+    want = {g: int(g == anc) for g in range(layout.total) if g not in reg_b + summed}
+    index = tuple(want.get(g, slice(None)) for g in axis) + (Ellipsis,)
+    left = [g for g in axis if g not in want]  # the axes index leaves, in order
+    over = tuple(i for i, g in enumerate(left) if g in summed)
+    block = np.zeros((2,) * layout.b_width, dtype=complex)
+    weight = 0.0
+    for fixed, amps in slabs:
+        if anc in axis:
+            half = amps.reshape(2 ** axis[anc], 2, -1)[:, 1, :]
+            # block by block: squaring the whole half-state would double peak memory
+            weight += sum(float(np.vdot(half[i], half[i]).real) for i in _blocks(half.shape))
+        elif fixed.get(anc, 0):
+            weight += float(np.vdot(amps, amps).real)
+        if all(fixed.get(g, 0) == bit for g, bit in want.items() if g not in axis):
+            at = tuple(slice(None) if g in axis else fixed.get(g, 0) for g in reg_b)
+            block[at + (Ellipsis,)] += amps.reshape((2,) * len(axis))[index].sum(axis=over)
+    return block.reshape(-1), weight
+
+
+def _solution(block: np.ndarray, success: float) -> tuple[np.ndarray, float]:
+    """The clean block's signed solution on reg B states 1 .. 2**n - 1, renormalized."""
+    if success < 1e-15:
+        raise PostselectionError(f"ancilla=1 probability {success:.3e} is degenerate")
+    block = block[1:]
+    amplitudes = block.real
+    norm = np.linalg.norm(amplitudes)
+    if norm < 1e-15:
+        raise PostselectionError("kept branch has no weight on reg B states 1..N-1")
+    residual = np.linalg.norm(block.imag)
+    if residual > 1e-9 * norm:
+        raise PostselectionError(
+            f"kept branch is not real (imaginary residual {residual / norm:.3e} of its norm)"
+        )
+    return amplitudes / norm, success
 
 
 def postselect(state: Statevector, layout: RegisterLayout) -> tuple[np.ndarray, float]:
@@ -834,69 +976,85 @@ def postselect(state: Statevector, layout: RegisterLayout) -> tuple[np.ndarray, 
     part above 1e-9 of the block norm raises PostselectionError.  A held
     qubit reads 0: a held ancilla keeps no branch.
     """
-    axis = state.axes
-    success = 0.0
-    if layout.ancilla in axis:
-        anc = state.amps.reshape(2 ** axis[layout.ancilla], 2, -1)[:, 1, :]
-        # block by block: squaring the whole half-state would double peak memory
-        success = sum(float(np.vdot(anc[idx], anc[idx]).real) for idx in _blocks(anc.shape))
-    if success < 1e-15:
-        raise PostselectionError(f"ancilla=1 probability {success:.3e} is degenerate")
-    index = tuple(1 if g == layout.ancilla else slice(None) if g in layout.reg_b else 0
-                  for g in axis)
-    block = np.zeros((2,) * layout.b_width, dtype=complex)
-    block[tuple(slice(None) if g in axis else 0 for g in layout.reg_b)] = state.tensor()[index]
-    block = block.reshape(-1)[1:]  # reg B, MSB first
-    amplitudes = block.real
-    norm = np.linalg.norm(amplitudes)
-    if norm < 1e-15:
-        raise PostselectionError("kept branch has no weight on reg B states 1..N-1")
-    residual = np.linalg.norm(block.imag)
-    if residual > 1e-9 * norm:
-        raise PostselectionError(
-            f"kept branch is not real (imaginary residual {residual / norm:.3e} of its norm)"
-        )
-    return amplitudes / norm, success
+    return _solution(*_clean_block([({}, state.amps)], state.axes, layout))
 
 
-def register_probabilities(state: Statevector, qubits: Sequence[int]) -> np.ndarray:
-    """Marginal probabilities over the given qubits, read MSB-first.
+def _marginal(slabs, axis: dict[int, int], qubits: tuple[int, ...]) -> np.ndarray:
+    """Marginal probabilities over qubits, MSB first, summed over slabs.
 
-    qubits must be distinct qubit indices of the state; a held qubit reads
-    0 with certainty.  The live amplitudes are reduced one block of _CHUNK
-    at a time, so no temporary grows with the state.
+    Each slab's buffer (over the qubits in axis) is reduced one block of
+    _CHUNK at a time, so no temporary grows with the state.  A qubit off
+    the buffer reads its fixed bit (0 when held) with certainty.
     """
-    qubits = tuple(qubits)
-    if len(set(qubits)) < len(qubits) or not all(
-        isinstance(g, (int, np.integer)) and 0 <= g < state.q for g in qubits
-    ):
-        raise ValueError(f"qubits must be distinct indices in 0..{state.q - 1}, got {qubits}")
-    axis = state.axes
     read = [axis[g] for g in qubits if g in axis]
     low = min(len(axis), _CHUNK.bit_length() - 1)
     high = len(axis) - low  # a block fixes axes 0..high-1
     kept = [a - high for a in read if a >= high]
     axes = kept + [ax for ax in range(low) if ax + high not in read]
-    out = np.zeros((2,) * len(read))
-    for row, block in enumerate(state.amps.reshape(1 << high, 1 << low)):
-        probs = (np.square(block.real) + np.square(block.imag)).reshape((2,) * low)
-        part = probs.transpose(axes).reshape((2,) * len(kept) + (-1,)).sum(axis=-1)
-        index = tuple((row >> (high - 1 - a)) & 1 if a < high else slice(None) for a in read)
-        out[index] += part
     full = np.zeros((2,) * len(qubits))
-    full[tuple(slice(None) if g in axis else 0 for g in qubits)] = out
+    for fixed, amps in slabs:
+        out = full[tuple(slice(None) if g in axis else fixed.get(g, 0) for g in qubits)
+                   + (Ellipsis,)]
+        for row, block in enumerate(amps.reshape(1 << high, 1 << low)):
+            probs = (np.square(block.real) + np.square(block.imag)).reshape((2,) * low)
+            part = probs.transpose(axes).reshape((2,) * len(kept) + (-1,)).sum(axis=-1)
+            index = tuple((row >> (high - 1 - a)) & 1 if a < high else slice(None) for a in read)
+            out[index] += part
     return full.reshape(-1)
+
+
+def register_probabilities(state: Statevector, qubits: Sequence[int]) -> np.ndarray:
+    """Marginal probabilities over the given qubits, read MSB-first.
+
+    qubits must be distinct qubit indices of the state (a bool is no
+    index); a held qubit reads 0 with certainty.  The live amplitudes are
+    reduced one block of _CHUNK at a time, so no temporary grows with the
+    state.
+    """
+    return _marginal([({}, state.amps)], state.axes, _check_qubits(qubits, state.q))
+
+
+def readout(circuit: Circuit, qubits: Sequence[int] | None = None):
+    """What a solve or a phase read takes from the final state, without building it.
+
+    With qubits None: (signed solution, success prob), as
+    postselect(run_exact(circuit), circuit.layout) returns them and with
+    its checks.  Otherwise the marginal probabilities over qubits (distinct
+    qubit indices, read MSB first), as register_probabilities(run_exact(
+    circuit), qubits).  The plan runs slab by slab: PREP writes each slab,
+    the middle passes run on it, and the tail is folded into the reduction
+    or dropped (see _readout_plan).  Only one slab of 2**(live - k)
+    amplitudes is held at a time.
+    """
+    layout = circuit.layout
+    if qubits is not None:
+        qubits = _check_qubits(qubits, layout.total)
+    plan, k, summed, closing = _readout_plan(circuit, qubits)
+    live = plan.live()
+    axis = {g: a for a, g in enumerate(live[k:])}
+    slabs = _slabs(plan.passes, live[:k], axis)
+    if qubits is not None:
+        return _marginal(slabs, axis, qubits)
+    block, success = _clean_block(slabs, axis, layout, summed)
+    block = block.reshape((2,) * layout.b_width) * 0.5 ** (len(summed) / 2)
+    for p in closing:  # reg B leads the layout: qubit g is block axis g
+        _apply_dense(block, p.axes, p.data)
+    return _solution(block.reshape(-1), success)
+
+
+def draw_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """How many of shots draws from probs land on each value v (int64), one multinomial draw."""
+    probs = np.clip(probs, 0.0, None)
+    probs /= probs.sum()
+    rng = np.random.default_rng(seed)
+    return rng.multinomial(shots, probs)  # O(2**width) memory whatever the shots
 
 
 def sample_counts(
     state: Statevector, qubits: Sequence[int], shots: int, seed: int
 ) -> np.ndarray:
     """How many of shots measurements of qubits read each value v, MSB first (int64)."""
-    probs = register_probabilities(state, qubits)
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, probs)  # O(2**width) memory whatever the shots
+    return draw_counts(register_probabilities(state, qubits), shots, seed)
 
 
 def check_backend(backend: str, shots: int) -> None:
@@ -910,13 +1068,15 @@ def sample(circuit: Circuit, shots: int, seed: int) -> RunResult:
     """Sampling backend: measure ancilla and reg B, keep ancilla = 1 records.
 
     solution_i = sqrt(v_i / sum v) over kept counts v_i for reg B values
-    i = 1 .. 2**n - 1; success_prob is the kept fraction.
+    i = 1 .. 2**n - 1; success_prob is the kept fraction.  The shot and
+    seed checks come before the run.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    state = run_exact(circuit)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     layout = circuit.layout
-    counts = sample_counts(state, (layout.ancilla,) + layout.reg_b, shots, seed)
+    counts = draw_counts(readout(circuit, (layout.ancilla,) + layout.reg_b), shots, seed)
     kept = counts.reshape(2, -1)[1]  # the ancilla is the most significant bit
     total_kept = int(kept.sum())
     if total_kept == 0:

@@ -164,7 +164,7 @@ def test_solve_matches_the_pipeline_calls(sys_3x3, backend):
     record = solve(sys_3x3, fmt, mode="fused", backend=backend, shots=20_000, seed=9)
     built = build_pipeline(sys_3x3, fmt, mode="fused")
     if backend == "exact":
-        solution, success = sim.postselect(sim.run_exact(built), built.layout)
+        solution, success = sim.readout(built)
         run_percent = 100.0 * success
         assert record.sampled is None
     else:

@@ -9,12 +9,12 @@ run; this test shows it in the tier-1 suite.
 import importlib
 from pathlib import Path
 
-from qpoisson import cli
+from qpoisson import FixedPointFormat, build_pipeline, cli, simulator
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_traced_names_exist_and_the_sampled_paths_report(monkeypatch, capsys):
+def test_traced_names_exist_and_the_sampled_paths_report(monkeypatch, capsys, sys_3x3):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spans = importlib.import_module("spans")
     for module, names in spans.TRACED.items():
@@ -29,6 +29,10 @@ def test_traced_names_exist_and_the_sampled_paths_report(monkeypatch, capsys):
         assert cli.main(["solve", "--preset", "table1-3x3", "--f", "0", "--l", "10",
                          "--mode", "fused", "--backend", "sample", "--shots", "1000"]) == 0
         assert cli.main(["mitigate-demo", "--shots", "1000"]) == 0
+        # the CLI reads through simulator.readout; the reference readers stay traced
+        built = build_pipeline(sys_3x3, FixedPointFormat(6, 0, 10), mode="fused")
+        state = simulator.run_exact(built)
+        simulator.sample_counts(state, built.layout.reg_b, 1000, seed=1)
     finally:
         recorder.uninstall()
     capsys.readouterr()

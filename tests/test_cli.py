@@ -266,6 +266,19 @@ def test_mitigate_demo_refuses_a_wide_model_before_sampling(capsys, monkeypatch)
     assert "calibration width 11 exceeds 10" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--preset", "table1-15x15", "--backend", "sample"),
+    ("verify-phase", "--preset", "table1-15x15", "--eigen-index", "1", "--backend", "sample"),
+    ("mitigate-demo", "--preset", "table1-15x15"),
+], ids=("solve", "verify-phase", "mitigate-demo"))
+def test_negative_seed_exits_2_before_any_work(capsys, monkeypatch, argv):
+    def resolve(cfg):
+        raise AssertionError("the problem was resolved before the seed was checked")
+
+    monkeypatch.setattr(cli, "_resolve_system", resolve)
+    assert run_cli(capsys, *argv, "--seed", "-1") == (2, "", "error: --seed must be >= 0, got -1\n")
+
+
 def test_mitigation_trial_roundtrip():
     model = ReadoutModel.uniform(2, 0.02, 0.05)
     trial = mitigation_trial(np.array([0.0, 0.5, 0.25, 0.25]), model, 100_000, seed=4)

@@ -148,11 +148,10 @@ def test_plan_matches_reference_on_random_circuits(seed, with_basis):
     assert_plan_matches(random_circuit(seed, with_basis))
 
 
-@pytest.mark.parametrize("chunk,long_run", [(4, 8), (16, 2)])
-def test_plan_matches_reference_in_small_blocks(monkeypatch, sys_3x3, chunk, long_run):
+@pytest.mark.parametrize("chunk", [4, 16])
+def test_plan_matches_reference_in_small_blocks(monkeypatch, sys_3x3, chunk):
     """Tiny cache blocks drive every blocked kernel branch on small states."""
     monkeypatch.setattr(sim, "_CHUNK", chunk)
-    monkeypatch.setattr(sim, "_LONG_RUN", long_run)
     for seed in range(16):
         assert_plan_matches(random_circuit(seed, with_basis=seed % 2 == 0))
     for mode in ("explicit", "fused"):
@@ -234,15 +233,15 @@ def test_walk_powers_fall_back_without_a_diagonalizing_basis(basis, sys_3x3):
     assert_plan_matches(circuit)
 
 
-@pytest.mark.parametrize("name,f,mode,passes,counts,live", [
+@pytest.mark.parametrize("name,f,mode,passes,counts,live,slabs", [
     pytest.param("table1-15x15", 8, "fused", 10,
                  {"PREP": 1, "DIAG": 4, "IQFT": 1, "RY": 1, "QFT": 1, "H": 1, "DENSE": 1}, 23,
-                 id="15x15-f8-fused"),
+                 (16, 19), id="15x15-f8-fused"),
     pytest.param("table1-7x7", 0, "auto", 8,
                  {"PREP": 1, "DIAG": 2, "IQFT": 1, "RY": 1, "QFT": 1, "H": 1, "DENSE": 1}, 12,
-                 id="7x7-f0-auto"),
+                 (8, 9), id="7x7-f0-auto"),
 ])
-def test_benchmark_solves_keep_their_plan(name, f, mode, passes, counts, live):
+def test_benchmark_solves_keep_their_plan(name, f, mode, passes, counts, live, slabs):
     """The two 23-qubit solves the wide benchmark times, lowered but not run."""
     system = _system(name)
     built = build_pipeline(system, default_format(system.n, f, 16), mode)
@@ -252,6 +251,173 @@ def test_benchmark_solves_keep_their_plan(name, f, mode, passes, counts, live):
     assert len(plan.live()) == live
     (closing,) = [p for p in plan.passes if p.kind == "H"]
     assert closing.axes == built.layout.reg_e[::-1]
+    # the readout sums over the closing H, applies V to its 2**n result, and
+    # runs the rest once per reg B pattern: (slabs, qubits per slab)
+    run, k, summed, (v,) = sim._readout_plan(built, None)
+    assert summed == closing.axes and v.kind == "DENSE" and v.axes == built.layout.reg_b
+    assert [(p.kind, p.axes) for p in run.passes] == [(p.kind, p.axes) for p in plan.passes[:-2]]
+    assert (2**k, len(run.live()) - k) == slabs
+    # sampling reads reg B after V, which mixes the slabs: one slab, no closing H
+    run, k, summed, closing = sim._readout_plan(built, (built.layout.ancilla,) + built.layout.reg_b)
+    assert (k, summed, closing) == (0, (), ())
+    assert [p.kind for p in run.passes] == [p.kind for p in plan.passes if p.kind != "H"]
+
+
+def test_wide_fused_readout_holds_one_slab():
+    """15x15 f=8 reads its answer slab by slab and never holds the 128 MiB state."""
+    system = _system("table1-15x15")
+    fmt = default_format(system.n, 8, 16)
+    built = build_pipeline(system, fmt, "fused")
+    tracemalloc.start()
+    try:
+        solution, _ = sim.readout(built)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # one 2**19-amplitude slab is 8 MiB
+    assert np.max(np.abs(solution - closed_form(system, fmt))) < 1e-9
+
+
+@pytest.mark.parametrize("name,f,phase_mode", [
+    pytest.param(name, f, phase_mode, id=f"{name}-f{f}-{phase_mode}")
+    for name in PRESETS for f in (0, 4, 8) for phase_mode in ("encoded", "true_a")
+])
+def test_readout_matches_the_full_state_on_the_grid(name, f, phase_mode):
+    """Every buildable mode (fused, auto, explicit) and the phase read of one format."""
+    system = _system(name)
+    fmt = default_format(system.n, f, 16)
+    built: dict[str, qc.Circuit] = {}
+    for mode in ("fused", "explicit", "auto"):
+        try:
+            circuit = build_pipeline(system, fmt, mode, phase_mode)
+        except ResourceError:
+            continue
+        resolved = circuit.metadata["mode"]
+        if resolved in built:  # auto builds the circuit of the mode it resolves to
+            assert circuit.dump() == built[resolved].dump()
+            continue
+        built[resolved] = circuit
+    for circuit in built.values():
+        layout, full = circuit.layout, sim.run_exact(circuit)
+        solution, success = sim.readout(circuit)
+        want_solution, want_success = sim.postselect(full, layout)
+        assert np.max(np.abs(solution - want_solution)) < 1e-12
+        assert abs(success - want_success) < 1e-12
+        measured = (layout.ancilla,) + layout.reg_b
+        probs = sim.readout(circuit, measured)
+        assert np.max(np.abs(probs - sim.register_probabilities(full, measured))) < 1e-12
+        # sample draws its counts from these probabilities
+        assert np.array_equal(sim.draw_counts(probs, 10**6, seed=7),
+                              sim.sample_counts(full, measured, 10**6, seed=7))
+    verification = build_phase_verification(system, fmt, system.b, phase_mode)
+    reg_e, full = verification.layout.reg_e, sim.run_exact(verification)
+    probs = sim.readout(verification, reg_e)
+    assert np.max(np.abs(probs - sim.register_probabilities(full, reg_e))) <= 1e-15
+    assert np.array_equal(sim.draw_counts(probs, 10**6, seed=3),
+                          sim.sample_counts(full, reg_e, 10**6, seed=3))
+
+
+def test_readout_runs_whole_when_a_middle_pass_writes_reg_b(sys_3x3):
+    """A Hadamard pair on reg B before the rotation: no slab qubits, the same answer."""
+    built = build_pipeline(sys_3x3, FixedPointFormat(6, 2, 8), "fused")
+    at = next(i for i, g in enumerate(built.gates) if g.kind == qc.PAULI_X)
+    gates = built.gates[:at] + (qc.hadamard(0), qc.hadamard(0)) + built.gates[at:]
+    circuit = qc.Circuit(built.layout, gates, built.metadata)
+    plan, k, _, _ = sim._readout_plan(circuit, None)
+    assert k == 0 and [p.axes for p in plan.passes if p.kind == "H"] == [(0,), (0,)]
+    solution, success = sim.readout(circuit)
+    want_solution, want_success = sim.postselect(sim.run_exact(circuit), circuit.layout)
+    assert np.max(np.abs(solution - want_solution)) < 1e-12
+    assert abs(success - want_success) < 1e-12
+    assert np.max(np.abs(solution - sim.readout(built)[0])) < 1e-12
+
+
+def random_slab_circuit(seed: int) -> qc.Circuit:
+    """A pipeline-shaped circuit that writes reg B only in its load and its final V.
+
+    Reg B is qubits 0 and 1, reg E the next m, then the ancilla.  Between
+    the Hadamards and load that open it and the Hadamards that close it,
+    random walk powers, phases, Fourier fragments and Hadamards on reg E and
+    rotations of the ancilla keep reg B a slab axis.
+    """
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 5))
+    reg_e, anc = list(range(2, 2 + m)), 2 + m
+    basis = random_orthogonal(4, rng)
+    gates = [qc.hadamard(e) for e in reg_e]
+    gates.append(qc.controlled_unitary((), (0, 1), random_orthogonal(4, rng), label="load"))
+
+    def pick(k):
+        return [int(x) for x in rng.permutation(reg_e)[:k]]
+
+    def walk_power():
+        phases = np.exp(1j * rng.uniform(-3, 3, size=4))
+        return qc.controlled_unitary(pick(1), (0, 1), basis @ np.diag(phases) @ basis.T)
+
+    # the first power comes before any other pass, so V^T folds into the PREP
+    gates.append(walk_power())
+    for _ in range(int(rng.integers(5, 15))):
+        choice = int(rng.integers(0, 5))
+        if choice == 0:
+            gates.append(walk_power())
+        elif choice == 1 and m > 1:
+            gates.append(qc.controlled_phase(*pick(2), float(rng.uniform(-3, 3))))
+        elif choice == 2:
+            gates.append(qc.multi_controlled_ry(pick(int(rng.integers(0, m + 1))), anc,
+                                                float(rng.uniform(-3, 3))))
+        elif choice == 3:
+            fragment = qc.qft_fragment(reg_e)
+            gates += qc.invert_fragment(fragment) if rng.random() < 0.5 else fragment
+        else:
+            gates += [qc.hadamard(e) for e in pick(int(rng.integers(1, m + 1)))]
+    gates += [qc.hadamard(e) for e in pick(m)]
+    return qc.Circuit(RegisterLayout(2, m, 0), tuple(gates), {"walk_basis": basis})
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["slab", "any", "any-basis"]),
+       data=st.data())
+def test_readout_matches_the_full_state_on_random_circuits(seed, kind, data):
+    """Random tails and slabs: reg B on the walk block, reg E on the rest."""
+    if kind == "slab":
+        circuit = random_slab_circuit(seed)
+        assert sim._readout_plan(circuit, None)[1] >= 2
+    else:
+        random = random_circuit(seed, with_basis=kind == "any-basis")
+        circuit = qc.Circuit(RegisterLayout(2, random.layout.total - 3, 0), random.gates,
+                             random.metadata)
+    q = circuit.layout.total
+    full = sim.run_exact(circuit)
+    qubits = tuple(data.draw(st.lists(st.integers(0, q - 1), unique=True, max_size=q)))
+    probs = sim.readout(circuit, qubits)
+    assert np.max(np.abs(probs - sim.register_probabilities(full, qubits))) < 1e-12
+    # the clean block itself, before the solution checks: a random one is complex
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_solution", lambda block, success: (block, success))
+        block, success = sim.readout(circuit)
+        want_block, want_success = sim.postselect(full, circuit.layout)
+    assert np.max(np.abs(block - want_block)) < 1e-12
+    assert abs(success - want_success) < 1e-12
+
+
+def test_readout_refuses_a_plan_whose_norm_drifts(monkeypatch, sys_3x3):
+    """One entry of one phase table off by 1%: a single slab drifts, and every reader raises."""
+    built = build_pipeline(sys_3x3, FixedPointFormat(6, 2, 8), "fused")
+    plan = sim.lower(built)
+    i, diag = next((i, p) for i, p in enumerate(plan.passes) if p.kind == "DIAG")
+    (qubits, values), *rest = diag.data
+    assert qubits[:2] == built.layout.reg_b  # a walk power: reg B and one control
+    values = values.copy()
+    values[1, 1, 1] *= 1.01  # reg B = 11 only: the last slab
+    mutated = sim.Pass("DIAG", diag.axes, data=((qubits, values), *rest))
+    passes = plan.passes[:i] + (mutated,) + plan.passes[i + 1:]
+    monkeypatch.setattr(sim, "lower", lambda circuit: sim.Plan(plan.q, passes))
+    assert sim._readout_plan(built, None)[1] == 2
+    readers = [lambda: sim.readout(built), lambda: sim.readout(built, built.layout.reg_e),
+               lambda: sim.run_exact(built)]
+    for read in readers:
+        with pytest.raises(RuntimeError, match="norm drifted"):
+            read()
 
 
 def _circuit(q: int, gates) -> qc.Circuit:

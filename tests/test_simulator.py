@@ -167,13 +167,17 @@ def test_register_probabilities_blockwise_is_exact(qubits):
     assert np.max(np.abs(sim.register_probabilities(state, qubits) - exact)) <= 1e-15
 
 
-@pytest.mark.parametrize("qubits", [(-1,), (0, 0), (3,), (2, 1, 2), (0.0,)])
+# a bool is an int to Python, and True would read qubit 1
+@pytest.mark.parametrize("qubits", [(-1,), (0, 0), (3,), (2, 1, 2), (0.0,), (True,), (0, False)])
 def test_register_probabilities_refuses_qubits_that_are_not_distinct_indices(qubits):
     state = sim.zero_state(3)
     with pytest.raises(ValueError, match="distinct indices in 0..2"):
         sim.register_probabilities(state, qubits)
     with pytest.raises(ValueError, match="distinct indices in 0..2"):
         sim.sample_counts(state, qubits, 10, seed=1)
+    circuit = qc.Circuit(RegisterLayout(2, 0, 0), (qc.hadamard(0),))
+    with pytest.raises(ValueError, match="distinct indices in 0..2"):
+        sim.readout(circuit, qubits)
 
 
 def test_register_probabilities_memory_is_bounded():
@@ -224,6 +228,19 @@ def test_run_exact_enforces_budget():
     over = qc.Circuit(RegisterLayout(qc.QUBIT_BUDGET, 0), ())  # reg B plus the ancilla
     with pytest.raises(ResourceError):
         sim.run_exact(over)
+    for qubits in (None, (0,)):
+        with pytest.raises(ResourceError):
+            sim.readout(over, qubits)
+
+
+def test_sample_refuses_a_negative_seed_before_the_run(monkeypatch, sys_3x3):
+    def readout(*args):
+        raise AssertionError("the circuit ran before the seed was checked")
+
+    monkeypatch.setattr(sim, "readout", readout)
+    built = build_pipeline(sys_3x3, FixedPointFormat(6, 0, 10), mode="fused")
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        sim.sample(built, shots=100, seed=-1)
 
 
 def test_smallest_system_end_to_end():
