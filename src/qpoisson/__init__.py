@@ -51,7 +51,6 @@ from .model import (
     build_matrix,
     eigenpairs,
     exact_solve,
-    load_system,
 )
 from .noise import (
     ReadoutModel,
@@ -110,7 +109,6 @@ __all__ = [
     "exact_solve",
     "expected_success_probability",
     "fidelity_estimate",
-    "load_system",
     "mitigate",
     "postselect",
     "prune_zero_columns",

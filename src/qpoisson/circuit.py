@@ -39,11 +39,11 @@ from .errors import ResourceError, check_choice
 from .model import PoissonSystem, EigenData, eigenpairs, square_safe
 
 __all__ = [
-    "HADAMARD", "PAULI_X", "RY", "PHASE", "CONTROLLED_UNITARY",
+    "HADAMARD", "PAULI_X", "CONTROLLED_UNITARY",
     "MULTI_CONTROLLED_X", "MULTI_CONTROLLED_RY", "SWAP",
     "QUBIT_BUDGET", "AUTO_EXPLICIT_LIMIT", "MODES", "PHASE_MODES",
     "Gate", "RegisterLayout", "Circuit",
-    "hadamard", "pauli_x", "ry", "phase", "controlled_unitary",
+    "hadamard", "pauli_x", "controlled_unitary",
     "controlled_phase", "multi_controlled_x", "multi_controlled_ry", "swap",
     "qft_fragment", "invert_gate", "invert_fragment", "state_prep_unitary",
     "build_qpe", "build_rotation_explicit", "build_rotation_fused",
@@ -52,8 +52,6 @@ __all__ = [
 
 HADAMARD = "H"
 PAULI_X = "X"
-RY = "RY"
-PHASE = "PHASE"
 CONTROLLED_UNITARY = "CU"
 MULTI_CONTROLLED_X = "MCX"
 MULTI_CONTROLLED_RY = "MCRY"
@@ -90,7 +88,7 @@ class Gate:
             parts.append("c[" + ",".join(str(q) for q in self.controls) + "]")
         parts.append("q[" + ",".join(str(q) for q in self.targets) + "]")
         extras = []
-        if self.kind in (RY, PHASE, MULTI_CONTROLLED_RY):
+        if self.kind == MULTI_CONTROLLED_RY:
             extras.append(f"angle={self.angle:.12g}")
         if self.kind == CONTROLLED_UNITARY:
             extras.append(f"dim={self.matrix.shape[0]}")
@@ -114,14 +112,6 @@ def hadamard(q: int) -> Gate:
 
 def pauli_x(q: int) -> Gate:
     return Gate(PAULI_X, (q,))
-
-
-def ry(q: int, angle: float) -> Gate:
-    return Gate(RY, (q,), angle=float(angle))
-
-
-def phase(q: int, angle: float) -> Gate:
-    return Gate(PHASE, (q,), angle=float(angle))
 
 
 def controlled_unitary(
@@ -221,7 +211,7 @@ def invert_gate(gate: Gate) -> Gate:
     """Inverse of a single gate; every IR kind has one in the IR."""
     if gate.kind in (HADAMARD, PAULI_X, MULTI_CONTROLLED_X, SWAP):
         return gate
-    if gate.kind in (RY, PHASE, MULTI_CONTROLLED_RY):
+    if gate.kind == MULTI_CONTROLLED_RY:
         return Gate(gate.kind, gate.targets, gate.controls, angle=-gate.angle, label=gate.label)
     if gate.kind == CONTROLLED_UNITARY:
         return controlled_unitary(

@@ -23,7 +23,6 @@ concurrent workers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,6 @@ __all__ = [
     "build_matrix",
     "eigenpairs",
     "exact_solve",
-    "load_system",
     "square_safe",
 ]
 
@@ -170,17 +168,3 @@ def exact_solve(system: PoissonSystem) -> np.ndarray:
     for i in range(dim - 2, -1, -1):
         x[i] = dp[i] - cp[i] * x[i + 1]
     return x / np.linalg.norm(x)
-
-
-def load_system(path: str) -> PoissonSystem:
-    """Read a problem instance from JSON: {"n": int, "b": [..], "d": 1?}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    try:
-        n = int(raw["n"])
-        b = raw["b"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"problem file {path} needs integer 'n' and list 'b'") from exc
-    if raw.get("d", 1) != 1:
-        raise ValueError(f"problem file {path}: only d = 1 is supported, got {raw['d']!r}")
-    return PoissonSystem(n=n, b=np.asarray(b, dtype=float))

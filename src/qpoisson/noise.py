@@ -14,7 +14,7 @@ the readout-mitigation estimator of Smolin, Gambetta and Smith (PRL 108,
 070502, 2012).  It is solved by accelerated projected gradient with the
 sort-based projection onto the probability simplex of Duchi et al. (ICML
 2008).  Forecast fidelity for a hardware run decays per entangling gate as
-accuracy ** cnots.
+GATE_ACCURACY ** cnots.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 from .errors import ResourceError
 
 __all__ = [
+    "GATE_ACCURACY",
     "MAX_CALIBRATION_WIDTH",
     "ReadoutModel",
     "corrupt",
@@ -36,6 +37,8 @@ __all__ = [
     "fidelity_estimate",
 ]
 
+# Per-CNOT accuracy of the hardware fidelity forecast.
+GATE_ACCURACY = 0.92
 # 2**w x 2**w dense calibration matrices stay small below this width.
 MAX_CALIBRATION_WIDTH = 10
 # Projected-gradient iteration cap, and the largest entry change of the
@@ -168,10 +171,8 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - excess[rho] / (rho + 1), 0.0)
 
 
-def fidelity_estimate(cnot_count: int, gate_accuracy: float = 0.92) -> float:
-    """Forecast circuit fidelity accuracy**cnots; washes out for deep circuits."""
+def fidelity_estimate(cnot_count: int) -> float:
+    """Forecast circuit fidelity GATE_ACCURACY**cnots; washes out for deep circuits."""
     if cnot_count < 0:
         raise ValueError("cnot_count must be >= 0")
-    if not 0.0 < gate_accuracy <= 1.0:
-        raise ValueError("gate_accuracy must be in (0, 1]")
-    return gate_accuracy ** cnot_count
+    return GATE_ACCURACY ** cnot_count

@@ -13,16 +13,16 @@ into a short plan of fused passes, planned once; the IR itself is never
 changed.  Every pass addresses the qubits' own axes and normalizes itself.
 The lowering rules, each exact:
 
-- At the start, Hadamards on untouched qubits and uncontrolled dense CUs
-  on consecutive qubits (state preparation) only build a product state,
-  which one PREP pass writes.  Any later run of Hadamards on distinct
-  qubits is one H pass, over their axes in gate order.
-- A run of diagonal gates (controlled phases, diagonal CUs, PHASE) becomes
-  one DIAG pass, which keeps each gate's small table and multiplies the
-  state by their product when it runs.
+- At the start, Hadamards on untouched qubits and uncontrolled
+  non-diagonal CUs on consecutive qubits (state preparation) only build a
+  product state, which one PREP pass writes.  Any later run of Hadamards
+  on distinct qubits is one H pass, over their axes in gate order.
+- A run of diagonal CUs, controlled or not (controlled phases, say),
+  becomes one DIAG pass, which keeps each gate's small table and
+  multiplies the state by their product when it runs.
 - A rotation segment becomes one RY pass, a multiplexed rotation with one
   angle per bit pattern of the other qubits it touches.  A segment is a
-  run of X, MCX, RY and MCRY gates whose rotations share a target that no
+  run of X, MCX and MCRY gates whose rotations share a target that no
   X or MCX touches; on each pattern its X and MCX gates are classical bit
   flips, and they must return every pattern to itself.  Either rotation
   stage is one segment: the fused stage's X wraps and the explicit stage's
@@ -31,15 +31,15 @@ The lowering rules, each exact:
   the builders record in metadata["walk_basis"]; once V^T M V is checked
   diagonal, a walk power becomes a controlled diagonal in that basis.  V^T
   runs once (folded into the PREP), and V once after uncompute, since the
-  rotation between them never touches reg B.  Any other uncontrolled dense
-  CU is one DENSE pass.
+  rotation between them never touches reg B.  Any other uncontrolled
+  non-diagonal CU is one DENSE pass.
 - A gate run that is exactly circuit.qft_fragment(register), or its
   inverse, becomes one QFT pass (numpy's FFT, orthonormal) when the
   register is consecutive qubits in order; otherwise its gates are lowered
   one by one.
 - Any other gate (a SWAP outside a Fourier fragment, a controlled
   non-diagonal CU outside the walk basis, a dense CU on non-consecutive
-  qubits, an X, MCX, RY or MCRY outside a rotation segment) runs as a GATE
+  qubits, an X, MCX or MCRY outside a rotation segment) runs as a GATE
   pass: one apply_gate call.
 
 run_exact executes the plan on its live qubits only.  H, DENSE, QFT and
@@ -173,7 +173,6 @@ class RunResult:
     success_prob: float
     counts: np.ndarray
     shots: int
-    seed: int
 
 
 def zero_state(q: int) -> Statevector:
@@ -240,11 +239,6 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
         _apply_single(tensor, q, _SQRT_HALF, _SQRT_HALF, _SQRT_HALF, -_SQRT_HALF)
     elif kind == cg.PAULI_X:
         _apply_x(tensor, gate.targets[0])
-    elif kind == cg.RY:
-        c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)
-        _apply_single(tensor, gate.targets[0], c, -s, s, c)
-    elif kind == cg.PHASE:
-        _apply_single(tensor, gate.targets[0], 1.0, 0.0, 0.0, np.exp(1j * gate.angle))
     elif kind == cg.SWAP:
         a, b = gate.targets
         moved = np.moveaxis(tensor, (a, b), (0, 1))
@@ -343,7 +337,7 @@ class _Planner:
 
     - spread, prep_axes, prep_matrix: the product-state prologue, |0...0>
       with Hadamards on spread and prep_matrix on the consecutive qubits
-      prep_axes.  An uncontrolled CU on prep_axes folds in as
+      prep_axes.  An uncontrolled non-diagonal CU on prep_axes folds in as
       matrix @ prep_matrix, and Hadamards on untouched qubits join spread;
       the first other pass ends it with one PREP (spread is then None).
     - frame: the targets whose walk eigenbasis V is owed.  A walk power
@@ -462,17 +456,15 @@ class _Planner:
         if kind == cg.CONTROLLED_UNITARY and self._walk(gate):
             return
         self._settle(_controls(gate) + gate.targets)
-        if kind == cg.PHASE:
-            self._diag(gate.targets, np.array([1.0, np.exp(1j * gate.angle)]))
-        elif kind == cg.CONTROLLED_UNITARY:
+        if kind == cg.CONTROLLED_UNITARY:
             diag = np.diagonal(gate.matrix)
-            if not gate.controls:
-                self._unitary(gate.targets, gate.matrix)
-            elif np.any(gate.matrix - np.diag(diag)):
-                self._apply(gate)
-            else:
+            if not np.any(gate.matrix - np.diag(diag)):  # controlled or not
                 self._controlled_diag(gate.controls, gate.targets, diag)
-        elif kind in (cg.SWAP, cg.PAULI_X, cg.RY, cg.MULTI_CONTROLLED_X, cg.MULTI_CONTROLLED_RY):
+            elif not gate.controls:
+                self._unitary(gate.targets, gate.matrix)
+            else:
+                self._apply(gate)
+        elif kind in (cg.SWAP, cg.PAULI_X, cg.MULTI_CONTROLLED_X, cg.MULTI_CONTROLLED_RY):
             self._apply(gate)
         else:
             raise ValueError(f"unknown gate kind {kind}")
@@ -547,8 +539,6 @@ def _diag_table(terms, q: int) -> tuple[tuple[int, ...], np.ndarray]:
 def _same_gate(a: Gate, b: Gate) -> bool:
     if (a.kind, a.targets, a.controls) != (b.kind, b.targets, b.controls):
         return False
-    if abs(a.angle - b.angle) > 1e-12:
-        return False
     return a.matrix is None or float(np.max(np.abs(a.matrix - b.matrix))) <= 1e-12
 
 
@@ -558,8 +548,8 @@ def _fourier_at(gates: Sequence[Gate], i: int):
     The width w comes from the opening gates: a forward fragment opens with
     H and w - 1 phases, an inverse one with floor(w/2) swaps.  The register
     is read off the fragment's Hadamards, then the whole window of
-    w(w+1)/2 + floor(w/2) gates is compared gate by gate (angles and
-    matrices to 1e-12) with what the builder emits.
+    w(w+1)/2 + floor(w/2) gates is compared gate by gate (matrices to
+    1e-12) with what the builder emits.
     """
     def kind(j):
         return gates[j].kind if j < len(gates) else None
@@ -604,7 +594,7 @@ def _hadamards_at(gates: Sequence[Gate], i: int) -> tuple[int, ...]:
 def _rotation_at(gates: Sequence[Gate], i: int, cap: int):
     """(target, qubits, angles, length) if gates[i:] opens a rotation segment.
 
-    The candidate is the longest run of X, MCX, RY and MCRY gates from i.
+    The candidate is the longest run of X, MCX and MCRY gates from i.
     Its rotations must share one target that no X or MCX touches, and the
     other qubits it touches must number at most cap.  On each bit pattern
     of those qubits the X and MCX gates only permute classical bits, and
@@ -614,7 +604,7 @@ def _rotation_at(gates: Sequence[Gate], i: int, cap: int):
     """
     end = i
     while end < len(gates) and gates[end].kind in (
-        cg.PAULI_X, cg.MULTI_CONTROLLED_X, cg.RY, cg.MULTI_CONTROLLED_RY
+        cg.PAULI_X, cg.MULTI_CONTROLLED_X, cg.MULTI_CONTROLLED_RY
     ):
         end += 1
     run = [(g, g.kind in (cg.PAULI_X, cg.MULTI_CONTROLLED_X)) for g in gates[i:end]]
@@ -1090,7 +1080,6 @@ def sample(circuit: Circuit, shots: int, seed: int) -> RunResult:
         success_prob=total_kept / shots,
         counts=counts,
         shots=shots,
-        seed=seed,
     )
 
 

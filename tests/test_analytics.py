@@ -102,7 +102,6 @@ def test_empirical_success_probability():
         success_prob=0.0123,
         counts=np.array([9877, 0, 123, 0]),
         shots=10_000,
-        seed=1,
     )
     assert empirical_success_probability(result) == pytest.approx(1.23)
 

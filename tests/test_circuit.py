@@ -15,8 +15,10 @@ from qpoisson import (
     build_angle_table,
     build_phase_verification,
     build_pipeline,
+    default_format,
     eigenpairs,
 )
+from qpoisson.cli import PRESETS
 
 GOLDEN_1X1_DUMP = """\
 CU q[0] (dim=2, label=load_b)
@@ -76,18 +78,38 @@ def test_qft_fragment_matches_dft():
 
 def test_fragment_inversion_is_exact():
     gates = qc.qft_fragment((0, 1, 2)) + [
-        qc.ry(1, 0.7),
+        qc.multi_controlled_ry((), 1, 0.7),
         qc.multi_controlled_x((0, 2), 1),
-        qc.phase(2, -1.1),
+        qc.controlled_unitary((), (2,), np.diag([1.0, np.exp(-1.1j)])),
     ]
     u = sim.fragment_unitary(gates, 3)
     u_inv = sim.fragment_unitary(qc.invert_fragment(gates), 3)
     assert np.max(np.abs(u_inv @ u - np.eye(8))) < 1e-12
 
 
+def test_every_ir_kind_is_emitted_on_the_table1_grid():
+    """A kind no builder emits is an alias of another: the IR must not define one."""
+    kinds = {value for name, value in vars(qc).items()
+             if name in qc.__all__ and name.isupper() and isinstance(value, str)}
+    emitted = set()
+    for preset in PRESETS.values():
+        system = PoissonSystem(n=preset["n"], b=np.asarray(preset["b"]))
+        for f in (0, 4, 8):
+            fmt = default_format(system.n, f, 16)
+            circuits = [build_phase_verification(system, fmt, system.b)]
+            for mode in qc.MODES:
+                for phase_mode in qc.PHASE_MODES:
+                    try:
+                        circuits.append(build_pipeline(system, fmt, mode, phase_mode))
+                    except ResourceError:  # explicit layouts over the budget
+                        continue
+            emitted.update(g.kind for circuit in circuits for g in circuit.gates)
+    assert emitted == kinds
+
+
 def test_invert_gate_kinds():
     assert qc.invert_gate(qc.hadamard(0)).kind == qc.HADAMARD
-    assert qc.invert_gate(qc.ry(0, 0.5)).angle == -0.5
+    assert qc.invert_gate(qc.multi_controlled_ry((), 0, 0.5)).angle == -0.5
     cu = qc.controlled_unitary((0,), (1,), np.diag([1.0, 1j]))
     inv = qc.invert_gate(cu)
     assert np.allclose(inv.matrix, np.diag([1.0, -1j]))

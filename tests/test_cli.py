@@ -141,6 +141,24 @@ def test_verify_phase_mixed_input(capsys, tmp_path):
     assert "(decimal 9)" in out and "(decimal 32)" in out and "(decimal 54)" in out
 
 
+def test_verify_phase_sampled_artifact_is_reproducible(capsys, tmp_path):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        code, out, _ = run_cli(
+            capsys,
+            "verify-phase", "--preset", "table1-3x3", "--f", "4", "--eigen-index", "2",
+            "--backend", "sample", "--shots", "100000", "--seed", "5", "--output", str(path),
+        )
+        assert code == 0 and f"wrote {path}" in out
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    payload = json.loads(paths[0].read_text())
+    assert payload["rng"] == "PCG64" and "probabilities" not in payload
+    histogram = payload["histogram"]
+    width = 2 * 2 + 2 + 4  # reg E: i = 2n + 2 integer bits and f = 4 fraction bits
+    assert histogram and all(re.fullmatch(f"[01]{{{width}}}", bits) for bits in histogram)
+    assert sum(histogram.values()) == 100000
+
+
 def test_verify_phase_input_flag_conflicts(capsys):
     code, _, err = run_cli(
         capsys,
@@ -352,10 +370,17 @@ def test_bad_config_value_exits_2(capsys, tmp_path, field, command):
 
 def test_malformed_noise_model_exits_2(capsys, tmp_path):
     path = tmp_path / "noise.json"
-    path.write_text(json.dumps({"0": {"p01": 0.01}, "1": {"p01": 0.01, "p10": 0.02}}))
-    code, _, err = run_cli(capsys, "mitigate-demo", "--noise-model", str(path))
-    assert code == 2
-    assert "p10" in err
+    cases = [
+        ({"0": {"p01": 0.01}, "1": {"p01": 0.01, "p10": 0.02}}, "p10"),
+        # the 3x3 default problem has n = 2 measured bits
+        ({str(q): {"p01": 0.01, "p10": 0.02} for q in range(3)},
+         "noise model width 3 does not match n = 2"),
+    ]
+    for model, message in cases:
+        path.write_text(json.dumps(model))
+        code, out, err = run_cli(capsys, "mitigate-demo", "--noise-model", str(path))
+        assert code == 2 and out == ""
+        assert message in err
 
 
 def test_programming_error_is_not_reported_as_bad_input(monkeypatch):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from qpoisson import (
     build_matrix,
     eigenpairs,
     exact_solve,
-    load_system,
 )
 from qpoisson.model import MAX_MODEL_DIM, square_safe
 
@@ -126,27 +123,3 @@ def test_matrix_budget():
     for build in (build_matrix, eigenpairs):
         with pytest.raises(ResourceError):
             build(system)
-
-
-def test_load_system_roundtrip(tmp_path):
-    path = tmp_path / "problem.json"
-    path.write_text(json.dumps({"n": 2, "b": [0.5, 0.25, 0.25]}), encoding="utf-8")
-    system = load_system(str(path))
-    assert system.n == 2
-    assert np.allclose(system.b, [0.5, 0.25, 0.25])
-
-
-def test_load_system_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"b": [1.0]}), encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_system(str(path))
-
-
-def test_load_system_accepts_only_d_1(tmp_path):
-    path = tmp_path / "problem.json"
-    path.write_text(json.dumps({"n": 2, "b": [1.0, 1.0, 1.0], "d": 1}), encoding="utf-8")
-    assert load_system(str(path)).n == 2
-    path.write_text(json.dumps({"n": 2, "b": [1.0, 1.0, 1.0], "d": 2}), encoding="utf-8")
-    with pytest.raises(ValueError, match="only d = 1"):
-        load_system(str(path))

@@ -258,10 +258,7 @@ def test_fidelity_estimate():
     assert fidelity_estimate(0) == 1.0
     assert fidelity_estimate(1) == pytest.approx(0.92)
     assert fidelity_estimate(10) < fidelity_estimate(9)
-    assert fidelity_estimate(10, gate_accuracy=0.99) > fidelity_estimate(10, gate_accuracy=0.92)
     # depth of a grown problem washes the signal out entirely
     assert fidelity_estimate(5500) < 1e-190
     with pytest.raises(ValueError):
         fidelity_estimate(-1)
-    with pytest.raises(ValueError):
-        fidelity_estimate(5, gate_accuracy=0.0)

@@ -61,6 +61,11 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return qmat * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def phase(q: int, angle: float) -> qc.Gate:
+    """The single-qubit phase diag(1, e^(i angle)), an uncontrolled diagonal CU."""
+    return qc.controlled_unitary((), (q,), np.diag([1.0, np.exp(1j * angle)]))
+
+
 def random_circuit(seed: int, with_basis: bool) -> qc.Circuit:
     """Gates chosen to hit every lowering rule, in random order and places.
 
@@ -98,7 +103,7 @@ def random_circuit(seed: int, with_basis: bool) -> qc.Circuit:
             for _ in range(int(rng.integers(1, 4))):
                 a, b = pick(2)
                 gates.append(qc.controlled_phase(a, b, float(rng.uniform(-3, 3))))
-                gates.append(qc.phase(a, float(rng.uniform(-3, 3))))
+                gates.append(phase(a, float(rng.uniform(-3, 3))))
         elif choice == 3:  # controlled dense CU on two targets
             c, *targets = pick(3)
             gates.append(qc.controlled_unitary((c,), targets, random_unitary(4, rng)))
@@ -107,13 +112,13 @@ def random_circuit(seed: int, with_basis: bool) -> qc.Circuit:
             wraps = [qc.pauli_x(ctrls[0])]
             gates += wraps + [qc.multi_controlled_x(ctrls, target)] + wraps
             if rng.random() < 0.5:  # a phase that reads the flipped target
-                gates.append(qc.phase(target, float(rng.uniform(-3, 3))))
+                gates.append(phase(target, float(rng.uniform(-3, 3))))
         elif choice == 5:
             gates.append(qc.pauli_x(pick(1)[0]))
         elif choice == 6:
             gates.append(qc.hadamard(pick(1)[0]))
         elif choice == 7:
-            gates.append(qc.ry(pick(1)[0], float(rng.uniform(-3, 3))))
+            gates.append(qc.multi_controlled_ry((), pick(1)[0], float(rng.uniform(-3, 3))))
         elif choice == 8:  # uncontrolled dense on the block (flushes the pending one)
             gates.append(qc.controlled_unitary((), block, random_unitary(4, rng)))
         elif choice == 9:  # walk-style power in the recorded eigenbasis
@@ -400,6 +405,21 @@ def test_readout_matches_the_full_state_on_random_circuits(seed, kind, data):
     assert abs(success - want_success) < 1e-12
 
 
+def test_readout_reads_a_slab_ancilla():
+    """Hadamards on every qubit: the PREP is the whole plan, so every qubit is a slab qubit."""
+    circuit = qc.Circuit(RegisterLayout(2, 1, 0), tuple(qc.hadamard(g) for g in range(4)), {})
+    plan, k, _, _ = sim._readout_plan(circuit, None)
+    assert [p.kind for p in plan.passes] == ["PREP"] and k == 4  # the ancilla among them
+    full = sim.run_exact(circuit)
+    solution, success = sim.readout(circuit)
+    want_solution, want_success = sim.postselect(full, circuit.layout)
+    assert np.max(np.abs(solution - want_solution)) < 1e-15
+    assert success == pytest.approx(want_success, abs=1e-15) and success == pytest.approx(0.5)
+    for qubits in [(3, 0, 1), (2,), (1, 3)]:
+        probs = sim.readout(circuit, qubits)
+        assert np.max(np.abs(probs - sim.register_probabilities(full, qubits))) < 1e-15
+
+
 def test_readout_refuses_a_plan_whose_norm_drifts(monkeypatch, sys_3x3):
     """One entry of one phase table off by 1%: a single slab drifts, and every reader raises."""
     built = build_pipeline(sys_3x3, FixedPointFormat(6, 2, 8), "fused")
@@ -463,11 +483,11 @@ def test_explicit_solves_run_on_their_live_qubits(name, f, live):
     assert np.max(np.abs(solution - closed_form(system, default_format(system.n, f, 16)))) < 1e-9
 
 
-_x, _mcx, _ry, _mcry = qc.pauli_x, qc.multi_controlled_x, qc.ry, qc.multi_controlled_ry
+_x, _mcx, _mcry = qc.pauli_x, qc.multi_controlled_x, qc.multi_controlled_ry
 # name: (qubits, gates, the GATE and RY passes they lower to)
 SEGMENT_CASES = {
     # the first rotation runs alone; the second opens a segment of its own
-    "two-targets": (5, [_mcry((1, 2), 0, 0.7), _ry(3, -1.1), _mcry((2,), 3, 0.4)],
+    "two-targets": (5, [_mcry((1, 2), 0, 0.7), _mcry((), 3, -1.1), _mcry((2,), 3, 0.4)],
                     ["GATE", "RY"]),
     "x-on-target": (4, [_mcry((1,), 0, 0.7), _x(0), _mcry((1,), 0, -0.3)],
                     ["GATE", "GATE", "RY"]),
@@ -517,7 +537,7 @@ def test_hadamards_alone_end_their_prologue_at_finish():
 ])
 def test_hadamard_runs_are_one_pass_each(targets, runs):
     # the RY pass ends the prologue, so every run is an H pass
-    circuit = _circuit(4, [qc.ry(1, 0.3)] + [qc.hadamard(t) for t in targets])
+    circuit = _circuit(4, [_mcry((), 1, 0.3)] + [qc.hadamard(t) for t in targets])
     plan = sim.lower(circuit)
     assert [p.kind for p in plan.passes] == ["RY"] + ["H"] * len(runs)
     assert [p.axes for p in plan.passes[1:]] == runs
@@ -545,8 +565,11 @@ HELD_CASES = {
                        _mcx((0,), 3), _mcry((4,), 2, 0.3), _mcry((), 2, -0.5)], (3, 4)),
     # qubits 2 and 3 only carry phases; the second DIAG pass acts on them alone
     "diag-axis": (4, [_h(0), _h(1), _cphase(0, 2, 0.9), _cu((1,), (3,), np.diag([1j, -1])),
-                      qc.phase(1, 0.4), _h(0), qc.phase(2, 0.5), _cphase(2, 3, 0.2)], (2, 3)),
+                      phase(1, 0.4), _h(0), phase(2, 0.5), _cphase(2, 3, 0.2)], (2, 3)),
     "untouched": (4, [_h(0), _h(2), _cphase(0, 2, 0.4), _load((1, 2), 3), _h(1)], (3,)),
+    # an uncontrolled diagonal CU is a DIAG term, so it only reads its qubits
+    "uncontrolled-diagonal": (4, [_h(0), _cu((), (1, 2), np.diag([1, 1j, -1, -1j])),
+                                  _cphase(0, 3, 0.6)], (1, 2, 3)),
     # an X outside a rotation segment runs as a GATE pass, which may write anything
     "x-outside-a-segment": (4, [_h(0), _x(3), _cphase(0, 3, 0.7)], ()),
     "gate-pass": (4, [_h(0), _h(1), qc.swap(0, 1), _cphase(1, 2, 0.3)], ()),
@@ -564,8 +587,11 @@ def test_run_exact_holds_the_qubits_no_pass_writes(case):
 # test_back_to_back_dense_unitaries ends a prologue with a non-consecutive CU
 PROLOGUE_CASES = {
     "fold": ([_load((1, 2), 1), qc.hadamard(3), _load((1, 2), 2)], [("PREP", (1, 2))]),
-    "diag": ([_load((1, 2), 1), qc.phase(1, 0.4), _load((1, 2), 2)],
+    "diag": ([_load((1, 2), 1), phase(1, 0.4), _load((1, 2), 2)],
              [("PREP", (1, 2)), ("DIAG", (1,)), ("DENSE", (1, 2))]),
+    # a leading diagonal CU ends the prologue instead of folding into it
+    "leading-diag": ([phase(1, 0.4), _load((1, 2), 1)],
+                     [("PREP", ()), ("DIAG", (1,)), ("DENSE", (1, 2))]),
     "hadamard-on-prep-axes": ([_load((1, 2), 1), qc.hadamard(2)],
                               [("PREP", (1, 2)), ("H", (2,))]),
 }
@@ -608,7 +634,7 @@ def test_lone_swap_runs_through_apply_gate(reader):
     load = qc.controlled_unitary((), (1, 2), random_orthogonal(4, rng), label="load")
     after = {
         "RY": [qc.multi_controlled_ry((0,), 3, 0.7), qc.multi_controlled_ry((1, 2), 3, -1.2)],
-        "DIAG": [qc.controlled_phase(0, 1, 0.9), qc.phase(2, -0.4)],
+        "DIAG": [qc.controlled_phase(0, 1, 0.9), phase(2, -0.4)],
     }[reader]
     circuit = _circuit(5, [qc.hadamard(0), load, qc.swap(0, 2)] + after)
     plan = sim.lower(circuit)

@@ -38,11 +38,9 @@ def reference_matrix(gate: qc.Gate, q: int) -> np.ndarray:
     }
     for src in range(dim):
         kind = gate.kind
-        if kind in (qc.RY, qc.MULTI_CONTROLLED_RY):
+        if kind == qc.MULTI_CONTROLLED_RY:
             c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)
             u = np.array([[c, -s], [s, c]], dtype=complex)
-        elif kind == qc.PHASE:
-            u = np.diag([1.0, np.exp(1j * gate.angle)])
         elif kind in (qc.PAULI_X, qc.MULTI_CONTROLLED_X):
             u = two_by_two[qc.PAULI_X]
         elif kind == qc.HADAMARD:
@@ -87,9 +85,10 @@ def random_gate(rng: np.random.Generator, q: int) -> qc.Gate:
     if choice == 1:
         return qc.pauli_x(qubits[0])
     if choice == 2:
-        return qc.ry(qubits[0], float(rng.uniform(-3, 3)))
-    if choice == 3:
-        return qc.phase(qubits[0], float(rng.uniform(-3, 3)))
+        return qc.multi_controlled_ry((), qubits[0], float(rng.uniform(-3, 3)))
+    if choice == 3:  # an uncontrolled phase
+        angle = float(rng.uniform(-3, 3))
+        return qc.controlled_unitary((), qubits[:1], np.diag([1.0, np.exp(1j * angle)]))
     if choice == 4:
         return qc.swap(qubits[0], qubits[1])
     if choice == 5:
@@ -114,7 +113,7 @@ def test_kernel_matches_reference_on_random_circuits(seed):
 def test_single_gate_trivials():
     state = sim.apply_gate(sim.zero_state(1), qc.hadamard(0))
     assert np.allclose(state.amps, [2 ** -0.5, 2 ** -0.5])
-    state = sim.apply_gate(sim.zero_state(1), qc.ry(0, math.pi))
+    state = sim.apply_gate(sim.zero_state(1), qc.multi_controlled_ry((), 0, math.pi))
     assert np.allclose(state.amps, [0.0, 1.0])
 
 
