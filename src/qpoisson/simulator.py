@@ -53,8 +53,25 @@ pass.  Buffer axis k then holds the k-th live qubit.
 
 readout computes only what a solve or a phase read takes from the final
 state: the clean block (reg B where the ancilla reads 1 and reg E and reg A
-read 0) with its ancilla = 1 weight, or the marginal over some qubits.  It
-runs the same plan in three parts: the PREP, a middle segment, and a tail.
+read 0) with its ancilla = 1 weight, or the marginal over some qubits.
+
+- Overlap.  An exact solve of [load] + C + R + C^-1, the circuit
+  build_pipeline emits, never runs the uncompute C^-1.  The IR must show
+  the mirror: each gate after the rotation segment R is the inverse of its
+  mirror in C.  R must lower to one RY pass on the ancilla, which C never
+  touches.  Only the plan of [load] + C runs, slab by slab over reg B's
+  walk eigenbasis with the ancilla held, so each slab is half as wide.
+  Slab b (PREP amplitude beta_b, reg E distribution p_b, RY sin table s)
+  reduces to its clean-block entry beta_b sum_E p_b(E) s(E) and its weight
+  |beta_b|^2 sum_E p_b(E) s(E)^2; the final V then runs on the 2**n block.
+  This is the HHL amplitude <0_E 0_A 1_anc| C^-1 R C |b> (Harrow, Hassidim
+  and Lloyd, PRL 103, 150502, 2009).  The norm summed over the compute
+  half's slabs must stay 1 within 1e-9.  Any other circuit, and every
+  marginal read (a sampled solve, a phase read), runs the slab readout
+  below.
+
+Otherwise readout runs the whole plan in three parts: the PREP, a middle
+segment, and a tail.
 
 - Tail.  The trailing H and DENSE passes on pairwise distinct qubits
   commute.  A trailing H on qubits the readout projects onto |0> is a sum
@@ -280,6 +297,8 @@ _SHORT_TAIL = 32
 _BASIS_TOL = 1e-12
 # Amplitudes per np.fft call of a QFT pass (4 MiB of complex128).
 _DFT_BLOCK = 1 << 18
+# The gate kinds a rotation segment is made of.
+_SEGMENT_KINDS = (cg.PAULI_X, cg.MULTI_CONTROLLED_X, cg.MULTI_CONTROLLED_RY)
 
 
 @dataclass(frozen=True, eq=False)
@@ -536,10 +555,19 @@ def _diag_table(terms, q: int) -> tuple[tuple[int, ...], np.ndarray]:
     return tuple(axes), table
 
 
-def _same_gate(a: Gate, b: Gate) -> bool:
+def _same_gate(a: Gate, b: Gate, inverse: bool = False) -> bool:
+    """a is b, or with inverse b's inverse (its matrix's adjoint, no gate built).
+
+    Matrices compare to 1e-12.  Only H, CU and SWAP gates reach it (an
+    inverse is only asked of gates ahead of the first rotation segment),
+    so no angle is compared.
+    """
     if (a.kind, a.targets, a.controls) != (b.kind, b.targets, b.controls):
         return False
-    return a.matrix is None or float(np.max(np.abs(a.matrix - b.matrix))) <= 1e-12
+    if a.matrix is None:
+        return True
+    want = b.matrix.conj().T if inverse else b.matrix
+    return float(np.max(np.abs(a.matrix - want))) <= 1e-12
 
 
 def _fourier_at(gates: Sequence[Gate], i: int):
@@ -591,6 +619,13 @@ def _hadamards_at(gates: Sequence[Gate], i: int) -> tuple[int, ...]:
     return tuple(axes)
 
 
+def _segment_end(gates: Sequence[Gate], i: int) -> int:
+    """End of the longest run of X, MCX and MCRY gates from i."""
+    while i < len(gates) and gates[i].kind in _SEGMENT_KINDS:
+        i += 1
+    return i
+
+
 def _rotation_at(gates: Sequence[Gate], i: int, cap: int):
     """(target, qubits, angles, length) if gates[i:] opens a rotation segment.
 
@@ -602,11 +637,7 @@ def _rotation_at(gates: Sequence[Gate], i: int, cap: int):
     pattern returns to itself, the run is one multiplexed Ry with
     angles[pattern] (qubits MSB first); otherwise this returns None.
     """
-    end = i
-    while end < len(gates) and gates[end].kind in (
-        cg.PAULI_X, cg.MULTI_CONTROLLED_X, cg.MULTI_CONTROLLED_RY
-    ):
-        end += 1
+    end = _segment_end(gates, i)
     run = [(g, g.kind in (cg.PAULI_X, cg.MULTI_CONTROLLED_X)) for g in gates[i:end]]
     targets = {g.targets[0] for g, flip in run if not flip}
     if len(targets) != 1 or any(flip and targets & {*_controls(g), *g.targets} for g, flip in run):
@@ -891,11 +922,78 @@ def _readout_plan(circuit: Circuit, qubits: tuple[int, ...] | None):
         else:
             run.append(p)
     plan = Plan(layout.total, tuple(run))
-    k = 0
-    if run and run[0].kind == "PREP":
-        later, live = Plan(layout.total, tuple(run[1:])).live(), plan.live()
-        k = next((i for i, g in enumerate(live) if g in later), len(live))
-    return plan, k, tuple(summed), tuple(closing)
+    return plan, _slab_count(plan), tuple(summed), tuple(closing)
+
+
+def _slab_count(plan: Plan) -> int:
+    """How many of plan's leading live qubits its opening PREP writes and no later pass does."""
+    if not plan.passes or plan.passes[0].kind != "PREP":
+        return 0
+    later, live = Plan(plan.q, plan.passes[1:]).live(), plan.live()
+    return next((i for i, g in enumerate(live) if g in later), len(live))
+
+
+def _overlap_plan(circuit: Circuit):
+    """(compute, k, ry, closing) when readout may read the clean block as an overlap, else None.
+
+    The circuit must be [load] + C + R + C^-1, recognized in the IR: R is
+    the run of X, MCX and MCRY gates after C, and each gate after R is the
+    inverse of its mirror in C (_same_gate; no inverse gate is built).  The
+    load is an uncontrolled CU on reg B, and C never touches the ancilla and
+    has only controlled CUs, so the PREP holds the load, C's opening
+    Hadamards and at most the V^T that closing undoes.  [load] + C + R is
+    lowered once, and must be compute, one RY pass on the ancilla, and
+    closing (DENSE passes on reg B: the owed V).  compute must leave its k
+    leading live qubits as slab qubits, with reg B among them (k >= n).
+    """
+    layout, gates = circuit.layout, circuit.gates
+    i = next((i for i, g in enumerate(gates) if g.kind in _SEGMENT_KINDS), 0)
+    end = _segment_end(gates, i)
+    if i == 0 or len(gates) - end != i - 1:
+        return None
+    load, compute = gates[0], gates[1:i]
+    if ((load.kind, load.controls, load.targets) != (cg.CONTROLLED_UNITARY, (), layout.reg_b)
+            or any(layout.ancilla in g.qubits or g.kind == cg.CONTROLLED_UNITARY and not g.controls
+                   for g in compute)
+            or not all(_same_gate(a, b, inverse=True) for a, b in zip(gates[end:], compute[::-1]))):
+        return None
+    passes = _lowered(Circuit(layout, gates[:end], circuit.metadata)).passes
+    r = next((r for r, p in enumerate(passes) if p.kind == "RY"), 0)
+    plan = Plan(layout.total, passes[:r])
+    k = _slab_count(plan)
+    if (not r or passes[r].axes != (layout.ancilla,) or k < layout.b_width
+            or any((p.kind, p.axes) != ("DENSE", layout.reg_b) for p in passes[r + 1:])):
+        return None
+    return plan, k, passes[r], passes[r + 1:]
+
+
+def _overlap(plan: Plan, k: int, ry: Pass, layout: RegisterLayout):
+    """(block, weight): the clean block in the walk frame, before closing, and its weight.
+
+    Past the PREP, C is block diagonal over reg B's values b in that frame.
+    Slab j of the compute half holds beta_b u_b on j's bits, where b is j's
+    reg B bits, beta_b the PREP's reg B amplitude and u_b the unit vector
+    that C leaves on the other qubits.  The RY pass puts s u_b on ancilla =
+    1 (s its sin table), and C^-1 projected onto reg E = reg A = 0 reads
+    that branch against u_b.  So block[b] = beta_b sum p_b s, with p_b =
+    |u_b|^2 summed onto the RY controls in the buffer, and the weight is
+    sum_b |beta_b|^2 sum p_b s^2.  The RY controls off the buffer read
+    their fixed bits in the sin table.
+    """
+    n, prep = layout.b_width, plan.passes[0]
+    beta = prep.data * 2 ** (len(prep.controls) / 2)  # the PREP's 2**(-k/2) off
+    live = plan.live()
+    axis = {g: a for a, g in enumerate(live[k:])}
+    read = tuple(g for g in ry.controls if g in axis)
+    overlap, weight = np.zeros(2 ** n), 0.0
+    for j, (fixed, amps) in enumerate(_slabs(plan.passes, live[:k], axis)):
+        sin = _on_live(ry, axis, fixed).data[1].real
+        probs = _marginal([(fixed, amps)], axis, read)  # |beta_b|^2 p_b
+        overlap[j >> (k - n)] += probs @ sin
+        weight += float(probs @ np.square(sin))
+    # |beta_b|^2 sum p_b s / conj(beta_b); a reg B value the PREP leaves empty reads 0
+    block = np.divide(overlap, beta.conj(), out=np.zeros_like(beta), where=beta != 0)
+    return block, weight
 
 
 def _check_qubits(qubits: Sequence[int], q: int) -> tuple[int, ...]:
@@ -1011,22 +1109,29 @@ def readout(circuit: Circuit, qubits: Sequence[int] | None = None):
     postselect(run_exact(circuit), circuit.layout) returns them and with
     its checks.  Otherwise the marginal probabilities over qubits (distinct
     qubit indices, read MSB first), as register_probabilities(run_exact(
-    circuit), qubits).  The plan runs slab by slab: PREP writes each slab,
-    the middle passes run on it, and the tail is folded into the reduction
-    or dropped (see _readout_plan).  Only one slab of 2**(live - k)
-    amplitudes is held at a time.
+    circuit), qubits).  A solve of a mirror circuit reads the compute half
+    as an overlap (see _overlap_plan and _overlap).  Otherwise the plan runs
+    slab by slab: PREP writes each slab, the middle passes run on it, and
+    the tail is folded into the reduction or dropped (see _readout_plan).
+    Only one slab of 2**(live - k) amplitudes is held at a time.
     """
     layout = circuit.layout
     if qubits is not None:
         qubits = _check_qubits(qubits, layout.total)
-    plan, k, summed, closing = _readout_plan(circuit, qubits)
-    live = plan.live()
-    axis = {g: a for a, g in enumerate(live[k:])}
-    slabs = _slabs(plan.passes, live[:k], axis)
-    if qubits is not None:
-        return _marginal(slabs, axis, qubits)
-    block, success = _clean_block(slabs, axis, layout, summed)
-    block = block.reshape((2,) * layout.b_width) * 0.5 ** (len(summed) / 2)
+    overlap = _overlap_plan(circuit) if qubits is None else None
+    if overlap is not None:
+        plan, k, ry, closing = overlap
+        block, success = _overlap(plan, k, ry, layout)
+    else:
+        plan, k, summed, closing = _readout_plan(circuit, qubits)
+        live = plan.live()
+        axis = {g: a for a, g in enumerate(live[k:])}
+        slabs = _slabs(plan.passes, live[:k], axis)
+        if qubits is not None:
+            return _marginal(slabs, axis, qubits)
+        block, success = _clean_block(slabs, axis, layout, summed)
+        block *= 0.5 ** (len(summed) / 2)
+    block = block.reshape((2,) * layout.b_width)
     for p in closing:  # reg B leads the layout: qubit g is block axis g
         _apply_dense(block, p.axes, p.data)
     return _solution(block.reshape(-1), success)

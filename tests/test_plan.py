@@ -279,7 +279,7 @@ def test_wide_fused_readout_holds_one_slab():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20  # one 2**19-amplitude slab is 8 MiB
+    assert peak < 32 * 2**20  # one 2**18-amplitude slab of the compute half is 4 MiB
     assert np.max(np.abs(solution - closed_form(system, fmt))) < 1e-9
 
 
@@ -303,6 +303,8 @@ def test_readout_matches_the_full_state_on_the_grid(name, f, phase_mode):
             continue
         built[resolved] = circuit
     for circuit in built.values():
+        # the exact solve reads the compute half as an overlap
+        assert sim._overlap_plan(circuit) is not None
         layout, full = circuit.layout, sim.run_exact(circuit)
         solution, success = sim.readout(circuit)
         want_solution, want_success = sim.postselect(full, layout)
@@ -320,6 +322,150 @@ def test_readout_matches_the_full_state_on_the_grid(name, f, phase_mode):
     assert np.max(np.abs(probs - sim.register_probabilities(full, reg_e))) <= 1e-15
     assert np.array_equal(sim.draw_counts(probs, 10**6, seed=3),
                           sim.sample_counts(full, reg_e, 10**6, seed=3))
+
+
+def raw_readouts(circuit: qc.Circuit):
+    """readout's and postselect(run_exact)'s clean blocks and weights, before _solution."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_solution", lambda block, success: (block, success))
+        return sim.readout(circuit), sim.postselect(sim.run_exact(circuit), circuit.layout)
+
+
+def _near_mirror(case: str) -> qc.Circuit:
+    """A 3x3 solve changed so that reading it as an overlap would be wrong."""
+    built = build_pipeline(_system("table1-3x3"), default_format(2, 0, 16), "fused", "true_a")
+    layout, gates = built.layout, list(built.gates)
+    mid = next(i for i, g in enumerate(gates) if g.kind == qc.PAULI_X)
+    end = len(gates) - mid + 1  # where the uncompute starts
+    if case == "phase-off":  # one uncompute phase off by 1e-3
+        k = max(k for k, g in enumerate(gates) if g.label.startswith("cphase"))
+        g = gates[k]
+        gates[k] = qc.controlled_unitary(g.controls, g.targets,
+                                         g.matrix @ np.diag([1, np.exp(1e-3j)]))
+    elif case == "hadamard-load":  # the load replaced by a Hadamard on the ancilla
+        gates[0] = qc.hadamard(layout.ancilla)
+    elif case == "diagonal-load":  # a load that lowers to a DIAG pass, not a PREP
+        gates[0] = qc.controlled_unitary((), layout.reg_b, np.diag([1, 1j, -1, -1j]))
+    elif case == "rotation-on-e":  # R rotates a reg E qubit, not the ancilla
+        gates[mid:end] = [qc.multi_controlled_ry(layout.reg_e[:1], layout.reg_e[1], 0.7)]
+    elif case == "hadamard-on-b":  # C writes reg B, which is then no slab axis
+        gates[end:end] = [qc.hadamard(0)]
+        gates[mid:mid] = [qc.hadamard(0)]
+    elif case == "ancilla-phase":  # C ends with a phase the ancilla controls
+        g = qc.controlled_phase(layout.ancilla, layout.reg_e[-1], 1.0)
+        gates[end:end] = [qc.invert_gate(g)]
+        gates[mid:mid] = [g]
+    elif case == "dense-in-c":  # C opens with a dense unitary on reg B, which the PREP folds in
+        g = qc.controlled_unitary((), layout.reg_b, random_orthogonal(4, np.random.default_rng(5)))
+        gates[1:1] = [g]
+        gates.append(qc.invert_gate(g))
+    else:  # "no-uncompute"
+        gates = gates[:end]
+    return qc.Circuit(layout, tuple(gates), built.metadata)
+
+
+@pytest.mark.parametrize("case", ["phase-off", "hadamard-load", "diagonal-load", "rotation-on-e",
+                                  "hadamard-on-b", "ancilla-phase", "dense-in-c", "no-uncompute"])
+def test_readout_falls_back_when_the_circuit_is_no_solve_mirror(case):
+    """The slab readout runs instead, and matches the full state."""
+    circuit = _near_mirror(case)
+    assert sim._overlap_plan(circuit) is None
+    (block, success), (want_block, want_success) = raw_readouts(circuit)
+    assert np.max(np.abs(block - want_block)) < 1e-12
+    assert abs(success - want_success) < 1e-12
+
+
+def test_overlap_reads_no_pass_after_the_rotation_but_the_owed_v(monkeypatch, sys_3x3):
+    """Handed the whole solve's plan, whose rotation the uncompute follows, readout falls back."""
+    built = build_pipeline(sys_3x3, FixedPointFormat(6, 2, 8), "fused")
+    plan = sim.lower(built)
+    monkeypatch.setattr(sim, "lower", lambda circuit: plan)
+    assert sim._overlap_plan(built) is None
+    solution, success = sim.readout(built)
+    want_solution, want_success = sim.postselect(sim.run_exact(built), built.layout)
+    assert np.max(np.abs(solution - want_solution)) < 1e-12
+    assert abs(success - want_success) < 1e-12
+
+
+def random_mirror_circuit(seed: int) -> qc.Circuit:
+    """[load] + C + R + C^-1, as build_pipeline lays out a solve.
+
+    Reg B is qubits 0 and 1, reg E the next m, then the ancilla.  The load
+    is a complex unitary on reg B; C is Hadamards on reg E, then (unless it
+    has none) a walk power, then random walk powers, controlled phases,
+    Fourier fragments and Hadamards; R rotates the ancilla under X-wrapped
+    and MCX-loaded reg E controls.
+    """
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 5))
+    reg_e, anc = list(range(2, 2 + m)), 2 + m
+    basis = random_orthogonal(4, rng)
+    walks = rng.random() < 0.8  # without a walk power there is no V to close with
+
+    def pick(k):
+        return [int(x) for x in rng.permutation(reg_e)[:k]]
+
+    def walk_power():
+        phases = np.exp(1j * rng.uniform(-3, 3, size=4))
+        return qc.controlled_unitary(pick(1), (0, 1), basis @ np.diag(phases) @ basis.T)
+
+    compute = [qc.hadamard(e) for e in reg_e] + ([walk_power()] if walks else [])
+    for _ in range(int(rng.integers(2, 10))):
+        choice = int(rng.integers(0, 4))
+        if choice == 0 and walks:
+            compute.append(walk_power())
+        elif choice == 1:
+            compute.append(qc.controlled_phase(*pick(2), float(rng.uniform(-3, 3))))
+        elif choice == 2:
+            fragment = qc.qft_fragment(reg_e)
+            compute += qc.invert_fragment(fragment) if rng.random() < 0.5 else fragment
+        else:
+            compute += [qc.hadamard(e) for e in pick(int(rng.integers(1, m + 1)))]
+    rotation = []
+    for _ in range(int(rng.integers(1, 4))):
+        controls = pick(int(rng.integers(0, m + 1)))
+        wraps = [qc.pauli_x(c) for c in controls if rng.random() < 0.5]
+        inner = [qc.multi_controlled_ry(controls, anc, float(rng.uniform(-3, 3)))]
+        if controls and rng.random() < 0.5:  # load a control's value from the others
+            load = qc.multi_controlled_x(controls[1:], controls[0])
+            inner = [load] + inner + [load]
+        rotation += wraps + inner + wraps[::-1]
+    load = qc.controlled_unitary((), (0, 1), random_unitary(4, rng), label="load")
+    gates = [load] + compute + rotation + qc.invert_fragment(compute)
+    return qc.Circuit(RegisterLayout(2, m, 0), tuple(gates), {"walk_basis": basis})
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_overlap_readout_matches_the_full_state_on_random_mirror_circuits(seed):
+    """The clean block (complex here) and its weight, before the solution checks."""
+    circuit = random_mirror_circuit(seed)
+    assert sim._overlap_plan(circuit) is not None
+    (block, success), (want_block, want_success) = raw_readouts(circuit)
+    assert np.max(np.abs(block - want_block)) < 1e-12
+    assert abs(success - want_success) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["table1-3x3", "table1-7x7"])
+@pytest.mark.parametrize("f", [0, 4, 8])
+def test_uncompute_leaks_only_with_continuous_phases(name, f):
+    """Leakage: the ancilla = 1 weight that the uncompute leaves outside reg E = 0.
+
+    It is the weight minus the clean block's norm squared, over all 2**n
+    entries.  Encoded walk phases read every eigenvalue exactly, so nothing
+    leaks; true_a phases spread reg E, and the uncompute leaves some behind.
+    """
+    system = _system(name)
+    for phase_mode in ("encoded", "true_a"):
+        built = build_pipeline(system, default_format(system.n, f, 16), "fused", phase_mode)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_solution", lambda block, success: (block, success))
+            block, weight = sim.readout(built)
+        leakage = weight - float(np.vdot(block, block).real)
+        if phase_mode == "encoded":
+            assert abs(leakage) <= 1e-12 * weight
+        else:
+            assert leakage > 1e-12 * weight
 
 
 def test_readout_runs_whole_when_a_middle_pass_writes_reg_b(sys_3x3):
@@ -438,6 +584,26 @@ def test_readout_refuses_a_plan_whose_norm_drifts(monkeypatch, sys_3x3):
     for read in readers:
         with pytest.raises(RuntimeError, match="norm drifted"):
             read()
+
+
+def test_overlap_readout_refuses_a_compute_half_whose_norm_drifts(monkeypatch, sys_3x3):
+    """The same 1% phase table error, in the compute half the overlap runs."""
+    built = build_pipeline(sys_3x3, FixedPointFormat(6, 2, 8), "fused")
+    lower = sim.lower
+
+    def drifting(circuit):
+        plan = lower(circuit)
+        i, diag = next((i, p) for i, p in enumerate(plan.passes) if p.kind == "DIAG")
+        (qubits, values), *rest = diag.data
+        values = values.copy()
+        values[1, 1, 1] *= 1.01  # reg B = 11 and one walk control
+        mutated = sim.Pass("DIAG", diag.axes, data=((qubits, values), *rest))
+        return sim.Plan(plan.q, plan.passes[:i] + (mutated,) + plan.passes[i + 1:])
+
+    monkeypatch.setattr(sim, "lower", drifting)
+    assert sim._overlap_plan(built) is not None
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        sim.readout(built)
 
 
 def _circuit(q: int, gates) -> qc.Circuit:
