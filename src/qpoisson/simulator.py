@@ -56,19 +56,24 @@ state: the clean block (reg B where the ancilla reads 1 and reg E and reg A
 read 0) with its ancilla = 1 weight, or the marginal over some qubits.
 
 - Overlap.  An exact solve of [load] + C + R + C^-1, the circuit
-  build_pipeline emits, never runs the uncompute C^-1.  The IR must show
-  the mirror: each gate after the rotation segment R is the inverse of its
-  mirror in C.  R must lower to one RY pass on the ancilla, which C never
-  touches.  Only the plan of [load] + C runs, slab by slab over reg B's
-  walk eigenbasis with the ancilla held, so each slab is half as wide.
-  Slab b (PREP amplitude beta_b, reg E distribution p_b, RY sin table s)
-  reduces to its clean-block entry beta_b sum_E p_b(E) s(E) and its weight
-  |beta_b|^2 sum_E p_b(E) s(E)^2; the final V then runs on the 2**n block.
-  This is the HHL amplitude <0_E 0_A 1_anc| C^-1 R C |b> (Harrow, Hassidim
-  and Lloyd, PRL 103, 150502, 2009).  The norm summed over the compute
-  half's slabs must stay 1 within 1e-9.  Any other circuit, and every
-  marginal read (a sampled solve, a phase read), runs the slab readout
-  below.
+  build_pipeline emits, runs no pass at all.  The IR must show the mirror:
+  each gate after the rotation segment R is the inverse of its mirror in
+  C.  R must lower to one RY pass on the ancilla, which C never touches,
+  and C must lower to phase estimation: the PREP (load, V^T and the
+  Hadamards on reg E), DIAG passes whose terms each touch at most one
+  reg E qubit, and one QFT or IQFT pass over reg E.  On one value b of
+  reg B in the walk eigenbasis (a slab), reg E is then a product state up
+  to the Fourier pass, whose output factorizes: its distribution p_b is a
+  product of one real factor per qubit, built in O(2**m) with no FFT (for
+  geometric phases, the Fejer kernel of Cleve, Ekert, Macchiavello and
+  Mosca, Proc. R. Soc. A 454, 339, 1998).  Slab b (PREP amplitude beta_b,
+  RY sin table s) reduces to its clean-block entry beta_b sum_E p_b(E)
+  s(E) and its weight |beta_b|^2 sum_E p_b(E) s(E)^2; the final V then
+  runs on the 2**n block.  This is the HHL amplitude <0_E 0_A 1_anc| C^-1
+  R C |b> (Harrow, Hassidim and Lloyd, PRL 103, 150502, 2009).  The norm
+  summed over the slabs must stay 1 within 1e-9.  Any other circuit, and
+  every marginal read (a sampled solve, a phase read), runs the slab
+  readout below.
 
 Otherwise readout runs the whole plan in three parts: the PREP, a middle
 segment, and a tail.
@@ -476,9 +481,8 @@ class _Planner:
             return
         self._settle(_controls(gate) + gate.targets)
         if kind == cg.CONTROLLED_UNITARY:
-            diag = np.diagonal(gate.matrix)
-            if not np.any(gate.matrix - np.diag(diag)):  # controlled or not
-                self._controlled_diag(gate.controls, gate.targets, diag)
+            if _diagonal(gate.matrix):  # controlled or not
+                self._controlled_diag(gate.controls, gate.targets, np.diagonal(gate.matrix))
             elif not gate.controls:
                 self._unitary(gate.targets, gate.matrix)
             else:
@@ -522,6 +526,10 @@ class _Planner:
 
 def _consecutive(qubits) -> bool:
     return tuple(qubits) == tuple(range(qubits[0], qubits[0] + len(qubits)))
+
+
+def _diagonal(matrix: np.ndarray) -> bool:
+    return not np.any(matrix - np.diag(np.diagonal(matrix)))
 
 
 def _controls(gate: Gate) -> tuple[int, ...]:
@@ -862,6 +870,11 @@ def _slabs(passes: Sequence[Pass], slab: tuple[int, ...], axis: dict[int, int]):
             _KERNELS[p.kind](amps, width, _on_live(p, axis, fixed), buf)
         weight += float(np.vdot(amps, amps).real)
         yield fixed, amps
+    _check_norm(weight)
+
+
+def _check_norm(weight: float) -> None:
+    """RuntimeError unless the norm, sqrt(weight), is 1 within 1e-9."""
     drift = abs(math.sqrt(weight) - 1.0)
     if not drift < 1e-9:
         raise RuntimeError(f"norm drifted by {drift:.3e}")
@@ -934,17 +947,19 @@ def _slab_count(plan: Plan) -> int:
 
 
 def _overlap_plan(circuit: Circuit):
-    """(compute, k, ry, closing) when readout may read the clean block as an overlap, else None.
+    """(compute, k, ry, closing) when readout may read the clean block in closed form, else None.
 
     The circuit must be [load] + C + R + C^-1, recognized in the IR: R is
     the run of X, MCX and MCRY gates after C, and each gate after R is the
     inverse of its mirror in C (_same_gate; no inverse gate is built).  The
     load is an uncontrolled CU on reg B, and C never touches the ancilla and
-    has only controlled CUs, so the PREP holds the load, C's opening
+    has only controlled or diagonal CUs (a diagonal one lowers to a DIAG
+    term, never into the PREP), so the PREP holds the load, C's opening
     Hadamards and at most the V^T that closing undoes.  [load] + C + R is
     lowered once, and must be compute, one RY pass on the ancilla, and
     closing (DENSE passes on reg B: the owed V).  compute must leave its k
-    leading live qubits as slab qubits, with reg B among them (k >= n).
+    leading live qubits as slab qubits, with reg B among them (k >= n), and
+    be phase estimation (see _phase_estimation).
     """
     layout, gates = circuit.layout, circuit.gates
     i = next((i for i, g in enumerate(gates) if g.kind in _SEGMENT_KINDS), 0)
@@ -953,8 +968,8 @@ def _overlap_plan(circuit: Circuit):
         return None
     load, compute = gates[0], gates[1:i]
     if ((load.kind, load.controls, load.targets) != (cg.CONTROLLED_UNITARY, (), layout.reg_b)
-            or any(layout.ancilla in g.qubits or g.kind == cg.CONTROLLED_UNITARY and not g.controls
-                   for g in compute)
+            or any(layout.ancilla in g.qubits or g.kind == cg.CONTROLLED_UNITARY
+                   and not g.controls and not _diagonal(g.matrix) for g in compute)
             or not all(_same_gate(a, b, inverse=True) for a, b in zip(gates[end:], compute[::-1]))):
         return None
     passes = _lowered(Circuit(layout, gates[:end], circuit.metadata)).passes
@@ -962,9 +977,59 @@ def _overlap_plan(circuit: Circuit):
     plan = Plan(layout.total, passes[:r])
     k = _slab_count(plan)
     if (not r or passes[r].axes != (layout.ancilla,) or k < layout.b_width
-            or any((p.kind, p.axes) != ("DENSE", layout.reg_b) for p in passes[r + 1:])):
+            or any((p.kind, p.axes) != ("DENSE", layout.reg_b) for p in passes[r + 1:])
+            or not _phase_estimation(plan, k)):
         return None
     return plan, k, passes[r], passes[r + 1:]
+
+
+def _phase_estimation(plan: Plan, k: int) -> bool:
+    """Whether plan makes the qubits past its slab qubits a product state, then transforms them.
+
+    plan must be one PREP, DIAG passes, and one QFT or IQFT pass (or, on one
+    qubit, an H pass: the two-point transform), whose register is the
+    PREP's Hadamard-spread qubits and exactly the live qubits past the k
+    slab qubits.  Each DIAG term may touch at most one qubit outside the
+    slab qubits, so on a slab it scales one register qubit's |0> and |1>.
+    """
+    prep, diags, fourier = plan.passes[0], plan.passes[1:-1], plan.passes[-1]
+    slab, register = set(plan.live()[:k]), plan.live()[k:]
+    return ((fourier.kind in ("QFT", "IQFT") or fourier.kind == "H" and len(register) == 1)
+            and fourier.axes == register == tuple(sorted(prep.controls))
+            and all(p.kind == "DIAG" for p in diags)
+            and all(len(set(qubits) - slab) <= 1 for p in diags for qubits, _ in p.data))
+
+
+def _half_circle(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi t / 2**width for t < 2**(width - 1)."""
+    angles = np.arange(2 ** (width - 1)) * (2 * math.pi / 2 ** width)
+    return np.cos(angles), np.sin(angles)
+
+
+def _fourier_marginal(a: np.ndarray, b: np.ndarray, inverse: bool, read, circle) -> np.ndarray:
+    """|F psi|^2 summed onto the axes in read (ascending), for psi the product of (a_i, b_i).
+
+    F is the orthonormal DFT on w = len(a) qubits, with np.fft.fft's sign
+    if inverse (an IQFT pass) and np.fft.ifft's otherwise (a QFT pass).
+    The transform of a product state factorizes: with qubit i MSB first,
+    p(y) = 2**(-w) prod_i |a_i + b_i e^(-+2 pi i y / 2**(i+1))|^2.  Qubit
+    i's factor |a_i|^2 + |b_i|^2 + h_i(y), h_i = 2 Re(conj(a_i) b_i
+    e^(...)), is real and depends on y mod 2**(i+1) only, and h_i flips
+    sign half a period on, so p is built by doubling in O(2**w).  circle is
+    _half_circle(v) for some v >= w; each qubit takes it strided.
+    """
+    w, (cos, sin) = len(a), circle
+    c, norm = a.conj() * b, np.square(np.abs(a)) + np.square(np.abs(b))
+    p, h = np.empty(2 ** w), np.empty(2 ** w // 2)
+    p[0] = 0.5 ** w
+    for i in range(w):
+        half, step = 1 << i, len(cos) >> i
+        np.multiply(cos[::step], 2 * c[i].real, out=h[:half])
+        h[:half] += (2 * c[i].imag if inverse else -2 * c[i].imag) * sin[::step]
+        p[half : 2 * half] = p[:half]
+        p[half : 2 * half] *= norm[i] - h[:half]
+        p[:half] *= norm[i] + h[:half]
+    return p.reshape((2,) * w).sum(axis=tuple(x for x in range(w) if x not in read)).reshape(-1)
 
 
 def _overlap(plan: Plan, k: int, ry: Pass, layout: RegisterLayout):
@@ -976,21 +1041,38 @@ def _overlap(plan: Plan, k: int, ry: Pass, layout: RegisterLayout):
     that C leaves on the other qubits.  The RY pass puts s u_b on ancilla =
     1 (s its sin table), and C^-1 projected onto reg E = reg A = 0 reads
     that branch against u_b.  So block[b] = beta_b sum p_b s, with p_b =
-    |u_b|^2 summed onto the RY controls in the buffer, and the weight is
+    |u_b|^2 summed onto the RY controls in the register, and the weight is
     sum_b |beta_b|^2 sum p_b s^2.  The RY controls off the buffer read
     their fixed bits in the sin table.
+
+    No pass runs.  On slab j (the PREP writes reg B alone, so j is b) each
+    register qubit has the pair (a_i, b_i): (1, 1) from the PREP's
+    Hadamards, times its DIAG values.  Then |beta_b|^2 p_b = |d_b|^2
+    _fourier_marginal(a, b, ...), d_b = beta_b 2**(-w/2) the PREP's entry,
+    in closed form (the Fejer kernel for geometric phases: Cleve, Ekert,
+    Macchiavello and Mosca, Proc. R. Soc. A 454, 339, 1998).  The norm
+    summed over the slabs must stay 1 within 1e-9.
     """
-    n, prep = layout.b_width, plan.passes[0]
+    n, (prep, *diags, fourier), live = layout.b_width, plan.passes, plan.live()
     beta = prep.data * 2 ** (len(prep.controls) / 2)  # the PREP's 2**(-k/2) off
-    live = plan.live()
     axis = {g: a for a, g in enumerate(live[k:])}
-    read = tuple(g for g in ry.controls if g in axis)
-    overlap, weight = np.zeros(2 ** n), 0.0
-    for j, (fixed, amps) in enumerate(_slabs(plan.passes, live[:k], axis)):
+    read = tuple(axis[g] for g in ry.controls if g in axis)
+    circle = _half_circle(len(axis))
+    overlap, weight, norm = np.zeros(2 ** n), 0.0, 0.0
+    for j in range(2 ** k):
+        fixed = {g: j >> (k - 1 - i) & 1 for i, g in enumerate(live[:k])}
+        pairs = np.ones((2, len(axis)), dtype=complex)
+        for p in diags:
+            for qubits, values in _on_live(p, axis, fixed).data:
+                if qubits:  # a term on slab and held qubits only is a phase that C^-1 undoes
+                    pairs[:, qubits[0]] *= values
+        transform = _fourier_marginal(*pairs, fourier.kind == "IQFT", read, circle)
+        probs = abs(prep.data[j]) ** 2 * transform  # |beta_b|^2 p_b
         sin = _on_live(ry, axis, fixed).data[1].real
-        probs = _marginal([(fixed, amps)], axis, read)  # |beta_b|^2 p_b
         overlap[j >> (k - n)] += probs @ sin
         weight += float(probs @ np.square(sin))
+        norm += float(probs.sum())
+    _check_norm(norm)
     # |beta_b|^2 sum p_b s / conj(beta_b); a reg B value the PREP leaves empty reads 0
     block = np.divide(overlap, beta.conj(), out=np.zeros_like(beta), where=beta != 0)
     return block, weight
@@ -1109,10 +1191,11 @@ def readout(circuit: Circuit, qubits: Sequence[int] | None = None):
     postselect(run_exact(circuit), circuit.layout) returns them and with
     its checks.  Otherwise the marginal probabilities over qubits (distinct
     qubit indices, read MSB first), as register_probabilities(run_exact(
-    circuit), qubits).  A solve of a mirror circuit reads the compute half
-    as an overlap (see _overlap_plan and _overlap).  Otherwise the plan runs
-    slab by slab: PREP writes each slab, the middle passes run on it, and
-    the tail is folded into the reduction or dropped (see _readout_plan).
+    circuit), qubits).  A solve of a phase-estimation mirror circuit reads
+    its clean block in closed form (see _overlap_plan and _overlap).
+    Otherwise the plan runs slab by slab: PREP writes each slab, the middle
+    passes run on it, and the tail is folded into the reduction or dropped
+    (see _readout_plan).
     Only one slab of 2**(live - k) amplitudes is held at a time.
     """
     layout = circuit.layout

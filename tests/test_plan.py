@@ -1,5 +1,6 @@
 """The fused execution plan against the one-gate-at-a-time reference kernel."""
 
+import functools
 import math
 import os
 import subprocess
@@ -279,7 +280,7 @@ def test_wide_fused_readout_holds_one_slab():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20  # one 2**18-amplitude slab of the compute half is 4 MiB
+    assert peak < 32 * 2**20  # the closed form's real tables over reg E's 2**18 values are 2 MiB
     assert np.max(np.abs(solution - closed_form(system, fmt))) < 1e-9
 
 
@@ -303,10 +304,12 @@ def test_readout_matches_the_full_state_on_the_grid(name, f, phase_mode):
             continue
         built[resolved] = circuit
     for circuit in built.values():
-        # the exact solve reads the compute half as an overlap
+        # the exact solve reads phase estimation in closed form: no slab runs
         assert sim._overlap_plan(circuit) is not None
         layout, full = circuit.layout, sim.run_exact(circuit)
-        solution, success = sim.readout(circuit)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_slabs", _no_slabs)
+            solution, success = sim.readout(circuit)
         want_solution, want_success = sim.postselect(full, layout)
         assert np.max(np.abs(solution - want_solution)) < 1e-12
         assert abs(success - want_success) < 1e-12
@@ -322,6 +325,10 @@ def test_readout_matches_the_full_state_on_the_grid(name, f, phase_mode):
     assert np.max(np.abs(probs - sim.register_probabilities(full, reg_e))) <= 1e-15
     assert np.array_equal(sim.draw_counts(probs, 10**6, seed=3),
                           sim.sample_counts(full, reg_e, 10**6, seed=3))
+
+
+def _no_slabs(*args):
+    raise AssertionError("the exact read ran a slab")
 
 
 def raw_readouts(circuit: qc.Circuit):
@@ -355,6 +362,18 @@ def _near_mirror(case: str) -> qc.Circuit:
         g = qc.controlled_phase(layout.ancilla, layout.reg_e[-1], 1.0)
         gates[end:end] = [qc.invert_gate(g)]
         gates[mid:mid] = [g]
+    elif case == "unspread-e":  # C's Fourier register holds a qubit its Hadamards never spread
+        spread = {(g.kind, g.targets) for g in (gates[1], gates[-1])}
+        assert spread == {(qc.HADAMARD, layout.reg_e[:1])}
+        gates = gates[:1] + gates[2:-1]
+    elif case in ("coupled-e", "hadamard-closing"):
+        swap = next(i for i, g in enumerate(gates) if g.kind == qc.SWAP)  # C's IQFT opens here
+        if case == "coupled-e":  # a phase between two reg E qubits: no longer a product state
+            coupling = qc.controlled_phase(*layout.reg_e[:2], 0.7)
+            compute = gates[1:swap] + [coupling] + gates[swap:mid]
+        else:  # a Hadamard layer in place of the IQFT
+            compute = gates[1:swap] + [qc.hadamard(e) for e in layout.reg_e]
+        gates = gates[:1] + compute + gates[mid:end] + qc.invert_fragment(compute)
     elif case == "dense-in-c":  # C opens with a dense unitary on reg B, which the PREP folds in
         g = qc.controlled_unitary((), layout.reg_b, random_orthogonal(4, np.random.default_rng(5)))
         gates[1:1] = [g]
@@ -365,7 +384,8 @@ def _near_mirror(case: str) -> qc.Circuit:
 
 
 @pytest.mark.parametrize("case", ["phase-off", "hadamard-load", "diagonal-load", "rotation-on-e",
-                                  "hadamard-on-b", "ancilla-phase", "dense-in-c", "no-uncompute"])
+                                  "hadamard-on-b", "ancilla-phase", "unspread-e", "coupled-e",
+                                  "hadamard-closing", "dense-in-c", "no-uncompute"])
 def test_readout_falls_back_when_the_circuit_is_no_solve_mirror(case):
     """The slab readout runs instead, and matches the full state."""
     circuit = _near_mirror(case)
@@ -387,20 +407,24 @@ def test_overlap_reads_no_pass_after_the_rotation_but_the_owed_v(monkeypatch, sy
     assert abs(success - want_success) < 1e-12
 
 
-def random_mirror_circuit(seed: int) -> qc.Circuit:
-    """[load] + C + R + C^-1, as build_pipeline lays out a solve.
+def random_mirror_circuit(seed: int, estimation: bool) -> tuple[qc.Circuit, bool]:
+    """[load] + C + R + C^-1, as build_pipeline lays out a solve, and whether C is phase estimation.
 
     Reg B is qubits 0 and 1, reg E the next m, then the ancilla.  The load
-    is a complex unitary on reg B; C is Hadamards on reg E, then (unless it
-    has none) a walk power, then random walk powers, controlled phases,
-    Fourier fragments and Hadamards; R rotates the ancilla under X-wrapped
-    and MCX-loaded reg E controls.
+    is a complex unitary on reg B; R rotates the ancilla under X-wrapped
+    and MCX-loaded reg E controls.  With estimation, C is phase estimation:
+    Hadamards on reg E, a walk power, random walk powers and phases on
+    single reg E qubits, then a Fourier fragment on reg E.  Otherwise C is
+    Hadamards on reg E, then (unless it has none) a walk power, then random
+    walk powers, controlled phases, Fourier fragments and Hadamards; it is
+    phase estimation only when every one of those but a closing Fourier
+    fragment is a walk power.
     """
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(2, 5))
+    m = int(rng.integers(1, 7) if estimation else rng.integers(2, 5))
     reg_e, anc = list(range(2, 2 + m)), 2 + m
     basis = random_orthogonal(4, rng)
-    walks = rng.random() < 0.8  # without a walk power there is no V to close with
+    walks = estimation or rng.random() < 0.8  # without a walk power there is no V to close with
 
     def pick(k):
         return [int(x) for x in rng.permutation(reg_e)[:k]]
@@ -409,18 +433,34 @@ def random_mirror_circuit(seed: int) -> qc.Circuit:
         phases = np.exp(1j * rng.uniform(-3, 3, size=4))
         return qc.controlled_unitary(pick(1), (0, 1), basis @ np.diag(phases) @ basis.T)
 
+    def fragment():
+        fragment = qc.qft_fragment(reg_e)
+        return qc.invert_fragment(fragment) if rng.random() < 0.5 else fragment
+
     compute = [qc.hadamard(e) for e in reg_e] + ([walk_power()] if walks else [])
-    for _ in range(int(rng.integers(2, 10))):
+    if estimation:
+        for _ in range(int(rng.integers(0, 8))):
+            if rng.random() < 0.5:
+                compute.append(walk_power())
+            else:  # an uncontrolled diagonal whose first entry is not 1
+                phases = np.exp(1j * rng.uniform(-3, 3, size=2))
+                compute.append(qc.controlled_unitary((), pick(1), np.diag(phases)))
+        compute += fragment()
+    steps = []
+    for _ in range(0 if estimation else int(rng.integers(2, 10))):
         choice = int(rng.integers(0, 4))
         if choice == 0 and walks:
             compute.append(walk_power())
+            steps.append("walk")
         elif choice == 1:
             compute.append(qc.controlled_phase(*pick(2), float(rng.uniform(-3, 3))))
+            steps.append("phase")
         elif choice == 2:
-            fragment = qc.qft_fragment(reg_e)
-            compute += qc.invert_fragment(fragment) if rng.random() < 0.5 else fragment
+            compute += fragment()
+            steps.append("fourier")
         else:
             compute += [qc.hadamard(e) for e in pick(int(rng.integers(1, m + 1)))]
+            steps.append("hadamards")
     rotation = []
     for _ in range(int(rng.integers(1, 4))):
         controls = pick(int(rng.integers(0, m + 1)))
@@ -432,18 +472,43 @@ def random_mirror_circuit(seed: int) -> qc.Circuit:
         rotation += wraps + inner + wraps[::-1]
     load = qc.controlled_unitary((), (0, 1), random_unitary(4, rng), label="load")
     gates = [load] + compute + rotation + qc.invert_fragment(compute)
-    return qc.Circuit(RegisterLayout(2, m, 0), tuple(gates), {"walk_basis": basis})
+    shaped = estimation or steps[-1] == "fourier" and set(steps[:-1]) <= {"walk"}
+    return qc.Circuit(RegisterLayout(2, m, 0), tuple(gates), {"walk_basis": basis}), shaped
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_overlap_readout_matches_the_full_state_on_random_mirror_circuits(seed):
-    """The clean block (complex here) and its weight, before the solution checks."""
-    circuit = random_mirror_circuit(seed)
-    assert sim._overlap_plan(circuit) is not None
-    (block, success), (want_block, want_success) = raw_readouts(circuit)
-    assert np.max(np.abs(block - want_block)) < 1e-12
-    assert abs(success - want_success) < 1e-12
+    """The clean block (complex here) and its weight, before the solution checks.
+
+    Each seed builds a phase-estimation mirror and a general one: the
+    closed form reads a mirror exactly when its C is phase estimation, and
+    the slab readout reads the others.
+    """
+    for estimation in (True, False):
+        circuit, shaped = random_mirror_circuit(seed, estimation)
+        assert (sim._overlap_plan(circuit) is not None) == shaped
+        (block, success), (want_block, want_success) = raw_readouts(circuit)
+        assert np.max(np.abs(block - want_block)) < 1e-12
+        assert abs(success - want_success) < 1e-12
+
+
+@pytest.mark.parametrize("inverse", [True, False], ids=["iqft", "qft"])
+def test_closed_form_matches_the_fft_of_a_product_state(inverse):
+    """Random product states on 1 to 10 qubits, read whole and on leading and other subsets."""
+    rng = np.random.default_rng(11)
+    transform = np.fft.fft if inverse else np.fft.ifft
+    for w in range(1, 11):
+        pairs = rng.normal(size=(w, 2)) + 1j * rng.normal(size=(w, 2))
+        pairs /= np.linalg.norm(pairs, axis=1, keepdims=True)
+        probs = np.abs(transform(functools.reduce(np.kron, pairs), norm="ortho")) ** 2
+        subset = tuple(sorted(int(x) for x in rng.permutation(w)[: int(rng.integers(1, w + 1))]))
+        for read in [tuple(range(w)), tuple(range((w + 1) // 2)), subset, ()]:
+            others = tuple(x for x in range(w) if x not in read)
+            want = probs.reshape((2,) * w).sum(axis=others).reshape(-1)
+            for circle in (sim._half_circle(w), sim._half_circle(12)):  # strided from wider too
+                got = sim._fourier_marginal(pairs[:, 0], pairs[:, 1], inverse, read, circle)
+                assert np.max(np.abs(got - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("name", ["table1-3x3", "table1-7x7"])
