@@ -134,8 +134,15 @@ def controlled_unitary(
 
 
 def controlled_phase(control: int, target: int, angle: float) -> Gate:
-    m = np.diag([1.0, np.exp(1j * angle)])
-    return controlled_unitary((control,), (target,), m, label=f"cphase({angle:.12g})")
+    """diag(1, e^{i angle}) on target where control reads 1: unitary for any finite real angle."""
+    # float() would drop a numpy complex's imaginary part with only a warning
+    if isinstance(angle, (complex, np.complexfloating)) or not math.isfinite(angle):
+        raise ValueError(f"phase angle must be a finite real, got {angle!r}")
+    _check_distinct((control, target))
+    matrix = np.diag([1.0, np.exp(1j * angle)])
+    matrix.setflags(write=False)
+    return Gate(CONTROLLED_UNITARY, (target,), (control,), matrix=matrix,
+                label=f"cphase({angle:.12g})")
 
 
 def multi_controlled_x(controls: Iterable[int], target: int) -> Gate:
@@ -198,9 +205,11 @@ class Circuit:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for gate in self.gates:
-            if any(q >= self.layout.total for q in gate.qubits):
-                raise ValueError(f"gate {gate.kind} addresses qubits outside the layout")
+        # one check for every gate kind, directly built gates included
+        total = self.layout.total
+        outside = set().union(*(g.controls + g.targets for g in self.gates)) - set(range(total))
+        if outside:
+            raise ValueError(f"gate qubits {sorted(outside)} are outside the {total}-qubit layout")
 
     def dump(self) -> str:
         """One gate per line: KIND [c[..]] q[..] [(params)].  Stable format."""
@@ -213,10 +222,10 @@ def invert_gate(gate: Gate) -> Gate:
         return gate
     if gate.kind == MULTI_CONTROLLED_RY:
         return Gate(gate.kind, gate.targets, gate.controls, angle=-gate.angle, label=gate.label)
-    if gate.kind == CONTROLLED_UNITARY:
-        return controlled_unitary(
-            gate.controls, gate.targets, gate.matrix.conj().T, label=gate.label + "^-1"
-        )
+    if gate.kind == CONTROLLED_UNITARY:  # the adjoint of a checked unitary needs no check
+        matrix = gate.matrix.conj().T.astype(complex, order="C")
+        matrix.setflags(write=False)
+        return Gate(gate.kind, gate.targets, gate.controls, matrix=matrix, label=gate.label + "^-1")
     raise ValueError(f"unknown gate kind {gate.kind}")
 
 

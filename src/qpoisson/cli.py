@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from collections.abc import Sequence
@@ -468,20 +469,26 @@ def cmd_mitigate_demo(cfg: dict) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qpoisson",
-        description="Quantum solver pipeline for the 1D Poisson equation",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
+def _commands() -> dict:
+    """Each subcommand's handler and help text; main looks the handler up when it runs."""
+    return {
         "solve": (cmd_solve, "run the full pipeline"),
         "verify-phase": (cmd_verify_phase, "read the eigenvalue register after QPE"),
         "sweep": (cmd_sweep, "metrics across amplification widths"),
         "resources": (cmd_resources, "resource estimates across sizes"),
         "mitigate-demo": (cmd_mitigate_demo, "readout corrupt/mitigate round trip"),
     }
-    for command, (func, help_text) in commands.items():
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
+    parser = argparse.ArgumentParser(
+        prog="qpoisson",
+        description="Quantum solver pipeline for the 1D Poisson equation",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_text) in _commands().items():
         # no prefix matching: `resources --n` would otherwise read as --n-values
         sub_parser = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for opt in OPTIONS:
@@ -489,19 +496,17 @@ def build_parser() -> argparse.ArgumentParser:
                 parse = _LIST_PARSERS.get(opt.type, opt.type)
                 sub_parser.add_argument(opt.flag, dest=opt.name, type=parse, choices=opt.choices,
                                         help=opt.help)
-        sub_parser.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         cfg = _merge_config(args)
-        return args.func(cfg)
+        return _commands()[args.command][0](cfg)
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

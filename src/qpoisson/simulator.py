@@ -563,19 +563,18 @@ def _diag_table(terms, q: int) -> tuple[tuple[int, ...], np.ndarray]:
     return tuple(axes), table
 
 
-def _same_gate(a: Gate, b: Gate, inverse: bool = False) -> bool:
-    """a is b, or with inverse b's inverse (its matrix's adjoint, no gate built).
+def _inverts(a: Gate, b: Gate) -> bool:
+    """a is b's inverse: b itself, or b with its matrix's adjoint (no gate built).
 
-    Matrices compare to 1e-12.  Only H, CU and SWAP gates reach it (an
-    inverse is only asked of gates ahead of the first rotation segment),
-    so no angle is compared.
+    Matrices compare to 1e-12.  Only H, CU and SWAP gates reach it (it is
+    only asked of gates ahead of the first rotation segment), so no angle is
+    compared.
     """
     if (a.kind, a.targets, a.controls) != (b.kind, b.targets, b.controls):
         return False
     if a.matrix is None:
         return True
-    want = b.matrix.conj().T if inverse else b.matrix
-    return float(np.max(np.abs(a.matrix - want))) <= 1e-12
+    return float(np.max(np.abs(a.matrix - b.matrix.conj().T))) <= 1e-12
 
 
 def _fourier_at(gates: Sequence[Gate], i: int):
@@ -583,9 +582,10 @@ def _fourier_at(gates: Sequence[Gate], i: int):
 
     The width w comes from the opening gates: a forward fragment opens with
     H and w - 1 phases, an inverse one with floor(w/2) swaps.  The register
-    is read off the fragment's Hadamards, then the whole window of
-    w(w+1)/2 + floor(w/2) gates is compared gate by gate (matrices to
-    1e-12) with what the builder emits.
+    is read off the fragment's Hadamards.  The window of w(w+1)/2 + floor(w/2)
+    gates must then hold qft_fragment's kinds, targets and controls, worked
+    out by index arithmetic (reversed for the inverse), and its phases must
+    all be diag(1, e^(+-i pi / 2**(b - a))) to 1e-12; no fragment is built.
     """
     def kind(j):
         return gates[j].kind if j < len(gates) else None
@@ -606,12 +606,23 @@ def _fourier_at(gates: Sequence[Gate], i: int):
         rows = [a * width - a * (a - 1) // 2 for a in range(width)]
         hadamards = [window[length - 1 - r if inverse else r] for r in rows]
         register = tuple(g.targets[0] for g in hadamards)
-        if any(g.kind != cg.HADAMARD for g in hadamards) or len(set(register)) < width:
+        if len(set(register)) < width:  # the kinds are compared with the rest below
             continue
-        fragment = cg.qft_fragment(register)
+        shape, steps = [], []
+        for a, row in enumerate(register):
+            shape.append((cg.HADAMARD, (row,), ()))
+            shape += [(cg.CONTROLLED_UNITARY, (row,), (register[b],)) for b in range(a + 1, width)]
+            steps += range(1, width - a)
+        shape += [(cg.SWAP, (register[a], register[width - 1 - a]), ()) for a in range(width // 2)]
         if inverse:
-            fragment = cg.invert_fragment(fragment)
-        if all(map(_same_gate, window, fragment)):
+            shape.reverse()
+            steps.reverse()
+        if [(g.kind, g.targets, g.controls) for g in window] != shape:
+            continue
+        turns = np.exp((-1j if inverse else 1j) * math.pi / 2.0 ** np.array(steps))
+        want = np.diag([1, 0]) + np.diag([0, 1]) * turns[:, None, None]
+        phases = np.stack([g.matrix for g in window if g.kind == cg.CONTROLLED_UNITARY])
+        if np.max(np.abs(phases - want)) <= 1e-12:
             return register, inverse, length
     return None
 
@@ -681,14 +692,12 @@ def lower(circuit: Circuit) -> Plan:
     i = 0
     while i < len(gates):
         fourier = _fourier_at(gates, i)
-        rotation = _rotation_at(gates, i, planner.table_qubits)
-        hadamards = _hadamards_at(gates, i)
         if fourier is not None and planner.add_qft(fourier[0], fourier[1]):
             i += fourier[2]
-        elif rotation is not None:
+        elif (rotation := _rotation_at(gates, i, planner.table_qubits)) is not None:
             planner.add_rotation(*rotation[:3])
             i += rotation[3]
-        elif hadamards:
+        elif hadamards := _hadamards_at(gates, i):
             planner.add_hadamards(hadamards)
             i += len(hadamards)
         else:
@@ -951,7 +960,7 @@ def _overlap_plan(circuit: Circuit):
 
     The circuit must be [load] + C + R + C^-1, recognized in the IR: R is
     the run of X, MCX and MCRY gates after C, and each gate after R is the
-    inverse of its mirror in C (_same_gate; no inverse gate is built).  The
+    inverse of its mirror in C (_inverts; no inverse gate is built).  The
     load is an uncontrolled CU on reg B, and C never touches the ancilla and
     has only controlled or diagonal CUs (a diagonal one lowers to a DIAG
     term, never into the PREP), so the PREP holds the load, C's opening
@@ -970,7 +979,7 @@ def _overlap_plan(circuit: Circuit):
     if ((load.kind, load.controls, load.targets) != (cg.CONTROLLED_UNITARY, (), layout.reg_b)
             or any(layout.ancilla in g.qubits or g.kind == cg.CONTROLLED_UNITARY
                    and not g.controls and not _diagonal(g.matrix) for g in compute)
-            or not all(_same_gate(a, b, inverse=True) for a, b in zip(gates[end:], compute[::-1]))):
+            or not all(map(_inverts, gates[end:], compute[::-1]))):
         return None
     passes = _lowered(Circuit(layout, gates[:end], circuit.metadata)).passes
     r = next((r for r, p in enumerate(passes) if p.kind == "RY"), 0)

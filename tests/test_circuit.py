@@ -163,6 +163,70 @@ def test_circuit_rejects_out_of_range_gates():
         qc.Circuit(layout=layout, gates=(qc.hadamard(7),), metadata={})
 
 
+def test_circuit_refuses_negative_qubits():
+    layout = RegisterLayout(1, 1, 0)
+    # pauli_x(-2) would flip qubit 1 and hadamard(-1) would hold every qubit
+    with pytest.raises(ValueError, match=r"qubits \[-2\] are outside"):
+        sim.run_exact(qc.Circuit(layout, (qc.pauli_x(-2),)))
+    with pytest.raises(ValueError, match=r"qubits \[-1\] are outside"):
+        sim.run_exact(qc.Circuit(layout, (qc.hadamard(-1),)))
+    # one check covers every kind, directly built gates included
+    matrix = np.eye(2, dtype=complex)
+    for gate in (qc.Gate(qc.SWAP, (0, -1)), qc.Gate(qc.MULTI_CONTROLLED_X, (0,), (-1,)),
+                 qc.Gate(qc.MULTI_CONTROLLED_RY, (-1,), (0,), angle=0.3),
+                 qc.Gate(qc.CONTROLLED_UNITARY, (1,), (-3,), matrix=matrix),
+                 qc.Gate(qc.CONTROLLED_UNITARY, (3,), (0,), matrix=matrix)):
+        with pytest.raises(ValueError, match="outside the 3-qubit layout"):
+            qc.Circuit(layout, (qc.hadamard(0), gate))
+    assert qc.Circuit(layout, (qc.Gate(qc.SWAP, (0, 2)), qc.pauli_x(1))).gates
+
+
+def test_controlled_phase_refuses_what_can_fail():
+    for bad in (np.nan, np.inf, -np.inf, float("nan")):
+        with pytest.raises(ValueError, match="finite real"):
+            qc.controlled_phase(0, 1, bad)
+    for bad in (0.5 + 0j, 1j, np.complex128(0.5), np.complex64(0.25 + 1j)):
+        with pytest.raises(ValueError, match="finite real"):
+            qc.controlled_phase(0, 1, bad)
+    with pytest.raises(ValueError, match="distinct"):
+        qc.controlled_phase(2, 2, 0.3)
+    with pytest.raises(ValueError, match="negative"):
+        qc.controlled_phase(-1, 2, 0.3)
+
+
+def test_controlled_phase_is_the_checked_diagonal_cu():
+    rng = np.random.default_rng(18)
+    angles = [0.0, 1, np.pi, -np.pi, np.float64(0.7), 1e-300, 2.0**40]
+    angles += [float(a) for a in rng.uniform(-10, 10, size=50)]
+    for angle in angles:
+        c, t = (int(x) for x in rng.permutation(6)[:2])
+        got = qc.controlled_phase(c, t, angle)
+        want = qc.controlled_unitary((c,), (t,), np.diag([1, np.exp(1j * angle)]),
+                                     label=f"cphase({angle:.12g})")
+        assert (got.kind, got.targets, got.controls, got.label) == \
+            (want.kind, want.targets, want.controls, want.label)
+        assert got.matrix.dtype == want.matrix.dtype and got.matrix.shape == (2, 2)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert not got.matrix.flags.writeable
+
+
+def test_invert_gate_of_a_cu_is_its_exact_adjoint():
+    rng = np.random.default_rng(7)
+    for dim, controls in ((2, (3,)), (4, ()), (8, (0, 4))):
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        unitary = np.linalg.qr(z)[0]
+        targets = tuple(range(5, 5 + dim.bit_length() - 1))
+        cu = qc.controlled_unitary(controls, targets, unitary, label="u")
+        inv = qc.invert_gate(cu)
+        assert (inv.kind, inv.targets, inv.controls, inv.label) == \
+            (cu.kind, targets, controls, "u^-1")
+        assert np.array_equal(inv.matrix, cu.matrix.conj().T)
+        assert inv.matrix.flags.c_contiguous and not inv.matrix.flags.writeable
+        twice = qc.invert_gate(inv)
+        assert twice.label == "u^-1^-1"
+        assert twice.matrix.tobytes() == cu.matrix.tobytes()
+
+
 def test_qpe_reads_encoded_eigenvalues(sys_3x3):
     fmt = FixedPointFormat(6, 0, 10)
     eigs = eigenpairs(sys_3x3)

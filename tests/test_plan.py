@@ -781,6 +781,81 @@ def test_hadamard_run_stops_short_of_a_fourier_fragment():
     assert_plan_matches(circuit)
 
 
+def _ladders(width: int, rng: np.random.Generator):
+    """A register of width non-consecutive qubits, and its QFT and inverse QFT."""
+    register = tuple(int(q) for q in rng.permutation(2 * width + 1)[:width])
+    forward = qc.qft_fragment(register)
+    return register, {False: forward, True: qc.invert_fragment(forward)}
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_fourier_match_accepts_every_ladder(width):
+    rng = np.random.default_rng(width)
+    register, ladders = _ladders(width, rng)
+    for inverse, ladder in ladders.items():
+        lead, tail = [qc.pauli_x(register[0])], [qc.hadamard(register[-1])]
+        gates = lead + ladder + tail
+        if width == 1:  # the fragment is one Hadamard, which lowers as an H pass
+            assert sim._fourier_at(gates, 1) is None
+        else:
+            assert sim._fourier_at(gates, 1) == (register, inverse, len(ladder))
+            assert sim._fourier_at(gates, 0) is None
+            # one qubit everywhere, which only directly built gates can hold
+            alone = [qc.Gate(g.kind, register[:1] * len(g.targets),
+                             register[:1] * len(g.controls), matrix=g.matrix) for g in ladder]
+            assert sim._fourier_at(alone, 0) is None
+        # a phase off by less than the 1e-12 tolerance still matches
+        k = next((k for k, g in enumerate(ladder) if g.kind == qc.CONTROLLED_UNITARY), None)
+        if k is not None:
+            g = ladder[k]
+            close = qc.controlled_unitary(g.controls, g.targets,
+                                          g.matrix @ np.diag([1, np.exp(1e-14j)]))
+            assert sim._fourier_at(ladder[:k] + [close] + ladder[k + 1:], 0) is not None
+
+
+def _near_ladders(width: int, inverse: bool, rng: np.random.Generator):
+    """Gate runs one step away from a Fourier fragment, keyed by what differs."""
+    register, ladders = _ladders(width, rng)
+    ladder = ladders[inverse]
+    phases = [k for k, g in enumerate(ladder) if g.kind == qc.CONTROLLED_UNITARY]
+    k = int(rng.choice(phases))
+    g = ladder[k]
+    off = qc.controlled_unitary(g.controls, g.targets, g.matrix @ np.diag([1, np.exp(1e-9j)]))
+    flipped = qc.controlled_unitary(g.targets, g.controls, g.matrix)
+    spare = min(set(range(2 * width + 1)) - set(register))
+    moved = qc.controlled_unitary((spare,), g.targets, g.matrix)
+    swaps = [k for k, g in enumerate(ladder) if g.kind == qc.SWAP]
+    closing = swaps[0] if inverse else swaps[-1]
+    # the same ladder, but with its Hadamards in another register order
+    shuffled = tuple(int(q) for q in rng.permutation(register))
+    while shuffled == register:
+        shuffled = tuple(int(q) for q in rng.permutation(register))
+    other = qc.qft_fragment(shuffled)
+    if inverse:
+        other = qc.invert_fragment(other)
+    reordered = [h if g.kind == qc.HADAMARD else g for g, h in zip(ladder, other)]
+    tail = [qc.hadamard(register[0])]
+    return {
+        "phase-off": ladder[:k] + [off] + ladder[k + 1:],
+        "swapped-control": ladder[:k] + [flipped] + ladder[k + 1:],
+        "moved-control": ladder[:k] + [moved] + ladder[k + 1:],
+        "missing-swap": ladder[:closing] + ladder[closing + 1:] + tail,
+        "hadamard-order": reordered,
+    }
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["qft", "iqft"])
+@pytest.mark.parametrize("width", range(2, 9))
+def test_fourier_match_refuses_near_ladders(width, inverse):
+    q = 2 * width + 1
+    for case, gates in _near_ladders(width, inverse, np.random.default_rng(width)).items():
+        assert all(sim._fourier_at(gates, i) is None for i in range(len(gates))), case
+        if width <= 4:  # and they lower gate by gate to the same state
+            circuit = _circuit(q, [qc.hadamard(t) for t in range(q)] + gates)
+            assert not {"QFT", "IQFT"} & set(sim.lower(circuit).counts()), case
+            assert_plan_matches(circuit)
+
+
 def _load(targets, seed):
     dim = 2 ** len(targets)
     return qc.controlled_unitary((), targets, random_unitary(dim, np.random.default_rng(seed)))
