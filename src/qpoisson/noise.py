@@ -94,7 +94,11 @@ class ReadoutModel:
 def corrupt(counts: np.ndarray, model: ReadoutModel, seed: int) -> np.ndarray:
     """Flip every recorded bit independently per the model; new counts.
 
-    Outcomes are visited in ascending value order, so a seed fixes the result.
+    A seed fixes the result through one stream of uniforms: records go in
+    ascending outcome order, each takes w uniforms, qubit 0 first, and a bit
+    flips where its uniform falls below its flip probability.  The records are
+    drawn in blocks that may span outcomes; consecutive draws concatenate the
+    same stream, so the blocks do not change it.
     """
     w = model.width
     counts = np.asarray(counts)
@@ -104,17 +108,31 @@ def corrupt(counts: np.ndarray, model: ReadoutModel, seed: int) -> np.ndarray:
     p10 = np.asarray(model.p10)
     rng = np.random.default_rng(seed)
     weights = 2 ** np.arange(w - 1, -1, -1)
+    # sums of distinct powers of two are exact in float32 below 2**24
+    weights_f = weights.astype(np.float32 if w <= 24 else np.float64)
     rows = max(1, _CORRUPT_BLOCK // w)
+    draws = np.empty(rows * w)
+    flips = np.empty(rows * w, dtype=weights_f.dtype)
+    values = np.flatnonzero(counts)
+    sizes = counts[values].astype(np.int64)
+    ends = np.cumsum(sizes)
+    begins = ends - sizes
+    total = int(sizes.sum())
     out = np.zeros(2 ** w, dtype=np.int64)
-    for value in np.flatnonzero(counts):
-        count = int(counts[value])
-        row = (value & weights) != 0  # the bits of value, MSB first
-        flip_p = np.where(row == 0, p01, p10)
-        for start in range(0, count, rows):
-            flips = rng.random((min(rows, count - start), w)) < flip_p
-            # work in proportion to the block, not to the 2**w outcomes
-            values, hits = np.unique((row[None, :] ^ flips) @ weights, return_counts=True)
-            out[values] += hits
+    for start in range(0, total, rows):
+        stop = min(start + rows, total)
+        # the outcomes this block spans, and how many of its records each holds
+        i0 = np.searchsorted(ends, start, side="right")
+        i1 = np.searchsorted(begins, stop, side="left")
+        take = np.minimum(ends[i0:i1], stop) - np.maximum(begins[i0:i1], start)
+        spanned = values[i0:i1]
+        flip_p = np.where((spanned[:, None] & weights) != 0, p10, p01)
+        u = rng.random(out=draws[: (stop - start) * w])
+        f = np.less(u, flip_p.repeat(take, axis=0).ravel(), out=flips[: u.size])
+        codes = (f.reshape(-1, w) @ weights_f).astype(np.int64) ^ spanned.repeat(take)
+        # work in proportion to the block, not to the 2**w outcomes
+        hits_at, hits = np.unique(codes, return_counts=True)
+        out[hits_at] += hits
     return out
 
 
@@ -138,8 +156,12 @@ def mitigate(noisy_counts: np.ndarray, calibration: np.ndarray) -> np.ndarray:
     frequencies.
     """
     noisy_counts = np.asarray(noisy_counts)
-    if noisy_counts.shape != (len(calibration),) or np.any(noisy_counts < 0):
-        raise ValueError(f"need {len(calibration)} non-negative counts, got {noisy_counts!r}")
+    if (
+        noisy_counts.shape != (len(calibration),)
+        or not np.isfinite(noisy_counts).all()
+        or np.any(noisy_counts < 0)
+    ):
+        raise ValueError(f"need {len(calibration)} finite non-negative counts, got {noisy_counts!r}")
     total = noisy_counts.sum()
     if total <= 0:
         raise ValueError("counts sum to zero")

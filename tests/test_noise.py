@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -127,6 +128,88 @@ def test_corrupt_blocks_equal_one_draw(monkeypatch, block):
     )
 
 
+def straddling_blocks(monkeypatch):
+    """Blocks of 5 records that start inside one outcome and stop inside another."""
+    monkeypatch.setattr(noise, "_CORRUPT_BLOCK", 15)
+    return outcome_counts(3, {0b001: 3, 0b010: 4, 0b101: 6})
+
+
+MIXED_MODEL = ReadoutModel(
+    p01=(0.0, 0.1, 0.0, 0.2, 0.05, 0.0), p10=(0.0, 0.0, 0.3, 0.15, 0.0, 0.25)
+)
+
+
+@pytest.mark.parametrize(
+    "model, make_counts",
+    (
+        (ReadoutModel.uniform(1, 0.2, 0.3), lambda mp: np.array([40_000, 30_000])),
+        (ReadoutModel.uniform(12, 0.02, 0.05), lambda mp: np.ones(2**12, dtype=np.int64)),
+        (ReadoutModel.uniform(3, 0.2, 0.1), straddling_blocks),
+        (ReadoutModel.uniform(3, 0.1, 0.2), lambda mp: (5_000 * np.arange(8)).astype(np.uint32)),
+        (ReadoutModel.uniform(3, 0.1, 0.2), lambda mp: (5_000 * np.arange(8)).astype(np.uint64)),
+        (MIXED_MODEL, lambda mp: 100 + 37 * np.arange(64)),
+        (ReadoutModel.uniform(4, 0.1, 0.2), lambda mp: np.zeros(16, dtype=np.int64)),
+    ),
+    ids=("w1", "w12-every-outcome-once", "straddling", "uint32", "uint64", "mixed-p0",
+         "all-zero"),
+)
+def test_corrupt_shared_blocks_equal_one_draw(monkeypatch, model, make_counts):
+    counts = make_counts(monkeypatch)
+    noisy = corrupt(counts, model, seed=23)
+    assert noisy.dtype == np.int64
+    assert np.array_equal(noisy, corrupt_in_one_draw(counts, model, seed=23))
+
+
+@pytest.mark.parametrize(
+    "model, counts, seed, digest",
+    (
+        (
+            ReadoutModel.uniform(4, 0.02, 0.05),
+            np.random.default_rng(1).multinomial(10**6, np.full(16, 1 / 16)),
+            5,
+            "b0e9baa7d0ded17ba9fe40667ee501e26843b162a7021e79a2e14f4f1f8ef905",
+        ),
+        (
+            ReadoutModel.uniform(9, 0.02, 0.05),
+            np.random.default_rng(2).multinomial(10**5, np.full(512, 1 / 512)),
+            6,
+            "45f6d72201a452c21196bf18324243e8542f3480768033a4d5f1029d9a3ccfc9",
+        ),
+        (
+            MIXED_MODEL,
+            np.random.default_rng(3).multinomial(10**5, np.full(64, 1 / 64)),
+            7,
+            "2d1818b647300e7bbad70009048d4422d76d73ef8f6740e2afde065658808a79",
+        ),
+    ),
+    ids=("w4-1e6-shots", "w9-1e5-shots", "mixed"),
+)
+def test_corrupt_counts_are_pinned_per_seed(model, counts, seed, digest):
+    assert hashlib.sha256(corrupt(counts, model, seed).tobytes()).hexdigest() == digest
+
+
+def test_corrupt_draws_in_blocks_that_span_outcomes(monkeypatch):
+    draw_calls = []
+
+    class CountingGenerator:
+        """Exposes only random(), so every draw corrupt() makes is counted."""
+
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def random(self, *args, **kwargs):
+            draw_calls.append(1)
+            return self._rng.random(*args, **kwargs)
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    w = 16
+    noisy = corrupt(np.ones(2**w, dtype=np.int64), ReadoutModel.uniform(w, 0.02, 0.05), seed=3)
+    assert noisy.sum() == 2**w
+    # one call per outcome made 65,536 calls; shared blocks make one per block
+    assert 0 < len(draw_calls) <= math.ceil(2**w * w / noise._CORRUPT_BLOCK)
+
+
 def test_corrupt_memory_is_bounded():
     model = ReadoutModel.uniform(4, 0.02, 0.05)
     counts = np.full(16, 625_000)
@@ -246,8 +329,15 @@ def test_mitigate_rejects_empty():
 
 @pytest.mark.parametrize(
     "counts",
-    (np.array([3, 0, 0]), np.ones(8, dtype=np.int64), {"111": 3}, np.array([5, -1, 0, 0])),
-    ids=("too-short", "too-long", "bitstring-keys", "negative"),
+    (
+        np.array([3, 0, 0]),
+        np.ones(8, dtype=np.int64),
+        {"111": 3},
+        np.array([5, -1, 0, 0]),
+        np.array([np.nan, 1, 1, 1]),
+        np.array([np.inf, 1, 1, 1]),
+    ),
+    ids=("too-short", "too-long", "bitstring-keys", "negative", "nan", "inf"),
 )
 def test_mitigate_rejects_counts_that_do_not_fit_the_calibration(counts):
     with pytest.raises(ValueError):
