@@ -161,7 +161,7 @@ def mitigate(noisy_counts: np.ndarray, calibration: np.ndarray) -> np.ndarray:
         or not np.isfinite(noisy_counts).all()
         or np.any(noisy_counts < 0)
     ):
-        raise ValueError(f"need {len(calibration)} finite non-negative counts, got {noisy_counts!r}")
+        raise ValueError(f"need {len(calibration)} finite counts >= 0, got {noisy_counts!r}")
     total = noisy_counts.sum()
     if total <= 0:
         raise ValueError("counts sum to zero")

@@ -128,33 +128,29 @@ def test_corrupt_blocks_equal_one_draw(monkeypatch, block):
     )
 
 
-def straddling_blocks(monkeypatch):
-    """Blocks of 5 records that start inside one outcome and stop inside another."""
-    monkeypatch.setattr(noise, "_CORRUPT_BLOCK", 15)
-    return outcome_counts(3, {0b001: 3, 0b010: 4, 0b101: 6})
-
-
 MIXED_MODEL = ReadoutModel(
     p01=(0.0, 0.1, 0.0, 0.2, 0.05, 0.0), p10=(0.0, 0.0, 0.3, 0.15, 0.0, 0.25)
 )
 
 
 @pytest.mark.parametrize(
-    "model, make_counts",
+    "model, counts, block",
     (
-        (ReadoutModel.uniform(1, 0.2, 0.3), lambda mp: np.array([40_000, 30_000])),
-        (ReadoutModel.uniform(12, 0.02, 0.05), lambda mp: np.ones(2**12, dtype=np.int64)),
-        (ReadoutModel.uniform(3, 0.2, 0.1), straddling_blocks),
-        (ReadoutModel.uniform(3, 0.1, 0.2), lambda mp: (5_000 * np.arange(8)).astype(np.uint32)),
-        (ReadoutModel.uniform(3, 0.1, 0.2), lambda mp: (5_000 * np.arange(8)).astype(np.uint64)),
-        (MIXED_MODEL, lambda mp: 100 + 37 * np.arange(64)),
-        (ReadoutModel.uniform(4, 0.1, 0.2), lambda mp: np.zeros(16, dtype=np.int64)),
+        (ReadoutModel.uniform(1, 0.2, 0.3), np.array([40_000, 30_000]), None),
+        (ReadoutModel.uniform(12, 0.02, 0.05), np.ones(2**12, dtype=np.int64), None),
+        # blocks of 5 records that start inside one outcome and stop inside another
+        (ReadoutModel.uniform(3, 0.2, 0.1), outcome_counts(3, {0b001: 3, 0b010: 4, 0b101: 6}), 15),
+        (ReadoutModel.uniform(3, 0.1, 0.2), (5_000 * np.arange(8)).astype(np.uint32), None),
+        (ReadoutModel.uniform(3, 0.1, 0.2), (5_000 * np.arange(8)).astype(np.uint64), None),
+        (MIXED_MODEL, 100 + 37 * np.arange(64), None),
+        (ReadoutModel.uniform(4, 0.1, 0.2), np.zeros(16, dtype=np.int64), None),
     ),
     ids=("w1", "w12-every-outcome-once", "straddling", "uint32", "uint64", "mixed-p0",
          "all-zero"),
 )
-def test_corrupt_shared_blocks_equal_one_draw(monkeypatch, model, make_counts):
-    counts = make_counts(monkeypatch)
+def test_corrupt_shared_blocks_equal_one_draw(monkeypatch, model, counts, block):
+    if block is not None:
+        monkeypatch.setattr(noise, "_CORRUPT_BLOCK", block)
     noisy = corrupt(counts, model, seed=23)
     assert noisy.dtype == np.int64
     assert np.array_equal(noisy, corrupt_in_one_draw(counts, model, seed=23))
@@ -206,7 +202,7 @@ def test_corrupt_draws_in_blocks_that_span_outcomes(monkeypatch):
     w = 16
     noisy = corrupt(np.ones(2**w, dtype=np.int64), ReadoutModel.uniform(w, 0.02, 0.05), seed=3)
     assert noisy.sum() == 2**w
-    # one call per outcome made 65,536 calls; shared blocks make one per block
+    # one call per block of _CORRUPT_BLOCK uniforms, however many outcomes it spans
     assert 0 < len(draw_calls) <= math.ceil(2**w * w / noise._CORRUPT_BLOCK)
 
 
