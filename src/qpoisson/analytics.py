@@ -25,6 +25,7 @@ import numpy as np
 from . import circuit as qc
 from . import simulator as sim
 from .encoding import AngleTable, FixedPointFormat, decode_fraction, effective_lambda
+from .errors import PostselectionError
 from .model import EigenData, PoissonSystem, exact_solve
 from .noise import fidelity_estimate
 
@@ -183,12 +184,17 @@ def solve(system: PoissonSystem, fmt: FixedPointFormat, *, mode: str = "auto",
     """Build the pipeline, run it on either backend, and collect the metrics.
 
     backend is one of simulator.BACKENDS; shots and seed drive the sample
-    backend only, but shots must be >= 1 either way.
+    backend only, but shots must be >= 1 either way.  An angle table with
+    no set bit (l too small for every angle) raises PostselectionError
+    before either backend runs: the circuit has no rotation.
     """
     sim.check_backend(backend, shots)
     built = qc.build_pipeline(system, fmt, mode=mode, phase_mode=phase_mode)
     eigs: EigenData = built.metadata["eigs"]
     table: AngleTable = built.metadata["table"]
+    if not table.kept_columns:
+        raise PostselectionError(f"no rotation angle survives l = {fmt.angle_bits}: "
+                                 "every angle rounds to 0, so the ancilla never reads 1")
     sampled = None
     if backend == "exact":
         solution, success = sim.readout(built)

@@ -71,20 +71,17 @@ read 0) with its ancilla = 1 weight, or the marginal over some qubits.
   s(E) and its weight |beta_b|^2 sum_E p_b(E) s(E)^2; the final V then
   runs on the 2**n block.  This is the HHL amplitude <0_E 0_A 1_anc| C^-1
   R C |b> (Harrow, Hassidim and Lloyd, PRL 103, 150502, 2009).  The norm
-  summed over the slabs must stay 1 within 1e-9.  Any other circuit, and
-  every marginal read (a sampled solve, a phase read), runs the slab
-  readout below.
+  summed over the slabs must stay 1 within 1e-9.  A solve of any other
+  circuit is postselect(run_exact(circuit)), which holds the whole live
+  state.
 
-Otherwise readout runs the whole plan in three parts: the PREP, a middle
-segment, and a tail.
+A marginal read (a sampled solve, a phase read) runs the whole plan in
+three parts: the PREP, a middle segment, and a tail.
 
 - Tail.  The trailing H and DENSE passes on pairwise distinct qubits
-  commute.  A trailing H on qubits the readout projects onto |0> is a sum
-  over them scaled by 2**(-k/2), since <0|H = (<0| + <1|)/sqrt(2); a
-  trailing pass on traced-out qubits is dropped; and for the clean block,
-  the final V (a DENSE pass on reg B) runs on the 2**n result.  Any other
-  tail pass stays in the middle segment.  (This is light-cone pruning of
-  the closing Hadamard layer.)
+  commute, so a trailing pass on traced-out qubits only is dropped.  Any
+  other tail pass stays in the middle segment.  (This is light-cone
+  pruning of the closing Hadamard layer.)
 - Slabs.  The slab qubits are the k leading live qubits that the PREP
   writes and no later pass does, so the middle segment reads them only as
   DIAG axes or RY controls: between the V^T folded into the PREP and the
@@ -93,9 +90,8 @@ segment, and a tail.
   block of 2**(live - k) amplitudes.  The PREP writes its part of the
   product state into one reused buffer and every middle pass runs on it,
   with the tables reading each slab qubit at its bit in j, as they read a
-  held qubit at 0.  The exact backend keeps one value per slab and the
-  ancilla = 1 weight; a phase read adds up each slab's marginal.  Where a
-  middle pass writes the leading qubit, k = 0 and the one slab is the whole
+  held qubit at 0, and each slab's marginal is added up.  Where a middle
+  pass writes the leading qubit, k = 0 and the one slab is the whole
   buffer, which is what run_exact runs.  The sample backend reads reg B
   after V, which mixes the slabs, so it runs with k = 0; its closing H on
   the traced-out reg E is still dropped.  The norm summed over the slabs
@@ -109,8 +105,10 @@ one.
 
 The state readers (postselect, register_probabilities, sample_counts) read
 the live amplitudes of a state directly and a held qubit as a point mass on
-0; no state is scattered back to full width.  They are readout's reductions
-run on one slab, and the reference readout is tested against.
+0; no state is scattered back to full width.  register_probabilities is
+readout's marginal reduction run on one slab.  postselect is what readout
+returns for a solve that is no mirror, and with run_exact the reference
+the closed form is tested against.
 
 Sampling draws independent measurement records from the exact final
 distribution with numpy's PCG64 generator, as one multinomial draw over the
@@ -905,27 +903,17 @@ def run_exact(circuit: Circuit) -> Statevector:
     return Statevector(amps, plan.q, tuple(g for g in range(plan.q) if g not in live))
 
 
-def _readout_plan(circuit: Circuit, qubits: tuple[int, ...] | None):
-    """(plan, k, summed, closing): what readout runs on each slab, and its tail.
+def _readout_plan(circuit: Circuit, qubits: tuple[int, ...]):
+    """(plan, k): what readout runs on each slab for the marginal over qubits.
 
-    qubits None reads the clean block: reg B, with reg E and reg A
-    projected onto 0 and the ancilla onto 1.  Otherwise the marginal over
-    qubits is read and the other qubits are traced out.  The tail is the
-    trailing run of H and DENSE passes on pairwise distinct qubits, which
-    commute with one another:
-    - a pass on traced-out qubits only is dropped;
-    - an H pass on qubits projected onto 0 is a sum over them (summed),
-      times 2**(-1/2) per qubit;
-    - for the clean block, a DENSE pass on reg B (the walk basis V) runs on
-      the 2**n result (closing).
-    Any other tail pass stays in plan, after the others.  The k slab qubits
-    are plan's leading live qubits that its PREP writes and no later pass
-    does, so every later pass reads them only as DIAG axes or RY controls.
+    The other qubits are traced out.  The tail is the trailing run of H and
+    DENSE passes on pairwise distinct qubits, which commute with one
+    another; a tail pass on traced-out qubits only is dropped, and any other
+    stays in plan.  The k slab qubits are plan's leading live qubits that
+    its PREP writes and no later pass does, so every later pass reads them
+    only as DIAG axes or RY controls.
     """
-    layout = circuit.layout
     passes = _lowered(circuit).passes
-    read = layout.reg_b if qubits is None else qubits
-    zeros = layout.reg_e + layout.reg_a if qubits is None else ()
     start, seen = len(passes), set()
     while start and passes[start - 1].kind in ("H", "DENSE"):
         axes = set(passes[start - 1].axes)
@@ -933,18 +921,9 @@ def _readout_plan(circuit: Circuit, qubits: tuple[int, ...] | None):
             break
         start -= 1
         seen |= axes
-    run, summed, closing = list(passes[:start]), [], []
-    for p in passes[start:]:
-        if qubits is not None and not set(p.axes) & set(read):
-            continue
-        if p.kind == "H" and set(p.axes) <= set(zeros):
-            summed += p.axes
-        elif p.kind == "DENSE" and qubits is None and set(p.axes) <= set(read):
-            closing.append(p)
-        else:
-            run.append(p)
-    plan = Plan(layout.total, tuple(run))
-    return plan, _slab_count(plan), tuple(summed), tuple(closing)
+    tail = tuple(p for p in passes[start:] if set(p.axes) & set(qubits))
+    plan = Plan(circuit.layout.total, passes[:start] + tail)
+    return plan, _slab_count(plan)
 
 
 def _slab_count(plan: Plan) -> int:
@@ -1041,18 +1020,18 @@ def _fourier_marginal(a: np.ndarray, b: np.ndarray, inverse: bool, read, circle)
     return p.reshape((2,) * w).sum(axis=tuple(x for x in range(w) if x not in read)).reshape(-1)
 
 
-def _overlap(plan: Plan, k: int, ry: Pass, layout: RegisterLayout):
-    """(block, weight): the clean block in the walk frame, before closing, and its weight.
+def _overlap(plan: Plan, k: int, ry: Pass, closing, layout: RegisterLayout):
+    """(block, weight): the clean block and its ancilla = 1 weight.
 
-    Past the PREP, C is block diagonal over reg B's values b in that frame.
-    Slab j of the compute half holds beta_b u_b on j's bits, where b is j's
-    reg B bits, beta_b the PREP's reg B amplitude and u_b the unit vector
-    that C leaves on the other qubits.  The RY pass puts s u_b on ancilla =
-    1 (s its sin table), and C^-1 projected onto reg E = reg A = 0 reads
-    that branch against u_b.  So block[b] = beta_b sum p_b s, with p_b =
-    |u_b|^2 summed onto the RY controls in the register, and the weight is
-    sum_b |beta_b|^2 sum p_b s^2.  The RY controls off the buffer read
-    their fixed bits in the sin table.
+    Past the PREP, C is block diagonal over reg B's values b in the walk
+    frame.  Slab j of the compute half holds beta_b u_b on j's bits, where
+    b is j's reg B bits, beta_b the PREP's reg B amplitude and u_b the unit
+    vector that C leaves on the other qubits.  The RY pass puts s u_b on
+    ancilla = 1 (s its sin table), and C^-1 projected onto reg E = reg A =
+    0 reads that branch against u_b.  So block[b] = beta_b sum p_b s, with
+    p_b = |u_b|^2 summed onto the RY controls in the register, and the
+    weight is sum_b |beta_b|^2 sum p_b s^2.  The RY controls off the buffer
+    read their fixed bits in the sin table.
 
     No pass runs.  On slab j (the PREP writes reg B alone, so j is b) each
     register qubit has the pair (a_i, b_i): (1, 1) from the PREP's
@@ -1060,7 +1039,8 @@ def _overlap(plan: Plan, k: int, ry: Pass, layout: RegisterLayout):
     _fourier_marginal(a, b, ...), d_b = beta_b 2**(-w/2) the PREP's entry,
     in closed form (the Fejer kernel for geometric phases: Cleve, Ekert,
     Macchiavello and Mosca, Proc. R. Soc. A 454, 339, 1998).  The norm
-    summed over the slabs must stay 1 within 1e-9.
+    summed over the slabs must stay 1 within 1e-9.  The block is read in
+    the walk frame, and closing (the owed V) then runs on its 2**n entries.
     """
     n, (prep, *diags, fourier), live = layout.b_width, plan.passes, plan.live()
     beta = prep.data * 2 ** (len(prep.controls) / 2)  # the PREP's 2**(-k/2) off
@@ -1084,7 +1064,10 @@ def _overlap(plan: Plan, k: int, ry: Pass, layout: RegisterLayout):
     _check_norm(norm)
     # |beta_b|^2 sum p_b s / conj(beta_b); a reg B value the PREP leaves empty reads 0
     block = np.divide(overlap, beta.conj(), out=np.zeros_like(beta), where=beta != 0)
-    return block, weight
+    block = block.reshape((2,) * n)
+    for p in closing:  # reg B leads the layout: qubit g is block axis g
+        _apply_dense(block, p.axes, p.data)
+    return block.reshape(-1), weight
 
 
 def _check_qubits(qubits: Sequence[int], q: int) -> tuple[int, ...]:
@@ -1096,35 +1079,6 @@ def _check_qubits(qubits: Sequence[int], q: int) -> tuple[int, ...]:
     ):
         raise ValueError(f"qubits must be distinct indices in 0..{q - 1}, got {qubits}")
     return qubits
-
-
-def _clean_block(slabs, axis: dict[int, int], layout: RegisterLayout, summed=()):
-    """(block, weight), each summed over slabs.
-
-    block holds reg B's amplitudes, MSB first, where the ancilla reads 1
-    and reg E and reg A read 0; a qubit in summed is summed over instead of
-    read at 0, unscaled.  weight is the ancilla = 1 probability.  A qubit
-    off the buffer reads its fixed bit (0 when held), so a slab fixed off
-    the block adds only to the weight.
-    """
-    anc, reg_b = layout.ancilla, layout.reg_b
-    want = {g: int(g == anc) for g in range(layout.total) if g not in reg_b + summed}
-    index = tuple(want.get(g, slice(None)) for g in axis) + (Ellipsis,)
-    left = [g for g in axis if g not in want]  # the axes index leaves, in order
-    over = tuple(i for i, g in enumerate(left) if g in summed)
-    block = np.zeros((2,) * layout.b_width, dtype=complex)
-    weight = 0.0
-    for fixed, amps in slabs:
-        if anc in axis:
-            half = amps.reshape(2 ** axis[anc], 2, -1)[:, 1, :]
-            # block by block: squaring the whole half-state would double peak memory
-            weight += sum(float(np.vdot(half[i], half[i]).real) for i in _blocks(half.shape))
-        elif fixed.get(anc, 0):
-            weight += float(np.vdot(amps, amps).real)
-        if all(fixed.get(g, 0) == bit for g, bit in want.items() if g not in axis):
-            at = tuple(slice(None) if g in axis else fixed.get(g, 0) for g in reg_b)
-            block[at + (Ellipsis,)] += amps.reshape((2,) * len(axis))[index].sum(axis=over)
-    return block.reshape(-1), weight
 
 
 def _solution(block: np.ndarray, success: float) -> tuple[np.ndarray, float]:
@@ -1153,9 +1107,19 @@ def postselect(state: Statevector, layout: RegisterLayout) -> tuple[np.ndarray, 
     real apart from the phase-estimation phases, which uncompute cancels, so
     the block is real and carries the sign of the solution; an imaginary
     part above 1e-9 of the block norm raises PostselectionError.  A held
-    qubit reads 0: a held ancilla keeps no branch.
+    qubit reads 0: a held ancilla keeps no branch.  The ancilla = 1 weight
+    is summed one block of _CHUNK at a time.
     """
-    return _solution(*_clean_block([({}, state.amps)], state.axes, layout))
+    axis, anc, reg_b = state.axes, layout.ancilla, layout.reg_b
+    block, weight = np.zeros((2,) * layout.b_width, dtype=complex), 0.0
+    if anc in axis:
+        half = state.amps.reshape(2 ** axis[anc], 2, -1)[:, 1, :]
+        # block by block: squaring the whole half-state would double peak memory
+        weight = sum(float(np.vdot(half[i], half[i]).real) for i in _blocks(half.shape))
+        at = tuple(slice(None) if g in axis else 0 for g in reg_b)
+        block[at] += state.tensor()[tuple(slice(None) if g in reg_b else int(g == anc)
+                                          for g in axis)]
+    return _solution(block.reshape(-1), weight)
 
 
 def _marginal(slabs, axis: dict[int, int], qubits: tuple[int, ...]) -> np.ndarray:
@@ -1194,39 +1158,30 @@ def register_probabilities(state: Statevector, qubits: Sequence[int]) -> np.ndar
 
 
 def readout(circuit: Circuit, qubits: Sequence[int] | None = None):
-    """What a solve or a phase read takes from the final state, without building it.
+    """What a solve or a phase read takes from the final state.
 
-    With qubits None: (signed solution, success prob), as
-    postselect(run_exact(circuit), circuit.layout) returns them and with
-    its checks.  Otherwise the marginal probabilities over qubits (distinct
-    qubit indices, read MSB first), as register_probabilities(run_exact(
-    circuit), qubits).  A solve of a phase-estimation mirror circuit reads
-    its clean block in closed form (see _overlap_plan and _overlap).
-    Otherwise the plan runs slab by slab: PREP writes each slab, the middle
-    passes run on it, and the tail is folded into the reduction or dropped
-    (see _readout_plan).
-    Only one slab of 2**(live - k) amplitudes is held at a time.
+    With qubits None: (signed solution, success prob).  A solve of a
+    phase-estimation mirror circuit reads its clean block in closed form
+    (see _overlap_plan and _overlap) and runs the owed V on it; any other
+    circuit returns postselect(run_exact(circuit), circuit.layout).
+    Otherwise the marginal probabilities over qubits (distinct qubit
+    indices, read MSB first), as register_probabilities(run_exact(circuit),
+    qubits): the plan runs slab by slab, PREP writes each slab and the
+    other passes run on it, with the tail on traced-out qubits dropped (see
+    _readout_plan).  Only one slab of 2**(live - k) amplitudes is held at a
+    time.
     """
     layout = circuit.layout
-    if qubits is not None:
-        qubits = _check_qubits(qubits, layout.total)
-    overlap = _overlap_plan(circuit) if qubits is None else None
-    if overlap is not None:
-        plan, k, ry, closing = overlap
-        block, success = _overlap(plan, k, ry, layout)
-    else:
-        plan, k, summed, closing = _readout_plan(circuit, qubits)
-        live = plan.live()
-        axis = {g: a for a, g in enumerate(live[k:])}
-        slabs = _slabs(plan.passes, live[:k], axis)
-        if qubits is not None:
-            return _marginal(slabs, axis, qubits)
-        block, success = _clean_block(slabs, axis, layout, summed)
-        block *= 0.5 ** (len(summed) / 2)
-    block = block.reshape((2,) * layout.b_width)
-    for p in closing:  # reg B leads the layout: qubit g is block axis g
-        _apply_dense(block, p.axes, p.data)
-    return _solution(block.reshape(-1), success)
+    if qubits is None:
+        overlap = _overlap_plan(circuit)
+        if overlap is None:
+            return postselect(run_exact(circuit), layout)
+        return _solution(*_overlap(*overlap, layout))
+    qubits = _check_qubits(qubits, layout.total)
+    plan, k = _readout_plan(circuit, qubits)
+    live = plan.live()
+    axis = {g: a for a, g in enumerate(live[k:])}
+    return _marginal(_slabs(plan.passes, live[:k], axis), axis, qubits)
 
 
 def draw_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:

@@ -111,6 +111,20 @@ def test_solve_sample_csv_histogram_rows(capsys, tmp_path):
     assert sum(int(count) for _, count in rows) == 20000
 
 
+@pytest.mark.parametrize("backend", ["exact", "sample"])
+def test_solve_refuses_an_all_zero_angle_table_before_running(capsys, monkeypatch, backend):
+    """At l = 2 every 15x15 angle rounds to 0: no rotation, so nothing is run."""
+    def run(*args):
+        raise AssertionError("the circuit ran although its angle table is all zero")
+
+    monkeypatch.setattr(cli.sim, "readout", run)
+    monkeypatch.setattr(cli.sim, "sample", run)
+    code, out, err = run_cli(capsys, "solve", "--preset", "table1-15x15", "--f", "8", "--l", "2",
+                             "--backend", backend)
+    assert code == 2 and out == ""
+    assert "no rotation angle survives l = 2" in err
+
+
 def test_verify_phase_eigenvector(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -18,6 +18,7 @@ from qpoisson import (
     FixedPointFormat,
     PoissonSystem,
     PostselectionError,
+    QPoissonError,
     RegisterLayout,
     ResourceError,
     build_angle_table,
@@ -26,6 +27,7 @@ from qpoisson import (
     default_format,
     eigenpairs,
 )
+from qpoisson import cli
 from qpoisson.cli import PRESETS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -257,15 +259,14 @@ def test_benchmark_solves_keep_their_plan(name, f, mode, passes, counts, live, s
     assert len(plan.live()) == live
     (closing,) = [p for p in plan.passes if p.kind == "H"]
     assert closing.axes == built.layout.reg_e[::-1]
-    # the readout sums over the closing H, applies V to its 2**n result, and
-    # runs the rest once per reg B pattern: (slabs, qubits per slab)
-    run, k, summed, (v,) = sim._readout_plan(built, None)
-    assert summed == closing.axes and v.kind == "DENSE" and v.axes == built.layout.reg_b
-    assert [(p.kind, p.axes) for p in run.passes] == [(p.kind, p.axes) for p in plan.passes[:-2]]
+    # a read of reg E drops V on the traced-out reg B and runs the rest once
+    # per reg B pattern: (slabs, qubits per slab)
+    run, k = sim._readout_plan(built, built.layout.reg_e)
+    assert [(p.kind, p.axes) for p in run.passes] == [(p.kind, p.axes) for p in plan.passes[:-1]]
     assert (2**k, len(run.live()) - k) == slabs
     # sampling reads reg B after V, which mixes the slabs: one slab, no closing H
-    run, k, summed, closing = sim._readout_plan(built, (built.layout.ancilla,) + built.layout.reg_b)
-    assert (k, summed, closing) == (0, (), ())
+    run, k = sim._readout_plan(built, (built.layout.ancilla,) + built.layout.reg_b)
+    assert k == 0
     assert [p.kind for p in run.passes] == [p.kind for p in plan.passes if p.kind != "H"]
 
 
@@ -325,6 +326,39 @@ def test_readout_matches_the_full_state_on_the_grid(name, f, phase_mode):
     assert np.max(np.abs(probs - sim.register_probabilities(full, reg_e))) <= 1e-15
     assert np.array_equal(sim.draw_counts(probs, 10**6, seed=3),
                           sim.sample_counts(full, reg_e, 10**6, seed=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), rhs=st.sampled_from(["signed", "positive", "sparse", "basis"]),
+       seed=st.integers(0, 2**32 - 1), f=st.integers(0, 5), angle_bits=st.integers(1, 16),
+       mode=st.sampled_from(qc.MODES), phase_mode=st.sampled_from(qc.PHASE_MODES),
+       data=st.data())
+def test_every_cli_solve_reads_in_closed_form_or_has_no_rotation(n, rhs, seed, f, angle_bits,
+                                                                mode, phase_mode, data):
+    """No solve the CLI builds reaches readout's whole-state fallback.
+
+    Either the closed form reads it, or its angle table is all zero and
+    analytics.solve refuses it before any read.
+    """
+    rng, dim = np.random.default_rng(seed), 2**n - 1
+    if rhs == "signed":
+        b = rng.uniform(-1, 1, dim)
+    elif rhs == "positive":
+        b = rng.uniform(0.1, 1, dim)
+    elif rhs == "sparse":
+        b = np.zeros(dim)
+        b[rng.permutation(dim)[: max(1, dim // 3)]] = rng.choice([-1.0, 0.5, 1.0])
+    else:
+        b = np.eye(dim)[rng.integers(dim)]
+    integer_bits = data.draw(st.one_of(st.none(), st.integers(1, 2 * n + 4)), label="i")
+    cfg = {"preset": None, "n": n, "b": tuple(b), "integer_bits": integer_bits,
+           "angle_bits": angle_bits}
+    system = cli._resolve_system(cfg)
+    try:
+        built = build_pipeline(system, cli._resolve_format(cfg, n, f), mode, phase_mode)
+    except QPoissonError:  # the CLI refuses it: exit 2 or 3
+        return
+    assert sim._overlap_plan(built) is not None or not built.metadata["table"].kept_columns
 
 
 def _no_slabs(*args):
@@ -387,12 +421,11 @@ def _near_mirror(case: str) -> qc.Circuit:
                                   "hadamard-on-b", "ancilla-phase", "unspread-e", "coupled-e",
                                   "hadamard-closing", "dense-in-c", "no-uncompute"])
 def test_readout_falls_back_when_the_circuit_is_no_solve_mirror(case):
-    """The slab readout runs instead, and matches the full state."""
+    """readout reads the full state instead: postselect(run_exact), bit for bit."""
     circuit = _near_mirror(case)
     assert sim._overlap_plan(circuit) is None
     (block, success), (want_block, want_success) = raw_readouts(circuit)
-    assert np.max(np.abs(block - want_block)) < 1e-12
-    assert abs(success - want_success) < 1e-12
+    assert np.array_equal(block, want_block) and success == want_success
 
 
 def test_overlap_reads_no_pass_after_the_rotation_but_the_owed_v(monkeypatch, sys_3x3):
@@ -483,14 +516,17 @@ def test_overlap_readout_matches_the_full_state_on_random_mirror_circuits(seed):
 
     Each seed builds a phase-estimation mirror and a general one: the
     closed form reads a mirror exactly when its C is phase estimation, and
-    the slab readout reads the others.
+    the others are postselect(run_exact), bit for bit.
     """
     for estimation in (True, False):
         circuit, shaped = random_mirror_circuit(seed, estimation)
         assert (sim._overlap_plan(circuit) is not None) == shaped
         (block, success), (want_block, want_success) = raw_readouts(circuit)
-        assert np.max(np.abs(block - want_block)) < 1e-12
-        assert abs(success - want_success) < 1e-12
+        if shaped:
+            assert np.max(np.abs(block - want_block)) < 1e-12
+            assert abs(success - want_success) < 1e-12
+        else:
+            assert np.array_equal(block, want_block) and success == want_success
 
 
 @pytest.mark.parametrize("inverse", [True, False], ids=["iqft", "qft"])
@@ -539,8 +575,13 @@ def test_readout_runs_whole_when_a_middle_pass_writes_reg_b(sys_3x3):
     at = next(i for i, g in enumerate(built.gates) if g.kind == qc.PAULI_X)
     gates = built.gates[:at] + (qc.hadamard(0), qc.hadamard(0)) + built.gates[at:]
     circuit = qc.Circuit(built.layout, gates, built.metadata)
-    plan, k, _, _ = sim._readout_plan(circuit, None)
+    # a sampled read drops the closing H on the traced-out reg E and keeps the pair
+    measured = (circuit.layout.ancilla,) + circuit.layout.reg_b
+    plan, k = sim._readout_plan(circuit, measured)
     assert k == 0 and [p.axes for p in plan.passes if p.kind == "H"] == [(0,), (0,)]
+    probs = sim.readout(circuit, measured)
+    full = sim.run_exact(circuit)
+    assert np.max(np.abs(probs - sim.register_probabilities(full, measured))) < 1e-12
     solution, success = sim.readout(circuit)
     want_solution, want_success = sim.postselect(sim.run_exact(circuit), circuit.layout)
     assert np.max(np.abs(solution - want_solution)) < 1e-12
@@ -597,7 +638,8 @@ def test_readout_matches_the_full_state_on_random_circuits(seed, kind, data):
     """Random tails and slabs: reg B on the walk block, reg E on the rest."""
     if kind == "slab":
         circuit = random_slab_circuit(seed)
-        assert sim._readout_plan(circuit, None)[1] >= 2
+        # a read of reg E drops the final V, so reg B stays a slab axis
+        assert sim._readout_plan(circuit, circuit.layout.reg_e)[1] >= 2
     else:
         random = random_circuit(seed, with_basis=kind == "any-basis")
         circuit = qc.Circuit(RegisterLayout(2, random.layout.total - 3, 0), random.gates,
@@ -607,19 +649,20 @@ def test_readout_matches_the_full_state_on_random_circuits(seed, kind, data):
     qubits = tuple(data.draw(st.lists(st.integers(0, q - 1), unique=True, max_size=q)))
     probs = sim.readout(circuit, qubits)
     assert np.max(np.abs(probs - sim.register_probabilities(full, qubits))) < 1e-12
-    # the clean block itself, before the solution checks: a random one is complex
+    # the clean block itself, before the solution checks: a random one is
+    # complex, and no mirror, so readout reads the full state
+    assert sim._overlap_plan(circuit) is None
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_solution", lambda block, success: (block, success))
         block, success = sim.readout(circuit)
         want_block, want_success = sim.postselect(full, circuit.layout)
-    assert np.max(np.abs(block - want_block)) < 1e-12
-    assert abs(success - want_success) < 1e-12
+    assert np.array_equal(block, want_block) and success == want_success
 
 
 def test_readout_reads_a_slab_ancilla():
     """Hadamards on every qubit: the PREP is the whole plan, so every qubit is a slab qubit."""
     circuit = qc.Circuit(RegisterLayout(2, 1, 0), tuple(qc.hadamard(g) for g in range(4)), {})
-    plan, k, _, _ = sim._readout_plan(circuit, None)
+    plan, k = sim._readout_plan(circuit, (circuit.layout.ancilla,) + circuit.layout.reg_b)
     assert [p.kind for p in plan.passes] == ["PREP"] and k == 4  # the ancilla among them
     full = sim.run_exact(circuit)
     solution, success = sim.readout(circuit)
@@ -643,7 +686,7 @@ def test_readout_refuses_a_plan_whose_norm_drifts(monkeypatch, sys_3x3):
     mutated = sim.Pass("DIAG", diag.axes, data=((qubits, values), *rest))
     passes = plan.passes[:i] + (mutated,) + plan.passes[i + 1:]
     monkeypatch.setattr(sim, "lower", lambda circuit: sim.Plan(plan.q, passes))
-    assert sim._readout_plan(built, None)[1] == 2
+    assert sim._readout_plan(built, built.layout.reg_e)[1] == 2
     readers = [lambda: sim.readout(built), lambda: sim.readout(built, built.layout.reg_e),
                lambda: sim.run_exact(built)]
     for read in readers:
