@@ -163,7 +163,9 @@ class SolveRecord:
     """One solve: the circuit that ran, its solution, and its metrics.
 
     The solution is signed on the exact backend and holds magnitudes on the
-    sample backend, whose RunResult is `sampled`.  run_percent is the run's
+    sample backend, whose RunResult is `sampled`; exact is the signed
+    classical solution, and rel_error compares the solution with exact, or
+    with its magnitudes when sampled.  run_percent is the run's
     post-selection percentage, exact or the kept-shot fraction.
     """
 
@@ -184,9 +186,10 @@ def solve(system: PoissonSystem, fmt: FixedPointFormat, *, mode: str = "auto",
     """Build the pipeline, run it on either backend, and collect the metrics.
 
     backend is one of simulator.BACKENDS; shots and seed drive the sample
-    backend only, but shots must be >= 1 either way.  An angle table with
-    no set bit (l too small for every angle) raises PostselectionError
-    before either backend runs: the circuit has no rotation.
+    backend only, but shots must pass simulator.check_shots either way.  An
+    angle table with no set bit (l too small for every angle) raises
+    PostselectionError before either backend runs: the circuit has no
+    rotation.
     """
     sim.check_backend(backend, shots)
     built = qc.build_pipeline(system, fmt, mode=mode, phase_mode=phase_mode)
@@ -209,7 +212,7 @@ def solve(system: PoissonSystem, fmt: FixedPointFormat, *, mode: str = "auto",
         circuit=built,
         solution=solution,
         exact=exact,
-        rel_error=relative_error(exact, solution),
+        rel_error=relative_error(exact if sampled is None else np.abs(exact), solution),
         run_percent=run_percent,
         expected_percent=expected_success_probability(eigs, table),
         analytic_truncated_percent=analytic_success_probability(effective),

@@ -426,6 +426,15 @@ def _verification_layout(n: int, fmt: FixedPointFormat) -> RegisterLayout:
     return layout
 
 
+def _pipeline_layout(n: int, fmt: FixedPointFormat, mode: str) -> RegisterLayout:
+    """The fused layout, the narrowest any mode resolves to, refused over QUBIT_BUDGET."""
+    layout = RegisterLayout(n, fmt.total_bits, 0)
+    # auto resolves to fused whenever the fused layout is over budget
+    _check_budget(layout, "explicit pipeline needs at least" if mode == "explicit"
+                  else "fused pipeline needs")
+    return layout
+
+
 def build_pipeline(
     system: PoissonSystem,
     fmt: FixedPointFormat,
@@ -443,10 +452,7 @@ def build_pipeline(
     """
     check_choice("mode", mode, MODES)
     check_choice("phase_mode", phase_mode, PHASE_MODES)
-    layout = RegisterLayout(system.n, fmt.total_bits, 0)
-    # auto resolves to fused whenever the fused layout is over budget
-    _check_budget(layout, "explicit pipeline needs at least" if mode == "explicit"
-                  else "fused pipeline needs")
+    layout = _pipeline_layout(system.n, fmt, mode)
     eigs = eigenpairs(system)
     table = build_angle_table(eigs.lambdas, fmt)
     explicit = RegisterLayout(system.n, fmt.total_bits, len(table.kept_columns))

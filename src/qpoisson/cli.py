@@ -38,7 +38,7 @@ from . import noise
 from . import simulator as sim
 from .encoding import FixedPointFormat, default_format
 from .errors import QPoissonError, ResourceError, check_choice
-from .model import PoissonSystem, eigenpairs, square_safe
+from .model import PoissonSystem, _check_dim, eigenpairs, square_safe
 
 __all__ = ["FORMATS", "OPTIONS", "PRESETS", "RESOURCE_COLUMNS", "Option", "main"]
 
@@ -378,10 +378,12 @@ def cmd_resources(cfg: dict) -> int:
     for n in cfg["n_values"]:
         if n < 1:  # the flat stand-in below needs 2**n - 1 >= 1 entries
             raise ValueError(f"n must be >= 1, got {n}")
-        dim = 2**n - 1
+        fmt = _resolve_format(cfg, n, cfg["fraction_bits"])
+        # both budgets before the stand-in's 2**n - 1 entries are allocated
+        qc._pipeline_layout(n, fmt, cfg["mode"])
+        dim = _check_dim(n)
         # resource shape is input-independent; a flat state stands in for b
         system = PoissonSystem(n=n, b=np.full(dim, dim**-0.5))
-        fmt = _resolve_format(cfg, n, cfg["fraction_bits"])
         built = qc.build_pipeline(system, fmt, mode=cfg["mode"], phase_mode=cfg["phase_mode"])
         _warn_downgrade(cfg["mode"], built.metadata["mode"])
         report = analytics.resource_report(built)
@@ -419,8 +421,7 @@ def mitigation_trial(p_ideal: np.ndarray, model: noise.ReadoutModel, shots: int,
     width = model.width
     if p_ideal.size != 2**width:
         raise ValueError(f"distribution length {p_ideal.size} wants width {width} bits")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    sim.check_shots(shots)
     # refuse too wide a model before any shot is drawn
     calibration = noise.calibration_matrix(model)
     rng = np.random.default_rng(seed)

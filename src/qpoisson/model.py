@@ -113,9 +113,9 @@ def square_safe(v: np.ndarray) -> np.ndarray:
     return v / peak if peak else v
 
 
-def _check_dim(system: PoissonSystem) -> int:
-    """The matrix dimension, refused above MAX_MODEL_DIM before anything dense is built."""
-    dim = system.dim
+def _check_dim(n: int) -> int:
+    """The matrix dimension 2**n - 1, refused above MAX_MODEL_DIM before anything dense is built."""
+    dim = 2 ** n - 1
     if dim > MAX_MODEL_DIM:
         raise ResourceError(f"matrix dimension {dim} exceeds budget {MAX_MODEL_DIM}")
     return dim
@@ -123,7 +123,7 @@ def _check_dim(system: PoissonSystem) -> int:
 
 def build_matrix(system: PoissonSystem) -> np.ndarray:
     """Dense system matrix (1/h**2) tridiag(-1, 2, -1)."""
-    dim = _check_dim(system)
+    dim = _check_dim(system.n)
     return (2.0 * np.eye(dim) - np.eye(dim, k=1) - np.eye(dim, k=-1)) * system.N ** 2
 
 
@@ -133,7 +133,7 @@ def eigenpairs(system: PoissonSystem) -> EigenData:
     The eigenvectors are a dense dim x dim matrix, so dim is held to
     MAX_MODEL_DIM as in build_matrix.
     """
-    _check_dim(system)
+    _check_dim(system.n)
     N = system.N
     j = np.arange(1, N)
     lambdas = 4.0 * N * N * np.sin(j * np.pi / (2 * N)) ** 2

@@ -42,14 +42,16 @@ The lowering rules, each exact:
   qubits, an X, MCX or MCRY outside a rotation segment) runs as a GATE
   pass: one apply_gate call.
 
-run_exact executes the plan on its live qubits only.  H, DENSE, QFT and
+A plan runs in one loop on one buffer over its live qubits only, from
+|0...0>; the norm at the end must be 1 within 1e-9.  H, DENSE, QFT and
 IQFT axes, the RY target and the PREP axes and controls are written; DIAG
 axes and RY controls are only read, and a GATE pass may write any qubit.  A
 qubit no pass writes stays |0> throughout, so it is held outside the buffer:
 the tables are read at 0 on it, the other axes are renumbered, and the same
 kernels run on 2**live amplitudes.  The explicit rotation stage's reg A is
 such a qubit, since its loads and unloads undo themselves inside the one RY
-pass.  Buffer axis k then holds the k-th live qubit.
+pass.  Buffer axis k then holds the k-th live qubit.  run_exact is that
+loop on the whole lowered plan.
 
 readout computes only what a solve or a phase read takes from the final
 state: the clean block (reg B where the ancilla reads 1 and reg E and reg A
@@ -76,26 +78,13 @@ read 0) with its ancilla = 1 weight, or the marginal over some qubits.
   state.
 
 A marginal read (a sampled solve, a phase read) runs the whole plan in
-three parts: the PREP, a middle segment, and a tail.
+that one loop, less its tail, and holds the whole live state.
 
 - Tail.  The trailing H and DENSE passes on pairwise distinct qubits
   commute, so a trailing pass on traced-out qubits only is dropped.  Any
-  other tail pass stays in the middle segment.  (This is light-cone
-  pruning of the closing Hadamard layer.)
-- Slabs.  The slab qubits are the k leading live qubits that the PREP
-  writes and no later pass does, so the middle segment reads them only as
-  DIAG axes or RY controls: between the V^T folded into the PREP and the
-  final V, a pipeline is block diagonal in the walk eigenbasis, and reg B
-  leads the layout.  Slab j, one bit pattern of them, is one contiguous
-  block of 2**(live - k) amplitudes.  The PREP writes its part of the
-  product state into one reused buffer and every middle pass runs on it,
-  with the tables reading each slab qubit at its bit in j, as they read a
-  held qubit at 0, and each slab's marginal is added up.  Where a middle
-  pass writes the leading qubit, k = 0 and the one slab is the whole
-  buffer, which is what run_exact runs.  The sample backend reads reg B
-  after V, which mixes the slabs, so it runs with k = 0; its closing H on
-  the traced-out reg E is still dropped.  The norm summed over the slabs
-  must stay 1 within 1e-9.
+  other tail pass runs.  (This is light-cone pruning: the closing
+  Hadamard layer on reg E when a sampled solve reads the ancilla and reg
+  B, the final V on reg B when a phase read reads reg E.)
 
 The fused kernels (RY, DIAG, DENSE, QFT, PREP) work through the state in
 cache-sized blocks, and none of them (H included) allocates a copy of the
@@ -106,9 +95,9 @@ one.
 The state readers (postselect, register_probabilities, sample_counts) read
 the live amplitudes of a state directly and a held qubit as a point mass on
 0; no state is scattered back to full width.  register_probabilities is
-readout's marginal reduction run on one slab.  postselect is what readout
-returns for a solve that is no mirror, and with run_exact the reference
-the closed form is tested against.
+readout's marginal reduction.  postselect is what readout returns for a
+solve that is no mirror, and with run_exact the reference the closed form
+is tested against.
 
 Sampling draws independent measurement records from the exact final
 distribution with numpy's PCG64 generator, as one multinomial draw over the
@@ -148,6 +137,7 @@ __all__ = [
     "sample",
     "fragment_unitary",
     "circuit_unitary",
+    "check_shots",
     "check_backend",
 ]
 
@@ -855,29 +845,20 @@ def _lowered(circuit: Circuit) -> Plan:
     return lower(circuit)
 
 
-def _slabs(passes: Sequence[Pass], slab: tuple[int, ...], axis: dict[int, int]):
-    """Run passes from |0...0> once per slab: each bit pattern j of the slab qubits.
+def _run(plan: Plan) -> Statevector:
+    """Run plan from |0...0> on one buffer over its live qubits; the others are held at |0>.
 
-    The buffer holds the qubits in axis (axis[qubit] is its buffer axis); a
-    slab qubit reads its bit in j and any other qubit off the buffer reads
-    0.  Yields (fixed, amps) per slab: fixed maps each slab qubit to its
-    bit, and amps is the slab's final buffer, which the next slab reuses.
-    Once the last slab is read, the norm summed over all slabs must be 1
-    within 1e-9.
+    RuntimeError unless the final norm is 1 within 1e-9.
     """
-    width, k = len(axis), len(slab)
-    amps = np.empty(2 ** width, dtype=complex)
+    live = plan.live()
+    axis = {g: a for a, g in enumerate(live)}
+    amps = np.zeros(2 ** len(live), dtype=complex)
+    amps[0] = 1.0
     buf = np.empty(2 * _CHUNK, dtype=complex)  # the only scratch: two cache blocks
-    weight = 0.0
-    for j in range(2 ** k):
-        fixed = {g: j >> (k - 1 - i) & 1 for i, g in enumerate(slab)}
-        amps[:] = 0.0
-        amps[0] = 1.0
-        for p in passes:
-            _KERNELS[p.kind](amps, width, _on_live(p, axis, fixed), buf)
-        weight += float(np.vdot(amps, amps).real)
-        yield fixed, amps
-    _check_norm(weight)
+    for p in plan.passes:
+        _KERNELS[p.kind](amps, len(live), _on_live(p, axis, {}), buf)
+    _check_norm(float(np.vdot(amps, amps).real))
+    return Statevector(amps, plan.q, tuple(g for g in range(plan.q) if g not in live))
 
 
 def _check_norm(weight: float) -> None:
@@ -891,27 +872,21 @@ def run_exact(circuit: Circuit) -> Statevector:
     """Run all gates from |0...0> and return the final state.
 
     The gates are lowered to fused passes (see lower), which run on one
-    buffer over the plan's live qubits; the others are held at |0>.  This
-    is readout's loop with no slab qubits, and the reference readout is
-    tested against; apply_gate is the reference the passes are tested
-    against.
+    buffer over the plan's live qubits; the others are held at |0>.  A
+    marginal readout runs the same loop on the same plan less its tail.
+    This is the reference readout is tested against; apply_gate is the
+    reference the passes are tested against.
     """
-    plan = _lowered(circuit)
-    live = plan.live()
-    for _, amps in _slabs(plan.passes, (), {g: a for a, g in enumerate(live)}):
-        pass  # no slab qubits: one slab, the whole buffer
-    return Statevector(amps, plan.q, tuple(g for g in range(plan.q) if g not in live))
+    return _run(_lowered(circuit))
 
 
-def _readout_plan(circuit: Circuit, qubits: tuple[int, ...]):
-    """(plan, k): what readout runs on each slab for the marginal over qubits.
+def _readout_plan(circuit: Circuit, qubits: tuple[int, ...]) -> Plan:
+    """The plan readout runs for the marginal over qubits: the lowered plan less its tail.
 
     The other qubits are traced out.  The tail is the trailing run of H and
     DENSE passes on pairwise distinct qubits, which commute with one
     another; a tail pass on traced-out qubits only is dropped, and any other
-    stays in plan.  The k slab qubits are plan's leading live qubits that
-    its PREP writes and no later pass does, so every later pass reads them
-    only as DIAG axes or RY controls.
+    stays in the plan.
     """
     passes = _lowered(circuit).passes
     start, seen = len(passes), set()
@@ -922,8 +897,7 @@ def _readout_plan(circuit: Circuit, qubits: tuple[int, ...]):
         start -= 1
         seen |= axes
     tail = tuple(p for p in passes[start:] if set(p.axes) & set(qubits))
-    plan = Plan(circuit.layout.total, passes[:start] + tail)
-    return plan, _slab_count(plan)
+    return Plan(circuit.layout.total, passes[:start] + tail)
 
 
 def _slab_count(plan: Plan) -> int:
@@ -1122,30 +1096,6 @@ def postselect(state: Statevector, layout: RegisterLayout) -> tuple[np.ndarray, 
     return _solution(block.reshape(-1), weight)
 
 
-def _marginal(slabs, axis: dict[int, int], qubits: tuple[int, ...]) -> np.ndarray:
-    """Marginal probabilities over qubits, MSB first, summed over slabs.
-
-    Each slab's buffer (over the qubits in axis) is reduced one block of
-    _CHUNK at a time, so no temporary grows with the state.  A qubit off
-    the buffer reads its fixed bit (0 when held) with certainty.
-    """
-    read = [axis[g] for g in qubits if g in axis]
-    low = min(len(axis), _CHUNK.bit_length() - 1)
-    high = len(axis) - low  # a block fixes axes 0..high-1
-    kept = [a - high for a in read if a >= high]
-    axes = kept + [ax for ax in range(low) if ax + high not in read]
-    full = np.zeros((2,) * len(qubits))
-    for fixed, amps in slabs:
-        out = full[tuple(slice(None) if g in axis else fixed.get(g, 0) for g in qubits)
-                   + (Ellipsis,)]
-        for row, block in enumerate(amps.reshape(1 << high, 1 << low)):
-            probs = (np.square(block.real) + np.square(block.imag)).reshape((2,) * low)
-            part = probs.transpose(axes).reshape((2,) * len(kept) + (-1,)).sum(axis=-1)
-            index = tuple((row >> (high - 1 - a)) & 1 if a < high else slice(None) for a in read)
-            out[index] += part
-    return full.reshape(-1)
-
-
 def register_probabilities(state: Statevector, qubits: Sequence[int]) -> np.ndarray:
     """Marginal probabilities over the given qubits, read MSB-first.
 
@@ -1154,7 +1104,20 @@ def register_probabilities(state: Statevector, qubits: Sequence[int]) -> np.ndar
     reduced one block of _CHUNK at a time, so no temporary grows with the
     state.
     """
-    return _marginal([({}, state.amps)], state.axes, _check_qubits(qubits, state.q))
+    qubits, axis = _check_qubits(qubits, state.q), state.axes
+    read = [axis[g] for g in qubits if g in axis]
+    low = min(len(axis), _CHUNK.bit_length() - 1)
+    high = len(axis) - low  # a block fixes axes 0..high-1
+    kept = [a - high for a in read if a >= high]
+    axes = kept + [ax for ax in range(low) if ax + high not in read]
+    full = np.zeros((2,) * len(qubits))
+    out = full[tuple(slice(None) if g in axis else 0 for g in qubits) + (Ellipsis,)]
+    for row, block in enumerate(state.amps.reshape(1 << high, 1 << low)):
+        probs = (np.square(block.real) + np.square(block.imag)).reshape((2,) * low)
+        part = probs.transpose(axes).reshape((2,) * len(kept) + (-1,)).sum(axis=-1)
+        index = tuple((row >> (high - 1 - a)) & 1 if a < high else slice(None) for a in read)
+        out[index] += part
+    return full.reshape(-1)
 
 
 def readout(circuit: Circuit, qubits: Sequence[int] | None = None):
@@ -1166,10 +1129,8 @@ def readout(circuit: Circuit, qubits: Sequence[int] | None = None):
     circuit returns postselect(run_exact(circuit), circuit.layout).
     Otherwise the marginal probabilities over qubits (distinct qubit
     indices, read MSB first), as register_probabilities(run_exact(circuit),
-    qubits): the plan runs slab by slab, PREP writes each slab and the
-    other passes run on it, with the tail on traced-out qubits dropped (see
-    _readout_plan).  Only one slab of 2**(live - k) amplitudes is held at a
-    time.
+    qubits): the same loop runs the plan less the tail on traced-out
+    qubits (see _readout_plan) and holds the whole live state.
     """
     layout = circuit.layout
     if qubits is None:
@@ -1178,10 +1139,7 @@ def readout(circuit: Circuit, qubits: Sequence[int] | None = None):
             return postselect(run_exact(circuit), layout)
         return _solution(*_overlap(*overlap, layout))
     qubits = _check_qubits(qubits, layout.total)
-    plan, k = _readout_plan(circuit, qubits)
-    live = plan.live()
-    axis = {g: a for a, g in enumerate(live[k:])}
-    return _marginal(_slabs(plan.passes, live[:k], axis), axis, qubits)
+    return register_probabilities(_run(_readout_plan(circuit, qubits)), qubits)
 
 
 def draw_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
@@ -1199,11 +1157,16 @@ def sample_counts(
     return draw_counts(register_probabilities(state, qubits), shots, seed)
 
 
+def check_shots(shots: int) -> None:
+    """Refuse a shot count below 1, or one the int64 of numpy's multinomial draw cannot hold."""
+    if not 1 <= shots < 2**63:
+        raise ValueError(f"shots must be in 1..{2**63 - 1}, got {shots}")
+
+
 def check_backend(backend: str, shots: int) -> None:
-    """Refuse a backend outside BACKENDS and a shot count below 1."""
+    """Refuse a backend outside BACKENDS and a shot count check_shots refuses."""
     check_choice("backend", backend, BACKENDS)
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    check_shots(shots)
 
 
 def sample(circuit: Circuit, shots: int, seed: int) -> RunResult:
@@ -1213,8 +1176,7 @@ def sample(circuit: Circuit, shots: int, seed: int) -> RunResult:
     i = 1 .. 2**n - 1; success_prob is the kept fraction.  The shot and
     seed checks come before the run.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    check_shots(shots)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     layout = circuit.layout

@@ -11,6 +11,7 @@ from qpoisson import (
     analytic_success_probability,
     build_angle_table,
     build_pipeline,
+    default_format,
     effective_lambda,
     eigenpairs,
     empirical_success_probability,
@@ -182,3 +183,16 @@ def test_solve_matches_the_pipeline_calls(sys_3x3, backend):
     assert record.expected_percent == expected_success_probability(eigs, table)
     assert record.analytic_truncated_percent == analytic_success_probability(effective)
     assert record.analytic_exact_percent == analytic_success_probability(eigs.lambdas)
+
+
+def test_sampled_relative_error_compares_magnitudes():
+    """Sampling estimates |x|, so a sampled solve's error is taken against |exact|."""
+    system = PoissonSystem(n=2, b=np.array([1.0, 0.0, -1.0]))
+    fmt = default_format(2, 8, 16)
+    record = solve(system, fmt, backend="sample", shots=10**6, seed=1234)
+    assert np.any(record.exact < 0) and np.all(record.solution >= 0)
+    assert record.rel_error == relative_error(np.abs(record.exact), record.solution)
+    assert record.rel_error < 0.01
+    # the exact backend keeps the sign, and its error is taken against the signed solution
+    exact = solve(system, fmt)
+    assert exact.rel_error == relative_error(exact.exact, exact.solution) < 1e-3

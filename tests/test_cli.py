@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,24 @@ def test_resources_rejects_grid_exponents_below_1(capsys, n):
     assert f"n must be >= 1, got {n}" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--n-values", "1000000"), "fused pipeline needs 3000011 qubits, budget is 28"),
+    (("--n-values", "24"), "fused pipeline needs 83 qubits, budget is 28"),
+    (("--n-values", "20", "--i", "1", "--f", "0"),
+     "matrix dimension 1048575 exceeds budget 4096"),
+], ids=("n-1e6", "n-24", "n-20-narrow-format"))
+def test_resources_checks_the_budget_before_the_stand_in(capsys, argv, message):
+    """An over-budget size exits 3 before the 2**n - 1 entries of its stand-in b exist."""
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "resources", *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+    assert peak < 4 * 2**20
+
+
 def test_resources_fused_qubit_totals(capsys, tmp_path):
     path = tmp_path / "resources.json"
     code, _, _ = run_cli(
@@ -309,6 +328,19 @@ def test_negative_seed_exits_2_before_any_work(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(cli, "_resolve_system", resolve)
     assert run_cli(capsys, *argv, "--seed", "-1") == (2, "", "error: --seed must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("shots", [str(2**63), str(10**20)], ids=("2^63", "1e20"))
+@pytest.mark.parametrize("argv", [
+    ("solve", "--preset", "table1-3x3", "--backend", "sample"),
+    ("verify-phase", "--preset", "table1-3x3", "--eigen-index", "1", "--backend", "sample"),
+    ("mitigate-demo", "--preset", "table1-3x3"),
+], ids=("solve", "verify-phase", "mitigate-demo"))
+def test_shots_beyond_the_multinomial_draw_exit_2(capsys, argv, shots):
+    """numpy draws at most 2**63 - 1 shots in one multinomial call; more is bad input."""
+    code, out, err = run_cli(capsys, *argv, "--shots", shots)
+    assert (code, out) == (2, "")
+    assert f"shots must be in 1..{2**63 - 1}, got {shots}" in err
 
 
 def test_mitigation_trial_roundtrip():

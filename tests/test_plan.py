@@ -241,15 +241,15 @@ def test_walk_powers_fall_back_without_a_diagonalizing_basis(basis, sys_3x3):
     assert_plan_matches(circuit)
 
 
-@pytest.mark.parametrize("name,f,mode,passes,counts,live,slabs", [
+@pytest.mark.parametrize("name,f,mode,passes,counts,live", [
     pytest.param("table1-15x15", 8, "fused", 10,
                  {"PREP": 1, "DIAG": 4, "IQFT": 1, "RY": 1, "QFT": 1, "H": 1, "DENSE": 1}, 23,
-                 (16, 19), id="15x15-f8-fused"),
+                 id="15x15-f8-fused"),
     pytest.param("table1-7x7", 0, "auto", 8,
                  {"PREP": 1, "DIAG": 2, "IQFT": 1, "RY": 1, "QFT": 1, "H": 1, "DENSE": 1}, 12,
-                 (8, 9), id="7x7-f0-auto"),
+                 id="7x7-f0-auto"),
 ])
-def test_benchmark_solves_keep_their_plan(name, f, mode, passes, counts, live, slabs):
+def test_benchmark_solves_keep_their_plan(name, f, mode, passes, counts, live):
     """The two 23-qubit solves the wide benchmark times, lowered but not run."""
     system = _system(name)
     built = build_pipeline(system, default_format(system.n, f, 16), mode)
@@ -259,14 +259,11 @@ def test_benchmark_solves_keep_their_plan(name, f, mode, passes, counts, live, s
     assert len(plan.live()) == live
     (closing,) = [p for p in plan.passes if p.kind == "H"]
     assert closing.axes == built.layout.reg_e[::-1]
-    # a read of reg E drops V on the traced-out reg B and runs the rest once
-    # per reg B pattern: (slabs, qubits per slab)
-    run, k = sim._readout_plan(built, built.layout.reg_e)
+    # a read of reg E drops V on the traced-out reg B and runs the rest
+    run = sim._readout_plan(built, built.layout.reg_e)
     assert [(p.kind, p.axes) for p in run.passes] == [(p.kind, p.axes) for p in plan.passes[:-1]]
-    assert (2**k, len(run.live()) - k) == slabs
-    # sampling reads reg B after V, which mixes the slabs: one slab, no closing H
-    run, k = sim._readout_plan(built, (built.layout.ancilla,) + built.layout.reg_b)
-    assert k == 0
+    # sampling reads reg B after V and drops the closing H on the traced-out reg E
+    run = sim._readout_plan(built, (built.layout.ancilla,) + built.layout.reg_b)
     assert [p.kind for p in run.passes] == [p.kind for p in plan.passes if p.kind != "H"]
 
 
@@ -305,11 +302,11 @@ def test_readout_matches_the_full_state_on_the_grid(name, f, phase_mode):
             continue
         built[resolved] = circuit
     for circuit in built.values():
-        # the exact solve reads phase estimation in closed form: no slab runs
+        # the exact solve reads phase estimation in closed form: no pass runs
         assert sim._overlap_plan(circuit) is not None
         layout, full = circuit.layout, sim.run_exact(circuit)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sim, "_slabs", _no_slabs)
+            patch.setattr(sim, "_run", _no_run)
             solution, success = sim.readout(circuit)
         want_solution, want_success = sim.postselect(full, layout)
         assert np.max(np.abs(solution - want_solution)) < 1e-12
@@ -361,8 +358,8 @@ def test_every_cli_solve_reads_in_closed_form_or_has_no_rotation(n, rhs, seed, f
     assert sim._overlap_plan(built) is not None or not built.metadata["table"].kept_columns
 
 
-def _no_slabs(*args):
-    raise AssertionError("the exact read ran a slab")
+def _no_run(*args):
+    raise AssertionError("the exact read ran a pass")
 
 
 def raw_readouts(circuit: qc.Circuit):
@@ -570,15 +567,15 @@ def test_uncompute_leaks_only_with_continuous_phases(name, f):
 
 
 def test_readout_runs_whole_when_a_middle_pass_writes_reg_b(sys_3x3):
-    """A Hadamard pair on reg B before the rotation: no slab qubits, the same answer."""
+    """A Hadamard pair on reg B before the rotation: the pair runs, and the same answer."""
     built = build_pipeline(sys_3x3, FixedPointFormat(6, 2, 8), "fused")
     at = next(i for i, g in enumerate(built.gates) if g.kind == qc.PAULI_X)
     gates = built.gates[:at] + (qc.hadamard(0), qc.hadamard(0)) + built.gates[at:]
     circuit = qc.Circuit(built.layout, gates, built.metadata)
     # a sampled read drops the closing H on the traced-out reg E and keeps the pair
     measured = (circuit.layout.ancilla,) + circuit.layout.reg_b
-    plan, k = sim._readout_plan(circuit, measured)
-    assert k == 0 and [p.axes for p in plan.passes if p.kind == "H"] == [(0,), (0,)]
+    plan = sim._readout_plan(circuit, measured)
+    assert [p.axes for p in plan.passes if p.kind == "H"] == [(0,), (0,)]
     probs = sim.readout(circuit, measured)
     full = sim.run_exact(circuit)
     assert np.max(np.abs(probs - sim.register_probabilities(full, measured))) < 1e-12
@@ -595,7 +592,7 @@ def random_slab_circuit(seed: int) -> qc.Circuit:
     Reg B is qubits 0 and 1, reg E the next m, then the ancilla.  Between
     the Hadamards and load that open it and the Hadamards that close it,
     random walk powers, phases, Fourier fragments and Hadamards on reg E and
-    rotations of the ancilla keep reg B a slab axis.
+    rotations of the ancilla leave reg B alone.
     """
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 5))
@@ -635,11 +632,9 @@ def random_slab_circuit(seed: int) -> qc.Circuit:
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["slab", "any", "any-basis"]),
        data=st.data())
 def test_readout_matches_the_full_state_on_random_circuits(seed, kind, data):
-    """Random tails and slabs: reg B on the walk block, reg E on the rest."""
+    """Random tails, and pipeline shapes: reg B on the walk block, reg E on the rest."""
     if kind == "slab":
         circuit = random_slab_circuit(seed)
-        # a read of reg E drops the final V, so reg B stays a slab axis
-        assert sim._readout_plan(circuit, circuit.layout.reg_e)[1] >= 2
     else:
         random = random_circuit(seed, with_basis=kind == "any-basis")
         circuit = qc.Circuit(RegisterLayout(2, random.layout.total - 3, 0), random.gates,
@@ -660,10 +655,10 @@ def test_readout_matches_the_full_state_on_random_circuits(seed, kind, data):
 
 
 def test_readout_reads_a_slab_ancilla():
-    """Hadamards on every qubit: the PREP is the whole plan, so every qubit is a slab qubit."""
+    """Hadamards on every qubit: the PREP is the whole plan, and it writes the ancilla."""
     circuit = qc.Circuit(RegisterLayout(2, 1, 0), tuple(qc.hadamard(g) for g in range(4)), {})
-    plan, k = sim._readout_plan(circuit, (circuit.layout.ancilla,) + circuit.layout.reg_b)
-    assert [p.kind for p in plan.passes] == ["PREP"] and k == 4  # the ancilla among them
+    plan = sim._readout_plan(circuit, (circuit.layout.ancilla,) + circuit.layout.reg_b)
+    assert [p.kind for p in plan.passes] == ["PREP"]
     full = sim.run_exact(circuit)
     solution, success = sim.readout(circuit)
     want_solution, want_success = sim.postselect(full, circuit.layout)
@@ -675,18 +670,17 @@ def test_readout_reads_a_slab_ancilla():
 
 
 def test_readout_refuses_a_plan_whose_norm_drifts(monkeypatch, sys_3x3):
-    """One entry of one phase table off by 1%: a single slab drifts, and every reader raises."""
+    """One entry of one phase table off by 1%: the norm drifts, and every reader raises."""
     built = build_pipeline(sys_3x3, FixedPointFormat(6, 2, 8), "fused")
     plan = sim.lower(built)
     i, diag = next((i, p) for i, p in enumerate(plan.passes) if p.kind == "DIAG")
     (qubits, values), *rest = diag.data
     assert qubits[:2] == built.layout.reg_b  # a walk power: reg B and one control
     values = values.copy()
-    values[1, 1, 1] *= 1.01  # reg B = 11 only: the last slab
+    values[1, 1, 1] *= 1.01  # reg B = 11 only
     mutated = sim.Pass("DIAG", diag.axes, data=((qubits, values), *rest))
     passes = plan.passes[:i] + (mutated,) + plan.passes[i + 1:]
     monkeypatch.setattr(sim, "lower", lambda circuit: sim.Plan(plan.q, passes))
-    assert sim._readout_plan(built, built.layout.reg_e)[1] == 2
     readers = [lambda: sim.readout(built), lambda: sim.readout(built, built.layout.reg_e),
                lambda: sim.run_exact(built)]
     for read in readers:

@@ -1,5 +1,6 @@
 """Kernel checks against a brute-force reference built from gate definitions."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -14,8 +15,12 @@ from qpoisson import (
     PostselectionError,
     RegisterLayout,
     ResourceError,
+    build_phase_verification,
     build_pipeline,
+    default_format,
+    eigenpairs,
     exact_solve,
+    solve,
 )
 
 
@@ -203,6 +208,46 @@ def test_sample_is_deterministic_and_complete(sys_3x3):
     assert sim.RNG_NAME == "PCG64"
     c = sim.sample(built, shots=2000, seed=43)
     assert not np.array_equal(c.counts, a.counts)
+
+
+@pytest.mark.parametrize("name, read, phase_mode, digest", [
+    ("3x3", "solve", "encoded", "8fbf1eaa579158d7074c7278036754251d5b59f1cca1f07f881bd670f52a5d60"),
+    ("3x3", "solve", "true_a", "6e3a35809739639b50bfabbb12b660a1a43b7c70e04b75814c5e588459173d35"),
+    ("7x7", "solve", "encoded", "913950dfb75221166ac5d5e39b59283e456fc822d63e006a38ef9dc46785e422"),
+    ("7x7", "solve", "true_a", "daa9db99c1d90bf022cf64fc66fdda5d3419e4ece0b0f1858c217f6ff013c3c0"),
+    ("3x3", "eigenvector", "encoded",
+     "a745afcb8c7ea8bb4d69220594a923a7aef0ff4bbca9cf5a89f30d5101172fc9"),
+    ("7x7", "eigenvector", "encoded",
+     "2f440f03b78d0a767127be24b672beb9b41cad7cca3d11689e78cbe43260fa5f"),
+    ("7x7", "b", "encoded", "c202b5ecb1b8f74ebda9c5838e9e9529bb6a5d0d61553858a74029b2ce37bfe2"),
+], ids=("solve-3x3-encoded", "solve-3x3-true_a", "solve-7x7-encoded", "solve-7x7-true_a",
+        "phase-3x3-eigenvector", "phase-7x7-eigenvector", "phase-7x7-b"))
+def test_sampled_counts_are_pinned_per_seed(request, name, read, phase_mode, digest):
+    """Fixed-seed counts at f = 4, 10**6 shots, seed 11: sampled solves and phase reads.
+
+    A phase read of eigenvector 2 and of the preset's b, which is no
+    eigenvector.  The digests were recorded when a phase read still ran
+    slab by slab, so they also pin that a change in how the probabilities
+    are summed moves no count.
+    """
+    system = request.getfixturevalue(f"sys_{name}")
+    fmt = default_format(system.n, 4, 16)
+    if read == "solve":
+        record = solve(system, fmt, phase_mode=phase_mode, backend="sample", shots=10**6, seed=11)
+        counts = record.sampled.counts
+    else:
+        vector = eigenpairs(system).vectors[:, 1] if read == "eigenvector" else system.b
+        built = build_phase_verification(system, fmt, vector, phase_mode)
+        counts = sim.draw_counts(sim.readout(built, built.layout.reg_e), 10**6, seed=11)
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
+
+
+def test_shots_are_bounded_by_what_the_multinomial_draw_takes():
+    sim.check_shots(1)
+    sim.check_shots(2**63 - 1)
+    for shots in (0, 2**63, 10**20):
+        with pytest.raises(ValueError, match=f"shots must be in 1..{2**63 - 1}, got {shots}"):
+            sim.check_shots(shots)
 
 
 def test_sample_agrees_with_exact_within_4_sigma(sys_3x3):
