@@ -423,10 +423,10 @@ def mitigation_trial(p_ideal: np.ndarray, model: noise.ReadoutModel, shots: int,
         raise ValueError(f"distribution length {p_ideal.size} wants width {width} bits")
     sim.check_shots(shots)
     # refuse too wide a model before any shot is drawn
-    calibration = noise.calibration_matrix(model)
+    noise.check_calibration_width(model)
     rng = np.random.default_rng(seed)
     noisy = noise.corrupt(rng.multinomial(shots, p_ideal), model, seed + 1)
-    mitigated = noise.mitigate(noisy, calibration)
+    mitigated = noise.mitigate(noisy, model)
     noisy_p = noisy / shots
     amp_ideal = np.sqrt(p_ideal)
     rel_noisy = analytics.relative_error(amp_ideal, np.sqrt(noisy_p))

@@ -13,8 +13,12 @@ Mitigation inverts that relation as the constrained least squares problem
 the readout-mitigation estimator of Smolin, Gambetta and Smith (PRL 108,
 070502, 2012).  It is solved by accelerated projected gradient with the
 sort-based projection onto the probability simplex of Duchi et al. (ICML
-2008).  Forecast fidelity for a hardware run decays per entangling gate as
-GATE_ACCURACY ** cnots.
+2008).  M is never formed: M^T M is the Kronecker product of the per-qubit
+M_i^T M_i, so each iteration applies w 2x2 factors to a 2**w vector, the
+tensored readout model of Bravyi et al. (PRA 103, 042605, 2021).  That costs
+O(w 2**w) time per iteration and O(2**w) memory; calibration_matrix() builds
+the dense M as a reference.  Forecast fidelity for a hardware run decays per
+entangling gate as GATE_ACCURACY ** cnots.
 """
 
 from __future__ import annotations
@@ -28,19 +32,24 @@ import numpy as np
 from .errors import ResourceError
 
 __all__ = [
+    "DRAW_BUDGET",
     "GATE_ACCURACY",
     "MAX_CALIBRATION_WIDTH",
     "ReadoutModel",
     "corrupt",
     "calibration_matrix",
+    "check_calibration_width",
     "mitigate",
     "fidelity_estimate",
 ]
 
 # Per-CNOT accuracy of the hardware fidelity forecast.
 GATE_ACCURACY = 0.92
-# 2**w x 2**w dense calibration matrices stay small below this width.
+# Widest model mitigate() and the dense calibration_matrix() accept.
 MAX_CALIBRATION_WIDTH = 10
+# Most uniforms corrupt() draws in one call, one per recorded bit: about 25 s
+# at 5.6 ns per draw on a 2-core x86 VM.
+DRAW_BUDGET = 2**32
 # Projected-gradient iteration cap, and the largest entry change of the
 # iterate below which it has converged.
 _MAX_ITERATIONS = 10_000
@@ -84,11 +93,18 @@ class ReadoutModel:
         if indices != list(range(len(indices))):
             raise ValueError(f"noise model qubits must be contiguous from 0, got {indices}")
         try:
-            p01 = tuple(float(raw[str(i)]["p01"]) for i in indices)
-            p10 = tuple(float(raw[str(i)]["p10"]) for i in indices)
-        except (KeyError, TypeError) as exc:
+            p01 = tuple(_number(raw[str(i)]["p01"]) for i in indices)
+            p10 = tuple(_number(raw[str(i)]["p10"]) for i in indices)
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"noise model {path}: every qubit needs numeric p01 and p10") from exc
         return cls(p01=p01, p10=p10)
+
+
+def _number(value) -> float:
+    """A JSON number as a float; TypeError for a string, a boolean, null or a container."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a JSON number")
+    return float(value)
 
 
 def corrupt(counts: np.ndarray, model: ReadoutModel, seed: int) -> np.ndarray:
@@ -98,12 +114,17 @@ def corrupt(counts: np.ndarray, model: ReadoutModel, seed: int) -> np.ndarray:
     ascending outcome order, each takes w uniforms, qubit 0 first, and a bit
     flips where its uniform falls below its flip probability.  The records are
     drawn in blocks that may span outcomes; consecutive draws concatenate the
-    same stream, so the blocks do not change it.
+    same stream, so the blocks do not change it.  More than DRAW_BUDGET
+    uniforms (records times w) raise ResourceError before the first draw.
     """
     w = model.width
     counts = np.asarray(counts)
     if counts.shape != (2 ** w,) or counts.dtype.kind not in "iu" or np.any(counts < 0):
         raise ValueError(f"counts must be {2 ** w} non-negative integers for a {w}-bit model")
+    # a float sum cannot wrap, and it is exact near the budget
+    bits = float(counts.sum(dtype=np.float64)) * w
+    if bits > DRAW_BUDGET:
+        raise ResourceError(f"corrupt needs {bits:.6g} draws, budget is {DRAW_BUDGET}")
     p01 = np.asarray(model.p01)
     p10 = np.asarray(model.p10)
     rng = np.random.default_rng(seed)
@@ -136,44 +157,68 @@ def corrupt(counts: np.ndarray, model: ReadoutModel, seed: int) -> np.ndarray:
     return out
 
 
-def calibration_matrix(model: ReadoutModel) -> np.ndarray:
-    """Column-stochastic 2**w x 2**w confusion matrix, qubit 0 outermost."""
+def check_calibration_width(model: ReadoutModel) -> None:
+    """Refuse a model wider than MAX_CALIBRATION_WIDTH with ResourceError."""
     if model.width > MAX_CALIBRATION_WIDTH:
         raise ResourceError(f"calibration width {model.width} exceeds {MAX_CALIBRATION_WIDTH}")
+
+
+def _confusion_factors(model: ReadoutModel) -> list[np.ndarray]:
+    """Each qubit's column-stochastic [[1 - p01, p10], [p01, 1 - p10]], qubit 0 first."""
+    check_calibration_width(model)
+    return [np.array([[1.0 - p, q], [p, 1.0 - q]]) for p, q in zip(model.p01, model.p10)]
+
+
+def _apply_factors(factors: list[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """(factors[0] kron ... kron factors[-1]) @ v, one 2x2 product per qubit."""
+    for i, factor in enumerate(factors):
+        v = np.matmul(factor, v.reshape(2**i, 2, -1)).reshape(-1)
+    return v
+
+
+def calibration_matrix(model: ReadoutModel) -> np.ndarray:
+    """Column-stochastic 2**w x 2**w confusion matrix, qubit 0 outermost.
+
+    The dense reference for mitigate(), which applies the same matrix one
+    qubit's factor at a time and never forms it.
+    """
     out = np.array([[1.0]])
-    for p01, p10 in zip(model.p01, model.p10):
-        single = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
+    for single in _confusion_factors(model):
         out = np.kron(out, single)
     return out
 
 
-def mitigate(noisy_counts: np.ndarray, calibration: np.ndarray) -> np.ndarray:
+def mitigate(noisy_counts: np.ndarray, model: ReadoutModel) -> np.ndarray:
     """Recover the ideal outcome distribution from noisy counts.
 
-    Returns a probability vector over the calibration's outcomes.  Solves the
+    Returns a probability vector over the model's 2**w outcomes.  Solves the
     constrained least squares problem in the module docstring by accelerated
     projected gradient (FISTA with adaptive restart), started at the observed
-    frequencies.
+    frequencies.  M and M^T M are applied as Kronecker products of 2x2
+    factors: O(w 2**w) time per iteration and O(2**w) memory.
     """
+    factors = _confusion_factors(model)
+    size = 2**model.width
     noisy_counts = np.asarray(noisy_counts)
     if (
-        noisy_counts.shape != (len(calibration),)
+        noisy_counts.shape != (size,)
         or not np.isfinite(noisy_counts).all()
         or np.any(noisy_counts < 0)
     ):
-        raise ValueError(f"need {len(calibration)} finite counts >= 0, got {noisy_counts!r}")
+        raise ValueError(f"need {size} finite counts >= 0, got {noisy_counts!r}")
     total = noisy_counts.sum()
     if total <= 0:
         raise ValueError("counts sum to zero")
     observed = noisy_counts / total
-    gram = calibration.T @ calibration
-    target = calibration.T @ observed
-    # the largest row sum bounds the gradient's Lipschitz constant from above
-    step = 1.0 / np.max(np.abs(gram).sum(axis=1))
+    grams = [factor.T @ factor for factor in factors]
+    target = _apply_factors([factor.T for factor in factors], observed)
+    # the largest row sum of M^T M bounds the gradient's Lipschitz constant from
+    # above; its entries are >= 0, so that sum is the product of the factors' own
+    step = 1.0 / math.prod(gram.sum(axis=1).max() for gram in grams)
     x = y = observed
     t = 1.0
     for _ in range(_MAX_ITERATIONS):
-        x_next = _project_simplex(y - step * (gram @ y - target))
+        x_next = _project_simplex(y - step * (_apply_factors(grams, y) - target))
         move = x_next - x
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         if np.dot(y - x_next, move) > 0.0:  # momentum points uphill: restart it

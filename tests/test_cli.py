@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -317,6 +318,30 @@ def test_mitigate_demo_refuses_a_wide_model_before_sampling(capsys, monkeypatch)
     assert "calibration width 11 exceeds 10" in err
 
 
+def test_mitigate_demo_never_builds_the_dense_calibration_matrix(capsys, monkeypatch):
+    def calibration_matrix(model):
+        raise AssertionError("mitigate-demo built the 2**w x 2**w calibration matrix")
+
+    monkeypatch.setattr(cli.noise, "calibration_matrix", calibration_matrix)
+    b = ",".join(["1"] * (2**10 - 1))
+    tracemalloc.start()
+    code, out, _ = run_cli(capsys, "mitigate-demo", "--n", "10", "--b", b, "--shots", "1000")
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert code == 0 and "relative error mitigated" in out
+    # M, M^T M and |M^T M| alone held 24 MiB at w = 10
+    assert peak < 4 * 2**20
+
+
+def test_mitigate_demo_refuses_more_draws_than_the_budget_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "mitigate-demo", "--shots", "100000000000000")
+    assert (code, out) == (3, "")
+    assert "corrupt needs 2e+14 draws, budget is 4294967296" in err
+    # drawing them would take weeks; the multinomial split of the shots is all that runs
+    assert time.perf_counter() - start < 0.5
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "--preset", "table1-15x15", "--backend", "sample"),
     ("verify-phase", "--preset", "table1-15x15", "--eigen-index", "1", "--backend", "sample"),
@@ -418,6 +443,9 @@ def test_malformed_noise_model_exits_2(capsys, tmp_path):
     path = tmp_path / "noise.json"
     cases = [
         ({"0": {"p01": 0.01}, "1": {"p01": 0.01, "p10": 0.02}}, "p10"),
+        # JSON numbers only: neither a string nor a boolean reads as a flip probability
+        ({"0": {"p01": "0.02", "p10": False}, "1": {"p01": 0.01, "p10": 0.02}},
+         "every qubit needs numeric p01 and p10"),
         # the 3x3 default problem has n = 2 measured bits
         ({str(q): {"p01": 0.01, "p10": 0.02} for q in range(3)},
          "noise model width 3 does not match n = 2"),

@@ -218,6 +218,25 @@ def test_corrupt_memory_is_bounded():
     assert peak < 4 * 2**20
 
 
+def test_corrupt_refuses_more_draws_than_its_budget_before_drawing(monkeypatch):
+    def default_rng(seed):
+        raise AssertionError("corrupt drew before it checked the draw budget")
+
+    model = ReadoutModel.uniform(4, 0.02, 0.05)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", default_rng)
+        with pytest.raises(ResourceError, match="budget is 4294967296"):
+            corrupt(np.array([2**30 + 1] + [0] * 15), model, seed=1)
+        with pytest.raises(ResourceError):
+            corrupt(np.full(16, 2**62), model, seed=1)  # the int64 sum would wrap
+    # records times bits up to the budget are drawn, one more is refused
+    monkeypatch.setattr(noise, "DRAW_BUDGET", 12)
+    assert corrupt(np.array([3] + [0] * 15), model, seed=1).sum() == 3
+    monkeypatch.setattr(noise, "DRAW_BUDGET", 11)
+    with pytest.raises(ResourceError, match="corrupt needs 12 draws, budget is 11"):
+        corrupt(np.array([3] + [0] * 15), model, seed=1)
+
+
 def test_calibration_matrix_single_qubit():
     model = ReadoutModel(p01=(0.02,), p10=(0.05,))
     m = calibration_matrix(model)
@@ -251,7 +270,7 @@ def test_calibration_matrix_bounds():
 
 
 def test_mitigate_identity_calibration_returns_frequencies():
-    recovered = mitigate(np.array([25, 25, 50, 0]), np.eye(4))
+    recovered = mitigate(np.array([25, 25, 50, 0]), ReadoutModel.uniform(2, 0.0, 0.0))
     assert np.allclose(recovered, [0.25, 0.25, 0.5, 0.0], atol=1e-8)
 
 
@@ -259,7 +278,7 @@ def test_mitigate_recovers_true_distribution():
     model = ReadoutModel.uniform(2, 0.02, 0.05)
     truth = np.array([50_000, 30_000, 15_000, 5_000])
     noisy = corrupt(truth, model, seed=21)
-    recovered = mitigate(noisy, calibration_matrix(model))
+    recovered = mitigate(noisy, model)
     assert np.all(recovered >= 0.0)
     assert recovered.sum() == pytest.approx(1.0, abs=1e-9)
     true_freqs = np.array([0.5, 0.3, 0.15, 0.05])
@@ -269,7 +288,7 @@ def test_mitigate_recovers_true_distribution():
 def test_mitigate_recovers_delta():
     model = ReadoutModel.uniform(2, 0.02, 0.02)
     noisy = corrupt(outcome_counts(2, {0b10: 100_000}), model, seed=8)
-    recovered = mitigate(noisy, calibration_matrix(model))
+    recovered = mitigate(noisy, model)
     assert recovered[0b10] > 0.99
 
 
@@ -280,7 +299,7 @@ def test_mitigate_inverts_inside_the_simplex():
     observed = noisy / noisy.sum()
     inverse = np.linalg.solve(calibration, observed)
     assert np.all(inverse > 0.0)  # column sums of 1 keep sum(inverse) = 1
-    assert np.max(np.abs(mitigate(noisy, calibration) - inverse)) < 1e-10
+    assert np.max(np.abs(mitigate(noisy, model) - inverse)) < 1e-10
 
 
 @pytest.mark.parametrize("p", (0.05, 0.3, 0.45))
@@ -290,7 +309,7 @@ def test_mitigate_meets_kkt_with_active_bounds(p):
     noisy = corrupt(outcome_counts(3, {0b101: 2_000, 0b110: 500}), model, seed=4)
     observed = noisy / noisy.sum()
     assert np.any(np.linalg.solve(calibration, observed) < 0.0)  # a bound must be active
-    x = mitigate(noisy, calibration)
+    x = mitigate(noisy, model)
     assert np.all(x >= 0.0) and x.sum() == pytest.approx(1.0, abs=1e-12)
     # gradient of 0.5 ||M x - y||^2; the sum constraint's multiplier equalizes it on
     # the support and may only be exceeded where x sits on its bound
@@ -302,14 +321,70 @@ def test_mitigate_meets_kkt_with_active_bounds(p):
     assert np.all(grad[~support] - level > -1e-9)
 
 
+def mitigate_dense(noisy_counts, calibration):
+    """mitigate() on the dense calibration matrix: the reference for its factored products."""
+    observed = noisy_counts / noisy_counts.sum()
+    gram = calibration.T @ calibration
+    target = calibration.T @ observed
+    step = 1.0 / np.max(np.abs(gram).sum(axis=1))
+    x = y = observed
+    t = 1.0
+    for _ in range(noise._MAX_ITERATIONS):
+        x_next = noise._project_simplex(y - step * (gram @ y - target))
+        move = x_next - x
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        if np.dot(y - x_next, move) > 0.0:
+            t, t_next = 1.0, 1.0
+        y = x_next + ((t - 1.0) / t_next) * move
+        x, t = x_next, t_next
+        if np.max(np.abs(move)) < noise._STEP_TOL:
+            break
+    return x
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_mitigate_matches_the_dense_calibration_matrix(width):
+    rng = np.random.default_rng(100 + width)
+    model = ReadoutModel(p01=tuple(rng.uniform(0.0, 0.45, width)),
+                         p10=tuple(rng.uniform(0.0, 0.45, width)))
+    truth = rng.multinomial(100_000, rng.dirichlet(np.full(2**width, 0.3)))
+    noisy = corrupt(truth, model, seed=width)
+    reference = mitigate_dense(noisy, calibration_matrix(model))
+    assert np.max(np.abs(mitigate(noisy, model) - reference)) < 1e-12
+
+
+def test_mitigate_memory_is_linear_in_the_outcomes():
+    w = noise.MAX_CALIBRATION_WIDTH
+    model = ReadoutModel.uniform(w, 0.02, 0.05)
+    noisy = corrupt(np.full(2**w, 100), model, seed=3)
+    tracemalloc.start()
+    x = mitigate(noisy, model)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert x.sum() == pytest.approx(1.0, abs=1e-12)
+    # M, M^T M and |M^T M| at 2**10 x 2**10 held 24 MiB; a 2**10 vector is 8 KiB
+    assert peak < 2**20
+
+
+def test_mitigate_refuses_a_model_wider_than_the_calibration_bound():
+    with pytest.raises(ResourceError, match="calibration width 11 exceeds 10"):
+        mitigate(np.ones(2**11, dtype=np.int64), ReadoutModel.uniform(11, 0.1, 0.1))
+
+
 @pytest.mark.parametrize(
     "raw",
     (
         [{"p01": 0.01, "p10": 0.02}],
         {"0": {"p01": 0.01}},
         {"0": 0.01},
+        {"0": {"p01": "0.02", "p10": 0.05}},
+        {"0": {"p01": 0.02, "p10": False}},
+        {"0": {"p01": None, "p10": 0.05}},
+        {"0": {"p01": [0.02], "p10": 0.05}},
+        {"0": {"p01": 10**400, "p10": 0.05}},
     ),
-    ids=("not-an-object", "missing-p10", "entry-not-an-object"),
+    ids=("not-an-object", "missing-p10", "entry-not-an-object", "string", "bool", "null", "list",
+         "int-beyond-float"),
 )
 def test_model_from_json_rejects_malformed(tmp_path, raw):
     path = tmp_path / "noise.json"
@@ -320,7 +395,7 @@ def test_model_from_json_rejects_malformed(tmp_path, raw):
 
 def test_mitigate_rejects_empty():
     with pytest.raises(ValueError):
-        mitigate(np.zeros(2, dtype=np.int64), np.eye(2))
+        mitigate(np.zeros(2, dtype=np.int64), ReadoutModel.uniform(1, 0.0, 0.0))
 
 
 @pytest.mark.parametrize(
@@ -337,7 +412,7 @@ def test_mitigate_rejects_empty():
 )
 def test_mitigate_rejects_counts_that_do_not_fit_the_calibration(counts):
     with pytest.raises(ValueError):
-        mitigate(counts, np.eye(4))
+        mitigate(counts, ReadoutModel.uniform(2, 0.0, 0.0))
 
 
 def test_fidelity_estimate():
