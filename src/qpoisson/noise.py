@@ -8,12 +8,14 @@ holds the readout distribution for true state s and a noisy distribution is
 M @ ideal.
 Mitigation inverts that relation as the constrained least squares problem
 
-    min ||M x - y||_2   subject to   x >= 0,  sum(x) = 1,
+    min ||M x - y||_2   subject to   x >= 0,  sum(x) = 1.
 
-the readout-mitigation estimator of Smolin, Gambetta and Smith (PRL 108,
-070502, 2012).  It is solved by accelerated projected gradient with the
-sort-based projection onto the probability simplex of Duchi et al. (ICML
-2008).  M is never formed: M^T M is the Kronecker product of the per-qubit
+That is not the estimator of Smolin, Gambetta and Smith (PRL 108, 070502,
+2012), which projects the linear-inversion estimate M^-1 y onto the simplex
+in the 2-norm; here the residual is measured in the observed space instead.
+It is solved by accelerated projected gradient with the sort-based
+projection onto the probability simplex of Duchi et al. (ICML 2008).  M is
+never formed: M^T M is the Kronecker product of the per-qubit
 M_i^T M_i, so each iteration applies w 2x2 factors to a 2**w vector, the
 tensored readout model of Bravyi et al. (PRA 103, 042605, 2021).  That costs
 O(w 2**w) time per iteration and O(2**w) memory; calibration_matrix() builds

@@ -66,16 +66,23 @@ read 0) with its ancilla = 1 weight, or the marginal over some qubits.
   reg E qubit, and one QFT or IQFT pass over reg E.  On one value b of
   reg B in the walk eigenbasis (a slab), reg E is then a product state up
   to the Fourier pass, whose output factorizes: its distribution p_b is a
-  product of one real factor per qubit, built in O(2**m) with no FFT (for
-  geometric phases, the Fejer kernel of Cleve, Ekert, Macchiavello and
-  Mosca, Proc. R. Soc. A 454, 339, 1998).  Slab b (PREP amplitude beta_b,
-  RY sin table s) reduces to its clean-block entry beta_b sum_E p_b(E)
-  s(E) and its weight |beta_b|^2 sum_E p_b(E) s(E)^2; the final V then
-  runs on the 2**n block.  This is the HHL amplitude <0_E 0_A 1_anc| C^-1
-  R C |b> (Harrow, Hassidim and Lloyd, PRL 103, 150502, 2009).  The norm
-  summed over the slabs must stay 1 within 1e-9.  A solve of any other
-  circuit is postselect(run_exact(circuit)), which holds the whole live
-  state.
+  product of one real factor per qubit (for geometric phases, the Fejer
+  kernel of Cleve, Ekert, Macchiavello and Mosca, Proc. R. Soc. A 454, 339,
+  1998).  Only p_b's marginal on the RY controls is read, and in every
+  builder circuit they are reg E's leading bits.  So the last f factors (f
+  = min(last control's axis + 1, floor(m/2))) fold into a Laurent
+  polynomial of degree below 2**f, read against the Fourier moments of the
+  product of the other m - f: a slab costs one BLAS product of
+  O(2**(m+1)) on 2**(m-f) values, with no FFT and no 2**m-entry product.
+  The entries are accurate in absolute terms, about 1e-16, so a zero may
+  read -1e-17 (a sampler must clip).  Slab b (PREP amplitude beta_b, RY
+  sin table s) reduces to its clean-block entry beta_b sum_E p_b(E) s(E)
+  and its weight |beta_b|^2 sum_E p_b(E) s(E)^2; a slab with beta_b = 0
+  adds nothing.  The final V then runs on the 2**n block.  This is the
+  HHL amplitude <0_E 0_A 1_anc| C^-1 R C |b> (Harrow, Hassidim and Lloyd,
+  PRL 103, 150502, 2009).  The norm summed over the slabs must stay 1
+  within 1e-9.  A solve of any other circuit is
+  postselect(run_exact(circuit)), which holds the whole live state.
 
 A marginal read (a sampled solve, a phase read) runs the whole plan in
 that one loop, less its tail, and holds the whole live state.
@@ -551,18 +558,25 @@ def _diag_table(terms, q: int) -> tuple[tuple[int, ...], np.ndarray]:
     return tuple(axes), table
 
 
-def _inverts(a: Gate, b: Gate) -> bool:
-    """a is b's inverse: b itself, or b with its matrix's adjoint (no gate built).
+def _inverts(after: Sequence[Gate], before: Sequence[Gate]) -> bool:
+    """Each gate of after is its partner's inverse in before: itself, or with its matrix's adjoint.
 
-    Matrices compare to 1e-12.  Only H, CU and SWAP gates reach it (it is
-    only asked of gates ahead of the first rotation segment), so no angle is
-    compared.
+    No inverse gate is built.  Kinds, targets and controls must be equal,
+    and the matrices, stacked by shape, compare to 1e-12 in one stacked
+    comparison per shape.  Only H, CU and SWAP gates reach it (it is only asked of
+    gates ahead of the first rotation segment), so no angle is compared.
     """
-    if (a.kind, a.targets, a.controls) != (b.kind, b.targets, b.controls):
+    if any((a.kind, a.targets, a.controls) != (b.kind, b.targets, b.controls)
+           for a, b in zip(after, before)):
         return False
-    if a.matrix is None:
-        return True
-    return float(np.max(np.abs(a.matrix - b.matrix.conj().T))) <= 1e-12
+    stacks: dict[tuple[int, ...], tuple[list, list]] = {}
+    for a, b in zip(after, before):
+        if a.matrix is not None:
+            mine, theirs = stacks.setdefault(a.matrix.shape, ([], []))
+            mine.append(a.matrix)
+            theirs.append(b.matrix)
+    return all(np.max(np.abs(np.stack(mine) - np.stack(theirs).conj().swapaxes(1, 2))) <= 1e-12
+               for mine, theirs in stacks.values())
 
 
 def _fourier_at(gates: Sequence[Gate], i: int):
@@ -655,13 +669,15 @@ def _rotation_at(gates: Sequence[Gate], i: int, cap: int):
         return None
     row = {q: r for r, q in enumerate(qubits)}
     start = ((np.arange(1 << len(qubits)) >> np.arange(len(qubits))[::-1, None]) & 1).astype(bool)
-    bits, angles = start.copy(), np.zeros(1 << len(qubits))
+    bits, angles, hit = start.copy(), np.zeros(1 << len(qubits)), np.empty(1 << len(qubits), bool)
     for g, flip in run:
-        hit = bits[[row[c] for c in _controls(g)]].all(axis=0)
+        hit[:] = True
+        for c in _controls(g):
+            hit &= bits[row[c]]
         if flip:
             bits[row[g.targets[0]]] ^= hit
         else:
-            angles[hit] += g.angle
+            np.add(angles, g.angle, out=angles, where=hit)
     if not np.array_equal(bits, start):
         return None
     return target, tuple(qubits), angles, len(run)
@@ -932,7 +948,7 @@ def _overlap_plan(circuit: Circuit):
     if ((load.kind, load.controls, load.targets) != (cg.CONTROLLED_UNITARY, (), layout.reg_b)
             or any(layout.ancilla in g.qubits or g.kind == cg.CONTROLLED_UNITARY
                    and not g.controls and not _diagonal(g.matrix) for g in compute)
-            or not all(map(_inverts, gates[end:], compute[::-1]))):
+            or not _inverts(gates[end:], compute[::-1])):
         return None
     passes = _lowered(Circuit(layout, gates[:end], circuit.metadata)).passes
     r = next((r for r, p in enumerate(passes) if p.kind == "RY"), 0)
@@ -968,30 +984,87 @@ def _half_circle(width: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(angles), np.sin(angles)
 
 
-def _fourier_marginal(a: np.ndarray, b: np.ndarray, inverse: bool, read, circle) -> np.ndarray:
-    """|F psi|^2 summed onto the axes in read (ascending), for psi the product of (a_i, b_i).
+def _fourier_marginal(w: int, read, inverse: bool):
+    """The map (a, b) -> |F psi|^2 summed onto the axes in read (ascending), psi = prod (a_i, b_i).
 
-    F is the orthonormal DFT on w = len(a) qubits, with np.fft.fft's sign
-    if inverse (an IQFT pass) and np.fft.ifft's otherwise (a QFT pass).
-    The transform of a product state factorizes: with qubit i MSB first,
-    p(y) = 2**(-w) prod_i |a_i + b_i e^(-+2 pi i y / 2**(i+1))|^2.  Qubit
-    i's factor |a_i|^2 + |b_i|^2 + h_i(y), h_i = 2 Re(conj(a_i) b_i
-    e^(...)), is real and depends on y mod 2**(i+1) only, and h_i flips
-    sign half a period on, so p is built by doubling in O(2**w).  circle is
-    _half_circle(v) for some v >= w; each qubit takes it strided.
+    F is the orthonormal DFT on w qubits, with np.fft.fft's sign if inverse
+    (an IQFT pass) and np.fft.ifft's otherwise (a QFT pass).  The transform
+    of a product state factorizes: with qubit i MSB first, p(y) = 2**(-w)
+    prod_i (n_i + h_i(y)), n_i = |a_i|^2 + |b_i|^2 and h_i = 2 Re(c_i
+    e^(-+2 pi i y / 2**(i+1))), c_i = conj(a_i) b_i.  Factor i depends on y
+    mod 2**(i+1) only, and h_i flips sign half a period on, so a product of
+    such factors is built by doubling.
+
+    The last f = min(max(read) + 1, w // 2) pairs, whose bits are the
+    leading axes, are folded rather than doubled out.  Write y = s +
+    2**(w-f) B: B is the top f bits (axes 0 .. f-1), on which only the
+    folded factors depend.  P(s), the first w - f factors, is built by
+    doubling on 2**(w-f) entries.  On the unit circle z = e^(-+2 pi i s /
+    2**w) the folded factors are the Laurent polynomial Q_B(z) =
+    prod_(i >= w-f) (n_i + d_i z^k_i + conj(d_i) z^-k_i), k_i = 2**(w-1-i)
+    and d_i = c_i e^(-+2 pi i B k_i / 2**f); its coefficients q_B(K), |K|
+    < 2**f, are built by doubling over B in O(4**f), and the unread B axes
+    sum their rows.  So the marginal is Re sum_K q_B(K) mu(K), the moments
+    mu(K) = sum_s P(s) z^K, and only K >= 0 is needed (twice for K > 0), as
+    P and Q_B are real.  The moments are one BLAS product: s splits into
+    its top bits hi (at least half of them, and every read axis past the
+    fold) and the rest lo, and mu = hi_t * (P.reshape(2**hi, 2**lo) @
+    lo_t), summed over hi's unread axes.  With f = 0 (nothing read) the
+    marginal is sum_s P(s).  A call costs
+    O(2**(w+1)) for the moments and 2**(len(read) + f) for the last
+    product, which only a read past the fold makes the larger; it holds
+    2**(w-f) values of P, not the 2**w of p.
+
+    The tables are built here, once; the returned function reads each
+    (a, b).  Entries are accurate in absolute terms (about 1e-16), so one
+    that is 0 may read -1e-17.
     """
-    w, (cos, sin) = len(a), circle
-    c, norm = a.conj() * b, np.square(np.abs(a)) + np.square(np.abs(b))
-    p, h = np.empty(2 ** w), np.empty(2 ** w // 2)
-    p[0] = 0.5 ** w
-    for i in range(w):
-        half, step = 1 << i, len(cos) >> i
-        np.multiply(cos[::step], 2 * c[i].real, out=h[:half])
-        h[:half] += (2 * c[i].imag if inverse else -2 * c[i].imag) * sin[::step]
-        p[half : 2 * half] = p[:half]
-        p[half : 2 * half] *= norm[i] - h[:half]
-        p[:half] *= norm[i] + h[:half]
-    return p.reshape((2,) * w).sum(axis=tuple(x for x in range(w) if x not in read)).reshape(-1)
+    f = min(max(read, default=-1) + 1, w // 2)
+    u = w - f
+    hi = max((u + 1) // 2, max(read, default=-1) + 1 - f)
+    cos, sin = _half_circle(u)
+    spin = -1j if inverse else 1j
+    # the fold's d_i / c_i over B < 2**t (they flip sign at B + 2**t): the circle, strided
+    turns = [(cos[:: len(cos) >> t] + spin * sin[:: len(cos) >> t])[:, None] for t in range(f)]
+    turn = spin * 2 * math.pi / 2 ** w
+
+    def moments(x):  # e^(-+2 pi i K x / 2**w) for K < 2**f, the phase reduced exactly
+        return np.exp(turn * (np.outer(x, np.arange(2 ** f)) % 2 ** w))
+
+    lo_t = np.ascontiguousarray(moments(np.arange(2 ** (u - hi)))).view(float)
+    hi_t = moments(np.arange(2 ** hi) << (u - hi))
+    hi_t[:, 1:] *= 2  # mu(-K) = conj(mu(K)) and q_B(-K) = conj(q_B(K))
+    fold_sum = tuple(x for x in range(f) if x not in read)
+    hi_sum = tuple(x for x in range(hi) if x + f not in read)
+    mid = 2 ** f - 1  # q's column for K = 0
+
+    def marginal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        c, norm = a.conj() * b, np.square(np.abs(a)) + np.square(np.abs(b))
+        p, h = np.empty(2 ** u), np.empty(2 ** u // 2)
+        p[0] = 0.5 ** w
+        for i in range(u):
+            half, step = 1 << i, len(cos) >> i
+            np.multiply(cos[::step], 2 * c[i].real, out=h[:half])
+            h[:half] += (2 * c[i].imag if inverse else -2 * c[i].imag) * sin[::step]
+            p[half : 2 * half] = p[:half]
+            p[half : 2 * half] *= norm[i] - h[:half]
+            p[:half] *= norm[i] + h[:half]
+        q = np.zeros((2 ** f, 2 * mid + 1), dtype=complex)
+        q[0, mid] = 1
+        for t in range(f):  # pair u + t, whose power of z is k = 2**(f-1-t)
+            half, k, d = 1 << t, 1 << (f - 1 - t), c[u + t] * turns[t]
+            shift = np.zeros((half, 2 * mid + 1), dtype=complex)
+            shift[:, k:] = d * q[:half, :-k]
+            shift[:, :-k] += d.conj() * q[:half, k:]
+            q[half : 2 * half] = norm[u + t] * q[:half] - shift
+            q[:half] *= norm[u + t]
+            q[:half] += shift
+        q = q.reshape((2,) * f + (-1,)).sum(axis=fold_sum).reshape(-1, 2 * mid + 1)[:, mid:]
+        mu = hi_t * (p.reshape(2 ** hi, -1) @ lo_t).view(complex)
+        mu = mu.reshape((2,) * hi + (-1,)).sum(axis=hi_sum).reshape(-1, 2 ** f)
+        return (q @ mu.T).real.reshape(-1)
+
+    return marginal
 
 
 def _overlap(plan: Plan, k: int, ry: Pass, closing, layout: RegisterLayout):
@@ -1010,26 +1083,31 @@ def _overlap(plan: Plan, k: int, ry: Pass, closing, layout: RegisterLayout):
     No pass runs.  On slab j (the PREP writes reg B alone, so j is b) each
     register qubit has the pair (a_i, b_i): (1, 1) from the PREP's
     Hadamards, times its DIAG values.  Then |beta_b|^2 p_b = |d_b|^2
-    _fourier_marginal(a, b, ...), d_b = beta_b 2**(-w/2) the PREP's entry,
-    in closed form (the Fejer kernel for geometric phases: Cleve, Ekert,
-    Macchiavello and Mosca, Proc. R. Soc. A 454, 339, 1998).  The norm
-    summed over the slabs must stay 1 within 1e-9.  The block is read in
-    the walk frame, and closing (the owed V) then runs on its 2**n entries.
+    marginal(a, b), d_b = beta_b 2**(-w/2) the PREP's entry, in closed form
+    (the Fejer kernel for geometric phases: Cleve, Ekert, Macchiavello and
+    Mosca, Proc. R. Soc. A 454, 339, 1998).  marginal is
+    _fourier_marginal's, whose moment tables are built once here and
+    shared by every slab; it reads p_b onto the RY controls from the
+    moments of the unread low qubits, with O(2**(w+1)) work and 2**(w-f)
+    values per slab (f the folded leading qubits).  A slab whose d_b is 0
+    adds exact zeros and is skipped.  The norm summed over the slabs must
+    stay 1 within 1e-9.  The block is read in the walk frame, and closing
+    (the owed V) then runs on its 2**n entries.
     """
     n, (prep, *diags, fourier), live = layout.b_width, plan.passes, plan.live()
     beta = prep.data * 2 ** (len(prep.controls) / 2)  # the PREP's 2**(-k/2) off
     axis = {g: a for a, g in enumerate(live[k:])}
     read = tuple(axis[g] for g in ry.controls if g in axis)
-    circle = _half_circle(len(axis))
+    marginal = _fourier_marginal(len(axis), read, fourier.kind == "IQFT")
     overlap, weight, norm = np.zeros(2 ** n), 0.0, 0.0
-    for j in range(2 ** k):
+    for j in np.flatnonzero(prep.data):
         fixed = {g: j >> (k - 1 - i) & 1 for i, g in enumerate(live[:k])}
         pairs = np.ones((2, len(axis)), dtype=complex)
         for p in diags:
             for qubits, values in _on_live(p, axis, fixed).data:
                 if qubits:  # a term on slab and held qubits only is a phase that C^-1 undoes
                     pairs[:, qubits[0]] *= values
-        transform = _fourier_marginal(*pairs, fourier.kind == "IQFT", read, circle)
+        transform = marginal(*pairs)
         probs = abs(prep.data[j]) ** 2 * transform  # |beta_b|^2 p_b
         sin = _on_live(ry, axis, fixed).data[1].real
         overlap[j >> (k - n)] += probs @ sin

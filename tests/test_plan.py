@@ -278,7 +278,8 @@ def test_wide_fused_readout_holds_one_slab():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20  # the closed form's real tables over reg E's 2**18 values are 2 MiB
+    # one slab's 2**13-entry P (reg E less the 5 folded pairs) and 32-column moment tables
+    assert peak < 2**20  # about 0.54 MiB, planning included
     assert np.max(np.abs(solution - closed_form(system, fmt))) < 1e-9
 
 
@@ -526,21 +527,54 @@ def test_overlap_readout_matches_the_full_state_on_random_mirror_circuits(seed):
             assert np.array_equal(block, want_block) and success == want_success
 
 
+TABLE1_WIDTHS = (6, 8, 10, 12, 14, 16, 18)  # reg E at 3x3, 7x7 and 15x15 with f in {0, 4, 8}
+
+
+def _geometric_pairs(w: int, phase: float, inverse: bool) -> np.ndarray:
+    """Phase estimation's register before its transform: qubit i holds (1, e^(2 pi i phase 2**(w-1-i))).
+
+    The transform's sign is the opposite of the kickback's, so a phase v / 2**w
+    reads as a point mass on v, and any other phase as a Fejer kernel.
+    """
+    turns = phase * 2.0 ** np.arange(w - 1, -1, -1)
+    kick = np.exp((2j if inverse else -2j) * math.pi * turns)
+    return np.stack([np.ones(w), kick], axis=1) * math.sqrt(0.5)
+
+
 @pytest.mark.parametrize("inverse", [True, False], ids=["iqft", "qft"])
 def test_closed_form_matches_the_fft_of_a_product_state(inverse):
-    """Random product states on 1 to 10 qubits, read whole and on leading and other subsets."""
+    """Product states read whole, on leading runs, on other subsets and past the fold's cap.
+
+    Random pairs on 1 to 10 qubits, and phase estimation's geometric pairs at
+    the Table-1 widths: an encoded phase (a point mass, also checked against
+    its exact marginal) and a true one (a Fejer kernel), read on the leading
+    r in {2, 3, 5} axes, on a read that is no leading run, and on one past
+    floor(w / 2).
+    """
     rng = np.random.default_rng(11)
     transform = np.fft.fft if inverse else np.fft.ifft
+    cases = []
     for w in range(1, 11):
         pairs = rng.normal(size=(w, 2)) + 1j * rng.normal(size=(w, 2))
         pairs /= np.linalg.norm(pairs, axis=1, keepdims=True)
-        probs = np.abs(transform(functools.reduce(np.kron, pairs), norm="ortho")) ** 2
         subset = tuple(sorted(int(x) for x in rng.permutation(w)[: int(rng.integers(1, w + 1))]))
-        for read in [tuple(range(w)), tuple(range((w + 1) // 2)), subset, ()]:
+        cases.append((pairs, [tuple(range(w)), tuple(range((w + 1) // 2)), subset, ()], None))
+    for w in TABLE1_WIDTHS:
+        gaps = (0, 2, w - 1)  # no leading run; its last axis is past the cap
+        reads = [tuple(range(r)) for r in (2, 3, 5)] + [gaps, tuple(range(w // 2 + 2))]
+        v = int(rng.integers(2 ** w))
+        exact = np.zeros(2 ** w)
+        exact[v] = 1
+        cases.append((_geometric_pairs(w, v / 2 ** w, inverse), reads, exact))
+        cases.append((_geometric_pairs(w, rng.uniform(), inverse), reads, None))
+    for pairs, reads, exact in cases:
+        w = len(pairs)
+        probs = np.abs(transform(functools.reduce(np.kron, pairs), norm="ortho")) ** 2
+        for read in reads:
             others = tuple(x for x in range(w) if x not in read)
-            want = probs.reshape((2,) * w).sum(axis=others).reshape(-1)
-            for circle in (sim._half_circle(w), sim._half_circle(12)):  # strided from wider too
-                got = sim._fourier_marginal(pairs[:, 0], pairs[:, 1], inverse, read, circle)
+            got = sim._fourier_marginal(w, read, inverse)(pairs[:, 0], pairs[:, 1])
+            for want in (probs, exact) if exact is not None else (probs,):
+                want = want.reshape((2,) * w).sum(axis=others).reshape(-1)
                 assert np.max(np.abs(got - want)) <= 1e-14
 
 
