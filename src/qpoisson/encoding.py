@@ -13,10 +13,12 @@ register holds.  Each effective eigenvalue maps to the angular coefficient
     omega = (1/pi) * arccot(sqrt(lambda**2 - 1)),   so sin(pi * omega) = 1/lambda,
 
 encoded as an l-bit binary fraction (round to nearest, ties up).  A rotation
-by 2*pi*omega then writes amplitude 1/lambda onto the ancilla.  Bit columns
-of the omega table that are zero for every eigenvalue drive no rotation and
-are pruned; table rows are addressed by the shortest register prefix that
-still tells all encoded eigenvalues apart.
+by 2*pi*omega then writes amplitude 1/lambda onto the ancilla.  A double has
+no set bit past position 1074 (2**-1074 is the smallest one), so a table
+encodes min(l, 1074) bits: every bit past that is 0 at any wider l.  Bit
+columns of the omega table that are zero for every eigenvalue drive no
+rotation and are pruned; table rows are addressed by the shortest register
+prefix that still tells all encoded eigenvalues apart.
 
 Bit positions are always 1-indexed from the binary point: for eigenvalue
 strings that means from the most significant bit of the integer field, for
@@ -86,9 +88,10 @@ def default_format(n: int, fraction_bits: int = 8, angle_bits: int = 16) -> Fixe
 class AngleTable:
     """Per-eigenvalue rotation data, one row per eigenvalue in ascending order.
 
-    encoded_lambdas are m-bit strings, encoded_omegas l-bit fraction strings,
-    kept_columns the 1-indexed omega bit positions that are set somewhere,
-    prefix_len the shortest register prefix distinguishing all rows.
+    encoded_lambdas are m-bit strings, encoded_omegas min(l, 1074)-bit fraction
+    strings (any bit past 1074 is 0), kept_columns the 1-indexed omega bit
+    positions that are set somewhere, prefix_len the shortest register prefix
+    distinguishing all rows.
     """
 
     encoded_omegas: tuple[str, ...]
@@ -187,7 +190,8 @@ def build_angle_table(lambdas: Iterable[float], fmt: FixedPointFormat) -> AngleT
     omegas = tuple(
         angle_coefficient(effective_lambda(enc, fmt)) for enc in encoded_lambdas
     )
-    encoded_omegas = tuple(encode_angle(om, fmt.angle_bits) for om in omegas)
+    # omega's bits end by position 1074, so the rest of a wider l is exact zeros
+    encoded_omegas = tuple(encode_angle(om, min(fmt.angle_bits, 1074)) for om in omegas)
     kept_columns = prune_zero_columns(encoded_omegas)
     if not all(0.0 < om <= 0.5 for om in omegas):
         raise RuntimeError(f"angular coefficients outside (0, 1/2]: {omegas}")

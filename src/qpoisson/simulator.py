@@ -59,29 +59,31 @@ read 0) with its ancilla = 1 weight, or the marginal over some qubits.
 
 - Overlap.  An exact solve of [load] + C + R + C^-1, the circuit
   build_pipeline emits, runs no pass at all.  The IR must show the mirror:
-  each gate after the rotation segment R is the inverse of its mirror in
-  C.  R must lower to one RY pass on the ancilla, which C never touches,
-  and C must lower to phase estimation: the PREP (load, V^T and the
-  Hadamards on reg E), DIAG passes whose terms each touch at most one
-  reg E qubit, and one QFT or IQFT pass over reg E.  On one value b of
-  reg B in the walk eigenbasis (a slab), reg E is then a product state up
-  to the Fourier pass, whose output factorizes: its distribution p_b is a
-  product of one real factor per qubit (for geometric phases, the Fejer
-  kernel of Cleve, Ekert, Macchiavello and Mosca, Proc. R. Soc. A 454, 339,
-  1998).  Only p_b's marginal on the RY controls is read, and in every
-  builder circuit they are reg E's leading bits.  So the last f factors (f
-  = min(last control's axis + 1, floor(m/2))) fold into a Laurent
-  polynomial of degree below 2**f, read against the Fourier moments of the
-  product of the other m - f: a slab costs one BLAS product of
-  O(2**(m+1)) on 2**(m-f) values, with no FFT and no 2**m-entry product.
-  The entries are accurate in absolute terms, about 1e-16, so a zero may
-  read -1e-17 (a sampler must clip).  Slab b (PREP amplitude beta_b, RY
-  sin table s) reduces to its clean-block entry beta_b sum_E p_b(E) s(E)
-  and its weight |beta_b|^2 sum_E p_b(E) s(E)^2; a slab with beta_b = 0
-  adds nothing.  The final V then runs on the 2**n block.  This is the
-  HHL amplitude <0_E 0_A 1_anc| C^-1 R C |b> (Harrow, Hassidim and Lloyd,
-  PRL 103, 150502, 2009).  The norm summed over the slabs must stay 1
-  within 1e-9.  A solve of any other circuit is
+  each gate after the rotation segment R is the inverse of its mirror in C.
+  R must lower to one RY pass on the ancilla, which C never touches, whose
+  controls are reg E or held qubits (no reg B qubit), and C must lower to
+  phase estimation: the PREP (load, V^T and the Hadamards on reg E) as the
+  one pass that writes reg B, DIAG passes whose terms each touch at most one
+  reg E qubit, and one QFT or IQFT pass over reg E.  On one value b of reg B
+  in the walk eigenbasis (a slab), reg E is then a product state up to the
+  Fourier pass, whose output factorizes: its distribution p_b is a product
+  of one real factor per qubit (for geometric phases, the Fejer kernel of
+  Cleve, Ekert, Macchiavello and Mosca, Proc. R. Soc. A 454, 339, 1998).
+  Only p_b's marginal on the RY controls is read, and in every builder
+  circuit they are reg E's leading bits.  So the last f factors (f =
+  min(last control's axis + 1, floor(m/2))) fold into a Laurent polynomial
+  of degree below 2**f, read against the Fourier moments of the product of
+  the other m - f: a slab costs one BLAS product of O(2**(m+1)) on 2**(m-f)
+  values, with no FFT and no 2**m-entry product.  The entries are accurate
+  in absolute terms, about 1e-16, so a zero may read -1e-17 (a sampler must
+  clip).  Slab b (PREP amplitude beta_b, RY sin table s) reduces to its
+  clean-block entry beta_b (p_b . s) and its weight |beta_b|^2 (p_b . s^2);
+  a slab with beta_b = 0 adds nothing.  The walk reads every slab at once:
+  each DIAG pass is cut once, at all the slabs' reg B bits, and the RY pass
+  once; only p_b is built slab by slab.  The final V then runs on the 2**n
+  block.  This is the HHL amplitude <0_E 0_A 1_anc| C^-1 R C |b> (Harrow,
+  Hassidim and Lloyd, PRL 103, 150502, 2009).  The norm summed over the
+  slabs must stay 1 within 1e-9.  A solve of any other circuit is
   postselect(run_exact(circuit)), which holds the whole live state.
 
 A marginal read (a sampled solve, a phase read) runs the whole plan in
@@ -711,11 +713,14 @@ def lower(circuit: Circuit) -> Plan:
     return Plan(q=circuit.layout.total, passes=tuple(planner.passes))
 
 
-def _on_live(p: Pass, axis: dict[int, int], fixed: dict[int, int]) -> Pass:
-    """p on the buffer axes (axis[qubit]); its tables read a qubit off the buffer at a bit.
+def _on_live(p: Pass, axis: dict[int, int], fixed: dict[int, np.ndarray]) -> Pass:
+    """p on the buffer axes (axis[qubit]); its tables read a qubit off the buffer at fixed bits.
 
-    That bit is fixed[qubit]: a slab qubit's bit in the slab's index, and 0
-    for a held qubit (absent from fixed).
+    A held qubit (absent from fixed) reads 0.  fixed[qubit] is a slab
+    qubit's bits over all the slabs read, as one array: numpy's indexing
+    then gives a DIAG term's values a leading slab axis (shape (slabs, 2)
+    on one buffer qubit), or none when the term touches no slab qubit.
+    Only the closed form passes slab bits, and only for DIAG passes.
     """
     if p.kind == "GATE":  # a GATE pass keeps every qubit live, on its own axis
         return p
@@ -916,16 +921,8 @@ def _readout_plan(circuit: Circuit, qubits: tuple[int, ...]) -> Plan:
     return Plan(circuit.layout.total, passes[:start] + tail)
 
 
-def _slab_count(plan: Plan) -> int:
-    """How many of plan's leading live qubits its opening PREP writes and no later pass does."""
-    if not plan.passes or plan.passes[0].kind != "PREP":
-        return 0
-    later, live = Plan(plan.q, plan.passes[1:]).live(), plan.live()
-    return next((i for i, g in enumerate(live) if g in later), len(live))
-
-
 def _overlap_plan(circuit: Circuit):
-    """(compute, k, ry, closing) when readout may read the clean block in closed form, else None.
+    """(compute, ry, closing) when readout may read the clean block in closed form, else None.
 
     The circuit must be [load] + C + R + C^-1, recognized in the IR: R is
     the run of X, MCX and MCRY gates after C, and each gate after R is the
@@ -934,10 +931,9 @@ def _overlap_plan(circuit: Circuit):
     has only controlled or diagonal CUs (a diagonal one lowers to a DIAG
     term, never into the PREP), so the PREP holds the load, C's opening
     Hadamards and at most the V^T that closing undoes.  [load] + C + R is
-    lowered once, and must be compute, one RY pass on the ancilla, and
-    closing (DENSE passes on reg B: the owed V).  compute must leave its k
-    leading live qubits as slab qubits, with reg B among them (k >= n), and
-    be phase estimation (see _phase_estimation).
+    lowered once, and must be compute, one RY pass on the ancilla whose
+    controls are no reg B qubit, and closing (DENSE passes on reg B: the
+    owed V).  compute must be phase estimation (see _phase_estimation).
     """
     layout, gates = circuit.layout, circuit.gates
     i = next((i for i, g in enumerate(gates) if g.kind in _SEGMENT_KINDS), 0)
@@ -953,29 +949,31 @@ def _overlap_plan(circuit: Circuit):
     passes = _lowered(Circuit(layout, gates[:end], circuit.metadata)).passes
     r = next((r for r, p in enumerate(passes) if p.kind == "RY"), 0)
     plan = Plan(layout.total, passes[:r])
-    k = _slab_count(plan)
-    if (not r or passes[r].axes != (layout.ancilla,) or k < layout.b_width
+    if (not r or passes[r].axes != (layout.ancilla,) or set(passes[r].controls) & set(layout.reg_b)
             or any((p.kind, p.axes) != ("DENSE", layout.reg_b) for p in passes[r + 1:])
-            or not _phase_estimation(plan, k)):
+            or not _phase_estimation(plan, layout.reg_b)):
         return None
-    return plan, k, passes[r], passes[r + 1:]
+    return plan, passes[r], passes[r + 1:]
 
 
-def _phase_estimation(plan: Plan, k: int) -> bool:
-    """Whether plan makes the qubits past its slab qubits a product state, then transforms them.
+def _phase_estimation(plan: Plan, reg_b: tuple[int, ...]) -> bool:
+    """Whether plan writes reg B once, leaves the rest a product state, then transforms it.
 
-    plan must be one PREP, DIAG passes, and one QFT or IQFT pass (or, on one
-    qubit, an H pass: the two-point transform), whose register is the
-    PREP's Hadamard-spread qubits and exactly the live qubits past the k
-    slab qubits.  Each DIAG term may touch at most one qubit outside the
-    slab qubits, so on a slab it scales one register qubit's |0> and |1>.
+    plan must be one PREP whose axes are reg B, DIAG passes, and one QFT or
+    IQFT pass (or, on one qubit, an H pass: the two-point transform), whose
+    register is the PREP's Hadamard-spread qubits and exactly the live
+    qubits past reg B.  So no pass after the PREP writes reg B, and its
+    values (the slabs) stay fixed.  Each DIAG term may touch at most one
+    qubit outside reg B, so on a slab it scales one register qubit's |0>
+    and |1>.
     """
     prep, diags, fourier = plan.passes[0], plan.passes[1:-1], plan.passes[-1]
-    slab, register = set(plan.live()[:k]), plan.live()[k:]
-    return ((fourier.kind in ("QFT", "IQFT") or fourier.kind == "H" and len(register) == 1)
+    register = plan.live()[len(reg_b):]
+    return ((prep.kind, prep.axes) == ("PREP", reg_b)
+            and (fourier.kind in ("QFT", "IQFT") or fourier.kind == "H" and len(register) == 1)
             and fourier.axes == register == tuple(sorted(prep.controls))
             and all(p.kind == "DIAG" for p in diags)
-            and all(len(set(qubits) - slab) <= 1 for p in diags for qubits, _ in p.data))
+            and all(len(set(qubits) - set(reg_b)) <= 1 for p in diags for qubits, _ in p.data))
 
 
 def _half_circle(width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1067,59 +1065,55 @@ def _fourier_marginal(w: int, read, inverse: bool):
     return marginal
 
 
-def _overlap(plan: Plan, k: int, ry: Pass, closing, layout: RegisterLayout):
+def _overlap(plan: Plan, ry: Pass, closing, layout: RegisterLayout):
     """(block, weight): the clean block and its ancilla = 1 weight.
 
     Past the PREP, C is block diagonal over reg B's values b in the walk
-    frame.  Slab j of the compute half holds beta_b u_b on j's bits, where
-    b is j's reg B bits, beta_b the PREP's reg B amplitude and u_b the unit
-    vector that C leaves on the other qubits.  The RY pass puts s u_b on
-    ancilla = 1 (s its sin table), and C^-1 projected onto reg E = reg A =
-    0 reads that branch against u_b.  So block[b] = beta_b sum p_b s, with
-    p_b = |u_b|^2 summed onto the RY controls in the register, and the
-    weight is sum_b |beta_b|^2 sum p_b s^2.  The RY controls off the buffer
-    read their fixed bits in the sin table.
+    frame (the slabs).  Slab b of the compute half holds beta_b u_b, where
+    beta_b is the PREP's reg B amplitude and u_b the unit vector that C
+    leaves on the register.  The RY pass puts s u_b on ancilla = 1 (s its
+    sin table, over controls in the register or held at 0), and C^-1
+    projected onto reg E = reg A = 0 reads that branch against u_b.  So
+    block[b] = beta_b (p_b . s), with p_b = |u_b|^2 summed onto the RY
+    controls in the register, and the weight is the sum over b of
+    |beta_b|^2 (p_b . s^2).
 
-    No pass runs.  On slab j (the PREP writes reg B alone, so j is b) each
-    register qubit has the pair (a_i, b_i): (1, 1) from the PREP's
-    Hadamards, times its DIAG values.  Then |beta_b|^2 p_b = |d_b|^2
-    marginal(a, b), d_b = beta_b 2**(-w/2) the PREP's entry, in closed form
+    No pass runs, and each pass is cut once for all slabs.  Each register
+    qubit of slab b has the pair (a_i, b_i): (1, 1) from the PREP's
+    Hadamards, times its DIAG values, which _on_live reads at every slab's
+    reg B bits at once.  Then p_b = 2**(-w) marginal(a, b) in closed form
     (the Fejer kernel for geometric phases: Cleve, Ekert, Macchiavello and
     Mosca, Proc. R. Soc. A 454, 339, 1998).  marginal is
     _fourier_marginal's, whose moment tables are built once here and
     shared by every slab; it reads p_b onto the RY controls from the
     moments of the unread low qubits, with O(2**(w+1)) work and 2**(w-f)
-    values per slab (f the folded leading qubits).  A slab whose d_b is 0
-    adds exact zeros and is skipped.  The norm summed over the slabs must
-    stay 1 within 1e-9.  The block is read in the walk frame, and closing
-    (the owed V) then runs on its 2**n entries.
+    values per slab (f the folded leading qubits), one slab at a time.  A
+    slab with beta_b = 0 adds nothing and is skipped.  The norm summed over
+    the slabs must stay 1 within 1e-9.  The block is read in the walk
+    frame, and closing (the owed V) then runs on its 2**n entries.
     """
     n, (prep, *diags, fourier), live = layout.b_width, plan.passes, plan.live()
-    beta = prep.data * 2 ** (len(prep.controls) / 2)  # the PREP's 2**(-k/2) off
-    axis = {g: a for a, g in enumerate(live[k:])}
+    axis = {g: a for a, g in enumerate(live[n:])}
+    w = len(axis)
     read = tuple(axis[g] for g in ry.controls if g in axis)
-    marginal = _fourier_marginal(len(axis), read, fourier.kind == "IQFT")
-    overlap, weight, norm = np.zeros(2 ** n), 0.0, 0.0
-    for j in np.flatnonzero(prep.data):
-        fixed = {g: j >> (k - 1 - i) & 1 for i, g in enumerate(live[:k])}
-        pairs = np.ones((2, len(axis)), dtype=complex)
-        for p in diags:
-            for qubits, values in _on_live(p, axis, fixed).data:
-                if qubits:  # a term on slab and held qubits only is a phase that C^-1 undoes
-                    pairs[:, qubits[0]] *= values
-        transform = marginal(*pairs)
-        probs = abs(prep.data[j]) ** 2 * transform  # |beta_b|^2 p_b
-        sin = _on_live(ry, axis, fixed).data[1].real
-        overlap[j >> (k - n)] += probs @ sin
-        weight += float(probs @ np.square(sin))
-        norm += float(probs.sum())
-    _check_norm(norm)
-    # |beta_b|^2 sum p_b s / conj(beta_b); a reg B value the PREP leaves empty reads 0
-    block = np.divide(overlap, beta.conj(), out=np.zeros_like(beta), where=beta != 0)
-    block = block.reshape((2,) * n)
+    marginal = _fourier_marginal(w, read, fourier.kind == "IQFT")
+    slabs = np.flatnonzero(prep.data)
+    fixed = {g: slabs >> (n - 1 - g) & 1 for g in layout.reg_b}  # reg B leads the layout
+    pairs = np.ones((len(slabs), 2, w), dtype=complex)
+    for p in diags:
+        for qubits, values in _on_live(p, axis, fixed).data:
+            if qubits:  # a term on slab and held qubits only is a phase that C^-1 undoes
+                pairs[:, :, qubits[0]] *= values
+    probs = np.stack([marginal(a, b) for a, b in pairs]) * 0.5 ** w  # row b: p_b
+    sin = _on_live(ry, axis, {}).data[1].real
+    beta = prep.data[slabs] * 2 ** (len(prep.controls) / 2)  # the PREP's 2**(-w/2) off
+    mass = np.square(np.abs(beta))
+    _check_norm(float(mass @ probs.sum(axis=1)))
+    block = np.zeros((2,) * n, dtype=complex)  # a reg B value the PREP leaves empty reads 0
+    block.reshape(-1)[slabs] = beta * (probs @ sin)
     for p in closing:  # reg B leads the layout: qubit g is block axis g
         _apply_dense(block, p.axes, p.data)
-    return block.reshape(-1), weight
+    return block.reshape(-1), float(mass @ (probs @ np.square(sin)))
 
 
 def _check_qubits(qubits: Sequence[int], q: int) -> tuple[int, ...]:

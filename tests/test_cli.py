@@ -1,9 +1,12 @@
 """End-to-end command tests driving main() in process."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -12,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qpoisson import PoissonSystem, cli, eigenpairs
 from qpoisson.analytics import SWEEP_COLUMNS
@@ -518,15 +522,22 @@ def test_verify_phase_refuses_over_budget_before_the_eigenvectors(capsys, monkey
 
 def test_angle_bits_beyond_the_float_range(capsys, tmp_path):
     artifacts = {}
-    for l in ("60", "1100"):
+    for l in ("60", "1100", "1000000000"):
         path = tmp_path / f"l{l}.json"
-        code, _, _ = run_cli(capsys, "solve", "--preset", "table1-3x3", "--f", "4", "--l", l,
-                             "--output", str(path))
-        assert code == 0
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "solve", "--preset", "table1-3x3", "--f", "4", "--l", l,
+                                 "--output", str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a double omega has no set bit past position 1074, so no wider l costs more
+        assert code == 0 and time.perf_counter() - start < 1.0 and peak < 4 * 2**20
         artifacts[l] = json.loads(path.read_text())
         assert artifacts[l]["config"].pop("angle_bits") == int(l)
     # omega has 53 significant bits, so 60 already holds every one of them
-    assert artifacts["60"] == artifacts["1100"]
+    assert artifacts["60"] == artifacts["1100"] == artifacts["1000000000"]
 
 
 SCALED_ARGV = {
@@ -712,3 +723,107 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for line in commands:
         assert run_cli(capsys, *shlex.split(line)[1:])[0] == 0, line
+
+
+# Flag texts per option: (ordinary, extreme or malformed).  The problems stay
+# at 3x3 and 7x7, which hold at most 20 live qubits (a 16 MiB state), or run
+# past QUBIT_BUDGET and exit 3: a run within the budget may hold a 28-qubit,
+# 4 GiB state by design.  "{tmp}" is the test's scratch directory.
+ARGV_VALUES = {
+    "config": (["{tmp}/config.json"],
+               ["{tmp}/list.json", "{tmp}/broken.json", "{tmp}/missing.json"]),
+    "integer_bits": (["4", "8"], ["1", "40", "0", "-3", "10000000000", "x"]),
+    "fraction_bits": (["0", "2", "8"], ["40", "1100", "1000000000", "-1", "x"]),
+    "angle_bits": (["16"], ["1", "1100", "1000000000", "0", "-1", "x"]),
+    "mode": (["auto", "fused", "explicit"], ["sideways"]),
+    "phase_mode": (["encoded", "true_a"], ["x"]),
+    "backend": (["exact", "sample"], ["x"]),
+    "shots": (["1", "1000"], [str(2**63 - 1), str(2**63), str(10**20), "0", "-5", "1e5", "x"]),
+    "seed": (["0"], [str(2**64), str(10**30), "-1", "x"]),
+    "output": (["{tmp}/artifact.out"], ["{tmp}", "{tmp}/missing/artifact.out", ""]),
+    "format": (["json", "csv"], ["xml"]),
+    "eigen_index": (["1", "7"], ["8", "0", "-1", "1000000000", "x"]),
+    "input": (["1,0,0", "1,-1,2,0,0,0,3"],
+              ["0,0,0", "1e308,1e308,1e308", "nan,0,0", "1", "", "x"]),
+    "f_values": (["0", "0,4,8"], ["", "-1", "1100", "0,0,0,0,0,0", "x"]),
+    "n_values": (["2", "2,3,4"], ["5", "30", "1000000", "", "0", "x"]),
+    "p01": (["0", "0.02"], ["0.45", "0.5", "1", "-0.1", "1e-300", "nan", "inf", "x"]),
+    "p10": (["0", "0.05"], ["0.45", "0.5", "1", "-0.1", "1e-300", "nan", "inf", "x"]),
+    "noise_model": (["{tmp}/noise.json"],
+                    ["{tmp}/wide-noise.json", "{tmp}/list.json", "{tmp}/broken.json",
+                     "{tmp}/missing.json"]),
+}
+# The problem flags (--preset, --n, --b) are drawn together, the same way.
+ARGV_PROBLEMS = (
+    [["--preset=table1-3x3"], ["--preset=table1-7x7"], ["--n=1", "--b=1"],
+     ["--n=2", "--b=1,-2,0.5"]],
+    [[], ["--preset=table1-99x99"], ["--preset="], ["--preset=table1-3x3", "--n=2", "--b=1,1,1"],
+     ["--n=30", "--b=1,1,1"], ["--n=1000000"], ["--n=0", "--b=1"], ["--n=-1", "--b=1"],
+     ["--n=2.5", "--b=1"], ["--n=x", "--b=1"], ["--b=1,1,1"]]
+    + [["--n=2", f"--b={b}"] for b in ("0,0,0", "1e308,1e308,1e308", "5e-324,0,0", "nan,1,1",
+                                       "inf,1,1", "", "1,,1", "1", "x")],
+)
+ARGV_FILES = {
+    "list.json": [1, 2],
+    "noise.json": {str(q): {"p01": 0.01, "p10": 0.03} for q in range(3)},
+    "wide-noise.json": {str(q): {"p01": 0.01, "p10": 0.03} for q in range(30)},
+}
+ARGV_SECONDS = 10  # per run; DRAW_BUDGET alone admits runs of about 25 s
+ARGV_PEAK = 64 * 2**20  # tracemalloc peak per run
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand, its problem and about half its other options; one value in four is odd."""
+    def pick(ordinary, odd):
+        return draw(st.sampled_from(odd if draw(st.integers(0, 3)) == 0 else ordinary))
+
+    command = draw(st.sampled_from(sorted(READS)))
+    argv = [command] + (pick(*ARGV_PROBLEMS) if "preset" in READS[command] else [])
+    for name in sorted(READS[command] - {"preset", "n", "b"}):
+        if draw(st.booleans()):  # --flag=value, so that a value may start with "-"
+            argv.append(f"{flag(name)}={pick(*ARGV_VALUES[name])}")
+    return argv
+
+
+class Overtime(Exception):
+    """A run outlasted ARGV_SECONDS; main maps no such exception to an exit code."""
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("argv")
+    for name, content in ARGV_FILES.items():
+        (path / name).write_text(json.dumps(content))
+    (path / "config.json").write_text(json.dumps({"output": str(path / "from-config.out")}))
+    (path / "broken.json").write_text("{")
+    return path
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=cli_argv())
+@example(argv=["resources", "--n-values=30"])
+@example(argv=["resources", "--n-values=1000000"])
+@example(argv=["solve", "--preset=table1-3x3", "--backend=sample", f"--shots={10**20}"])
+@example(argv=["mitigate-demo", f"--shots={10**14}"])
+@example(argv=["solve", "--preset=table1-7x7", "--f=4", f"--l={10**9}"])
+def test_every_argv_exits_with_a_documented_code_in_bounded_memory(argv_dir, argv):
+    """0, 2 or 3, whatever the flags; the run is cut after ARGV_SECONDS by SIGALRM."""
+    argv = [arg.replace("{tmp}", str(argv_dir)) for arg in argv]
+
+    def overtime(signum, frame):
+        raise Overtime(f"{shlex.join(argv)} ran past {ARGV_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, overtime)
+    signal.setitimer(signal.ITIMER_REAL, ARGV_SECONDS)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 2, 3), argv
+    assert peak < ARGV_PEAK, argv

@@ -283,6 +283,26 @@ def test_wide_fused_readout_holds_one_slab():
     assert np.max(np.abs(solution - closed_form(system, fmt))) < 1e-9
 
 
+@pytest.mark.parametrize("name,f,mode", [("table1-15x15", 8, "fused"),
+                                         ("table1-7x7", 0, "explicit")],
+                         ids=("15x15-f8-fused", "7x7-f0-explicit"))
+def test_overlap_cuts_each_pass_once_for_every_slab(monkeypatch, name, f, mode):
+    """One _on_live call per DIAG pass and one for the RY pass, however many slabs there are."""
+    system = _system(name)
+    built = build_pipeline(system, default_format(system.n, f, 16), mode)
+    compute, ry, _ = sim._overlap_plan(built)
+    assert np.count_nonzero(compute.passes[0].data) > 2  # several slabs to read
+    calls, on_live = [], sim._on_live
+
+    def counted(p, *args):
+        calls.append(p.kind)
+        return on_live(p, *args)
+
+    monkeypatch.setattr(sim, "_on_live", counted)
+    sim.readout(built)
+    assert sorted(calls) == ["DIAG"] * compute.counts()["DIAG"] + ["RY"]
+
+
 @pytest.mark.parametrize("name,f,phase_mode", [
     pytest.param(name, f, phase_mode, id=f"{name}-f{f}-{phase_mode}")
     for name in PRESETS for f in (0, 4, 8) for phase_mode in ("encoded", "true_a")
@@ -371,9 +391,13 @@ def raw_readouts(circuit: qc.Circuit):
 
 
 def _near_mirror(case: str) -> qc.Circuit:
-    """A 3x3 solve changed so that reading it as an overlap would be wrong."""
+    """A 3x3 solve changed so that the closed form must not read it.
+
+    Reading each as an overlap would be wrong, except rotation-on-b: a
+    reg B control on R, which the closed form refuses rather than reads.
+    """
     built = build_pipeline(_system("table1-3x3"), default_format(2, 0, 16), "fused", "true_a")
-    layout, gates = built.layout, list(built.gates)
+    layout, gates, metadata = built.layout, list(built.gates), built.metadata
     mid = next(i for i, g in enumerate(gates) if g.kind == qc.PAULI_X)
     end = len(gates) - mid + 1  # where the uncompute starts
     if case == "phase-off":  # one uncompute phase off by 1e-3
@@ -387,6 +411,15 @@ def _near_mirror(case: str) -> qc.Circuit:
         gates[0] = qc.controlled_unitary((), layout.reg_b, np.diag([1, 1j, -1, -1j]))
     elif case == "rotation-on-e":  # R rotates a reg E qubit, not the ancilla
         gates[mid:end] = [qc.multi_controlled_ry(layout.reg_e[:1], layout.reg_e[1], 0.7)]
+    elif case == "rotation-on-b":  # R also rotates the ancilla under a reg B control
+        # written in the walk frame, with no walk basis, so that no owed V runs ahead of R
+        basis, metadata = built.metadata["walk_basis"], {"table": built.metadata["table"]}
+        compute = [qc.controlled_unitary(g.controls, g.targets,
+                                         np.diag(np.diagonal(basis.T @ g.matrix @ basis)))
+                   if g.targets == layout.reg_b else g for g in gates[1:mid]]
+        rotation = [qc.multi_controlled_ry(layout.reg_b[:1], layout.ancilla, 0.7)] + gates[mid:end]
+        load = qc.controlled_unitary((), layout.reg_b, basis.T @ gates[0].matrix)
+        gates = [load] + compute + rotation + qc.invert_fragment(compute)
     elif case == "hadamard-on-b":  # C writes reg B, which is then no slab axis
         gates[end:end] = [qc.hadamard(0)]
         gates[mid:mid] = [qc.hadamard(0)]
@@ -412,12 +445,12 @@ def _near_mirror(case: str) -> qc.Circuit:
         gates.append(qc.invert_gate(g))
     else:  # "no-uncompute"
         gates = gates[:end]
-    return qc.Circuit(layout, tuple(gates), built.metadata)
+    return qc.Circuit(layout, tuple(gates), metadata)
 
 
 @pytest.mark.parametrize("case", ["phase-off", "hadamard-load", "diagonal-load", "rotation-on-e",
-                                  "hadamard-on-b", "ancilla-phase", "unspread-e", "coupled-e",
-                                  "hadamard-closing", "dense-in-c", "no-uncompute"])
+                                  "rotation-on-b", "hadamard-on-b", "ancilla-phase", "unspread-e",
+                                  "coupled-e", "hadamard-closing", "dense-in-c", "no-uncompute"])
 def test_readout_falls_back_when_the_circuit_is_no_solve_mirror(case):
     """readout reads the full state instead: postselect(run_exact), bit for bit."""
     circuit = _near_mirror(case)
