@@ -17,11 +17,14 @@ whose eigenphases are exactly the encoded integers E_j, making readout of the
 encoded eigenvalues deterministic.  A diagnostic phase_mode="true_a" instead
 uses the continuous phases 2 pi lambda_j 2**f / 2**m for leakage studies.
 
-Circuits and gates are immutable; builders return fresh objects.
+Circuits and gates are immutable.  Builders return fresh circuits, but a
+circuit may share gate objects with others: reg E's IQFT and its inverse
+are built once per register and reused by every build.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -251,6 +254,19 @@ def qft_fragment(qubits: Sequence[int]) -> list[Gate]:
     return gates
 
 
+# A sweep builds a few reg E widths; 32 ladder pairs on the widest register
+# the budget allows (27 qubits) hold about 10 MiB.
+@functools.lru_cache(maxsize=32)
+def _fourier_ladders(reg_e: tuple[int, ...]) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
+    """Reg E's IQFT and that IQFT's inverse (the uncompute's ladder), built once per register.
+
+    Only these two fragments appear in circuits, so only they are kept; the
+    walk powers are not (4**n * 16 bytes each, 256 MiB at n = 12).
+    """
+    iqft = tuple(invert_fragment(qft_fragment(reg_e)))
+    return iqft, tuple(invert_fragment(iqft))
+
+
 def state_prep_unitary(vec: np.ndarray) -> np.ndarray:
     """Real orthogonal matrix whose first column is vec / ||vec||.
 
@@ -349,7 +365,7 @@ def build_qpe(
         gates.append(
             controlled_unitary((ctrl,), layout.reg_b, powers[k], label=f"walk^{2 ** k}")
         )
-    gates.extend(invert_fragment(qft_fragment(layout.reg_e)))
+    gates.extend(_fourier_ladders(layout.reg_e)[0])
     return gates
 
 
@@ -470,7 +486,10 @@ def build_pipeline(
         rotation = build_rotation_explicit(table, layout)
     else:
         rotation = build_rotation_fused(table, layout)
-    gates = [prep] + qpe + rotation + invert_fragment(qpe)
+    iqft, iqft_inverse = _fourier_ladders(layout.reg_e)
+    head = qpe[: len(qpe) - len(iqft)]  # the Hadamards and walk powers
+    # invert_fragment(qpe), its IQFT half shared with every build on this reg E
+    gates = [prep] + qpe + rotation + list(iqft_inverse) + invert_fragment(head)
     metadata = {"mode": mode, "eigs": eigs, "table": table,
                 "walk_basis": _walk_basis(eigs, system.n)}
     return Circuit(layout=layout, gates=tuple(gates), metadata=metadata)

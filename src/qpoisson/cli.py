@@ -257,7 +257,8 @@ def _problem_label(system: PoissonSystem) -> str:
 def _by_bitstring(values: np.ndarray) -> dict:
     """The nonzero entries of a vector over 2**w outcome values, keyed by w-bit strings."""
     width = len(values).bit_length() - 1
-    return {format(v, f"0{width}b"): values[v].item() for v in np.flatnonzero(values)}
+    idx = np.flatnonzero(values)
+    return dict(zip((format(v, f"0{width}b") for v in idx.tolist()), values[idx].tolist()))
 
 
 def cmd_solve(cfg: dict) -> int:

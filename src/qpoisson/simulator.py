@@ -1007,19 +1007,21 @@ def _fourier_marginal(w: int, read, inverse: bool):
     P and Q_B are real.  The moments are one BLAS product: s splits into
     its top bits hi (at least half of them, and every read axis past the
     fold) and the rest lo, and mu = hi_t * (P.reshape(2**hi, 2**lo) @
-    lo_t), summed over hi's unread axes.  With f = 0 (nothing read) the
-    marginal is sum_s P(s).  A call costs
-    O(2**(w+1)) for the moments and 2**(len(read) + f) for the last
-    product, which only a read past the fold makes the larger; it holds
-    2**(w-f) values of P, not the 2**w of p.
+    lo_t), summed over hi's unread axes.  A call costs O(2**(w+1)) for the
+    moments and 2**(len(read) + f) for the last product, which only a read
+    past the fold makes the larger; it holds 2**(w-f) values of P, not the
+    2**w of p.  With nothing read the marginal is sum_y p(y) = prod_i n_i
+    (Parseval), in O(w) with no tables.
 
     The tables are built here, once; the returned function reads each
     (a, b).  Entries are accurate in absolute terms (about 1e-16), so one
     that is 0 may read -1e-17.
     """
-    f = min(max(read, default=-1) + 1, w // 2)
+    if not read:
+        return lambda a, b: np.array([np.prod(np.square(np.abs(a)) + np.square(np.abs(b)))])
+    f = min(max(read) + 1, w // 2)
     u = w - f
-    hi = max((u + 1) // 2, max(read, default=-1) + 1 - f)
+    hi = max((u + 1) // 2, max(read) + 1 - f)
     cos, sin = _half_circle(u)
     spin = -1j if inverse else 1j
     # the fold's d_i / c_i over B < 2**t (they flip sign at B + 2**t): the circle, strided

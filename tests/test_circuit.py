@@ -1,6 +1,7 @@
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -435,3 +436,72 @@ def test_dump_golden():
     system = PoissonSystem(n=1, b=np.array([1.0]))
     built = build_pipeline(system, FixedPointFormat(4, 0, 3), mode="fused")
     assert built.dump() == GOLDEN_1X1_DUMP
+
+
+def _grid_builds():
+    """Every pipeline and phase verification on the Table-1 grid, f in {0, 2, 4, 8}."""
+    for preset in PRESETS.values():
+        system = PoissonSystem(n=preset["n"], b=np.asarray(preset["b"]))
+        for f in (0, 2, 4, 8):
+            fmt = default_format(system.n, f, 16)
+            for phase_mode in qc.PHASE_MODES:
+                yield partial(build_phase_verification, system, fmt, system.b, phase_mode)
+                for mode in ("explicit", "fused"):
+                    yield partial(build_pipeline, system, fmt, mode, phase_mode)
+
+
+def _ladder_free_gates(built: qc.Circuit) -> list:
+    """built's gates, its IQFT and uncompute rebuilt by qft_fragment and invert_fragment."""
+    m, gates = built.layout.e_width, list(built.gates)
+    qpe = gates[1 : 1 + 2 * m] + qc.invert_fragment(qc.qft_fragment(built.layout.reg_e))
+    if "mode" not in built.metadata:  # a phase verification ends with its QPE
+        return gates[:1] + qpe
+    return gates[:1] + qpe + gates[1 + len(qpe) : -len(qpe)] + qc.invert_fragment(qpe)
+
+
+def test_builds_on_one_reg_e_share_the_fourier_ladders(sys_3x3):
+    fmt = FixedPointFormat(6, 4, 16)
+    m, ladder = fmt.total_bits, len(qc.qft_fragment(range(fmt.total_bits)))
+    fused = build_pipeline(sys_3x3, fmt, "fused", "true_a")
+    explicit = build_pipeline(replace(sys_3x3, b=np.array([0.1, -0.2, 0.3])), fmt, "explicit")
+    verification = build_phase_verification(sys_3x3, fmt, sys_3x3.b)
+    iqft = fused.gates[1 + 2 * m : 1 + 2 * m + ladder]
+    uncompute = fused.gates[-(2 * m + ladder) : -2 * m]
+    assert sum(g.kind == qc.CONTROLLED_UNITARY for g in iqft) == m * (m - 1) // 2
+    for other in (explicit.gates[1 + 2 * m : 1 + 2 * m + ladder], verification.gates[1 + 2 * m :]):
+        assert all(a is b for a, b in zip(iqft, other, strict=True))
+    assert all(a is b for a, b in zip(uncompute, explicit.gates[-(2 * m + ladder) : -2 * m],
+                                      strict=True))
+    # the circuits and their walk powers stay each build's own
+    assert fused.gates[1 + m] is not explicit.gates[1 + m]
+
+
+def test_cached_ladders_match_a_build_from_the_public_fragments():
+    """Every IR line, label and matrix byte is what qft_fragment and invert_fragment give."""
+    for build in _grid_builds():
+        qc._fourier_ladders.cache_clear()
+        try:
+            fresh = build()
+        except ResourceError:  # explicit layouts over the budget
+            continue
+        for built in (fresh, build()):  # the second build reads the cache
+            want = _ladder_free_gates(built)
+            assert built.dump() == qc.Circuit(built.layout, tuple(want)).dump()
+            for got, ref in zip(built.gates, want, strict=True):
+                if ref.matrix is not None:
+                    assert got.matrix.dtype == ref.matrix.dtype
+                    assert got.matrix.tobytes() == ref.matrix.tobytes()
+
+
+def test_ladder_cache_stays_bounded_over_every_reachable_reg_e():
+    """Every reg E the budget admits (n >= 1, n + m + 1 <= QUBIT_BUDGET), one after another."""
+    limit = qc._fourier_ladders.cache_info().maxsize
+    assert limit is not None
+    qc._fourier_ladders.cache_clear()
+    try:
+        for n in range(1, qc.QUBIT_BUDGET):
+            for m in range(qc.QUBIT_BUDGET - n):
+                qc._fourier_ladders(tuple(range(n, n + m)))
+                assert qc._fourier_ladders.cache_info().currsize <= limit
+    finally:
+        qc._fourier_ladders.cache_clear()

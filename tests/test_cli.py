@@ -131,6 +131,20 @@ def test_solve_refuses_an_all_zero_angle_table_before_running(capsys, monkeypatc
     assert "no rotation angle survives l = 2" in err
 
 
+def test_one_eigenvalue_solve_reads_no_phase_product(capsys):
+    """26 qubits fused, no reg E control: the marginal is a product of norms (Parseval)."""
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "solve", "--n", "1", "--b", "1", "--f", "20")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "mode=fused  i=4 f=20" in out
+    assert "solution  1.000000" in out and "relative error 0 (0%)" in out
+    # the 2**24-entry product of the phase pairs alone held 385 MiB
+    assert peak < 8 * 2**20
+
+
 def test_verify_phase_eigenvector(capsys):
     code, out, _ = run_cli(
         capsys,
