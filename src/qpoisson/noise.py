@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,16 +51,25 @@ __all__ = [
 GATE_ACCURACY = 0.92
 # Widest model mitigate() and the dense calibration_matrix() accept.
 MAX_CALIBRATION_WIDTH = 10
-# Most uniforms corrupt() draws in one call, one per recorded bit: about 25 s
-# at 5.6 ns per draw on a 2-core x86 VM.
+# Most uniforms corrupt() draws in one call, one per recorded bit: about 20 s
+# at 4.7 ns per draw on both cores of a 2-core x86 VM, 25 s on one of them.
 DRAW_BUDGET = 2**32
 # Projected-gradient iteration cap, and the largest entry change of the
 # iterate below which it has converged.
 _MAX_ITERATIONS = 10_000
 _STEP_TOL = 1e-15
-# Uniform draws corrupt() makes per block, which bounds its memory whatever
-# the shot count.  Blocks split one random stream, so the result is the same.
+# Uniform draws in flight in one corrupt() call, summed over its workers: each
+# of k workers draws blocks of _CORRUPT_BLOCK // k, which bounds the memory
+# whatever the shot count and CPU count.  Blocks and spans split one random
+# stream, so the result is the same.
 _CORRUPT_BLOCK = 1 << 16
+# Full blocks per span, the unit of work one worker takes at a time.
+_CORRUPT_SPAN = 8
+# Most workers one corrupt() call runs, the caller included.  Only the draws
+# and the compare release the GIL, about 60% of a block's work on one thread,
+# so more workers gain little and only shrink the blocks, each of which holds
+# the GIL for a fixed ~15 us whatever its size.
+_CORRUPT_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -112,12 +123,19 @@ def _number(value) -> float:
 def corrupt(counts: np.ndarray, model: ReadoutModel, seed: int) -> np.ndarray:
     """Flip every recorded bit independently per the model; new counts.
 
-    A seed fixes the result through one stream of uniforms: records go in
-    ascending outcome order, each takes w uniforms, qubit 0 first, and a bit
-    flips where its uniform falls below its flip probability.  The records are
-    drawn in blocks that may span outcomes; consecutive draws concatenate the
-    same stream, so the blocks do not change it.  More than DRAW_BUDGET
-    uniforms (records times w) raise ResourceError before the first draw.
+    A seed fixes the result through one stream of uniforms, the doubles of
+    default_rng(seed).random(): records go in ascending outcome order, each
+    takes w uniforms, qubit 0 first, and a bit flips where its uniform falls
+    below its flip probability.  The records are cut into spans of
+    _CORRUPT_SPAN full blocks, drawn on the CPUs the process may use, up to
+    _CORRUPT_WORKERS: the caller and one thread per further CPU each take the
+    next span and count into their own vector.  A span that starts at record
+    r draws from PCG64(seed) jumped ahead by r * w, where the one stream
+    stands at that record, and its blocks may cross outcomes.  So the counts
+    are the same for any CPU count.  More than DRAW_BUDGET uniforms (records
+    times w) raise ResourceError before the first draw.  A worker's exception
+    is raised here; an exception in the caller stops the workers at their
+    next span, and no worker outlives the call.
     """
     w = model.width
     counts = np.asarray(counts)
@@ -129,34 +147,83 @@ def corrupt(counts: np.ndarray, model: ReadoutModel, seed: int) -> np.ndarray:
         raise ResourceError(f"corrupt needs {bits:.6g} draws, budget is {DRAW_BUDGET}")
     p01 = np.asarray(model.p01)
     p10 = np.asarray(model.p10)
-    rng = np.random.default_rng(seed)
     weights = 2 ** np.arange(w - 1, -1, -1)
     # sums of distinct powers of two are exact in float32 below 2**24
     weights_f = weights.astype(np.float32 if w <= 24 else np.float64)
-    rows = max(1, _CORRUPT_BLOCK // w)
-    draws = np.empty(rows * w)
-    flips = np.empty(rows * w, dtype=weights_f.dtype)
     values = np.flatnonzero(counts)
     sizes = counts[values].astype(np.int64)
     ends = np.cumsum(sizes)
     begins = ends - sizes
     total = int(sizes.sum())
-    out = np.zeros(2 ** w, dtype=np.int64)
-    for start in range(0, total, rows):
-        stop = min(start + rows, total)
-        # the outcomes this block spans, and how many of its records each holds
-        i0 = np.searchsorted(ends, start, side="right")
-        i1 = np.searchsorted(begins, stop, side="left")
-        take = np.minimum(ends[i0:i1], stop) - np.maximum(begins[i0:i1], start)
-        spanned = values[i0:i1]
-        flip_p = np.where((spanned[:, None] & weights) != 0, p10, p01)
-        u = rng.random(out=draws[: (stop - start) * w])
-        f = np.less(u, flip_p.repeat(take, axis=0).ravel(), out=flips[: u.size])
-        codes = (f.reshape(-1, w) @ weights_f).astype(np.int64) ^ spanned.repeat(take)
-        # work in proportion to the block, not to the 2**w outcomes
-        hits_at, hits = np.unique(codes, return_counts=True)
-        out[hits_at] += hits
+    span = _CORRUPT_SPAN * max(1, _CORRUPT_BLOCK // w)
+    spans = -(-total // span)
+    workers = max(1, min(_cpu_count(), spans, _CORRUPT_WORKERS))
+    rows = max(1, _CORRUPT_BLOCK // workers // w)
+    taken = iter(range(spans))
+    lock = threading.Lock()
+    halt = threading.Event()
+
+    def draw() -> np.ndarray:
+        """Counts of the spans this worker takes, until none is left or halt is set."""
+        out = np.zeros(2 ** w, dtype=np.int64)
+        draws = np.empty(rows * w)
+        flips = np.empty(rows * w, dtype=weights_f.dtype)
+        while not halt.is_set():
+            with lock:
+                k = next(taken, None)
+            if k is None:
+                break
+            lo = k * span
+            hi = min(lo + span, total)
+            rng = np.random.Generator(np.random.PCG64(seed).advance(lo * w))
+            for start in range(lo, hi, rows):
+                stop = min(start + rows, hi)
+                # the outcomes this block spans, and how many of its records each holds
+                i0 = np.searchsorted(ends, start, side="right")
+                i1 = np.searchsorted(begins, stop, side="left")
+                take = np.minimum(ends[i0:i1], stop) - np.maximum(begins[i0:i1], start)
+                spanned = values[i0:i1]
+                flip_p = np.where((spanned[:, None] & weights) != 0, p10, p01)
+                u = rng.random(out=draws[: (stop - start) * w])
+                f = np.less(u, flip_p.repeat(take, axis=0).ravel(), out=flips[: u.size])
+                codes = (f.reshape(-1, w) @ weights_f).astype(np.int64) ^ spanned.repeat(take)
+                # work in proportion to the block, not to the 2**w outcomes
+                np.add.at(out, codes, 1)
+        return out
+
+    tallies = []
+    errors = []
+
+    def work():
+        try:
+            tallies.append(draw())
+        except BaseException as exc:
+            errors.append(exc)
+            halt.set()
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    try:
+        for thread in threads:
+            thread.start()
+        out = draw()
+    finally:
+        halt.set()
+        for thread in threads:
+            if thread.ident is not None:  # it started before an exception cut the loop
+                thread.join()
+    if errors:
+        raise errors[0]
+    for tally in tallies:
+        out += tally
     return out
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def check_calibration_width(model: ReadoutModel) -> None:

@@ -782,7 +782,7 @@ ARGV_FILES = {
     "noise.json": {str(q): {"p01": 0.01, "p10": 0.03} for q in range(3)},
     "wide-noise.json": {str(q): {"p01": 0.01, "p10": 0.03} for q in range(30)},
 }
-ARGV_SECONDS = 10  # per run; DRAW_BUDGET alone admits runs of about 25 s
+ARGV_SECONDS = 10  # per run; DRAW_BUDGET alone admits runs of about 20 s on two cores
 ARGV_PEAK = 64 * 2**20  # tracemalloc peak per run
 
 

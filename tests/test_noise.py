@@ -1,6 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -113,18 +118,25 @@ def corrupt_in_one_draw(counts, model, seed):
     return out
 
 
+def boundary_counts(block):
+    """Counts below, at and across the boundaries of blocks of `block` draws, w = 3."""
+    rows = block // 3
+    return outcome_counts(
+        3, {0b000: 1, 0b011: rows - 1, 0b101: rows, 0b110: 2 * rows, 0b111: 3 * rows + 2}
+    )
+
+
+BOUNDARY_MODEL = ReadoutModel(p01=(0.1, 0.2, 0.3), p10=(0.25, 0.15, 0.05))
+
+
 @pytest.mark.parametrize("block", [None, 7, 12])
 def test_corrupt_blocks_equal_one_draw(monkeypatch, block):
     if block is not None:
         monkeypatch.setattr(noise, "_CORRUPT_BLOCK", block)
-    rows = noise._CORRUPT_BLOCK // 3
-    model = ReadoutModel(p01=(0.1, 0.2, 0.3), p10=(0.25, 0.15, 0.05))
-    # counts below, at and across the boundaries of blocks of `rows` draws
-    counts = outcome_counts(
-        3, {0b000: 1, 0b011: rows - 1, 0b101: rows, 0b110: 2 * rows, 0b111: 3 * rows + 2}
-    )
+    counts = boundary_counts(noise._CORRUPT_BLOCK)
     assert np.array_equal(
-        corrupt(counts, model, seed=19), corrupt_in_one_draw(counts, model, seed=19)
+        corrupt(counts, BOUNDARY_MODEL, seed=19),
+        corrupt_in_one_draw(counts, BOUNDARY_MODEL, seed=19),
     )
 
 
@@ -133,21 +145,22 @@ MIXED_MODEL = ReadoutModel(
 )
 
 
-@pytest.mark.parametrize(
-    "model, counts, block",
-    (
-        (ReadoutModel.uniform(1, 0.2, 0.3), np.array([40_000, 30_000]), None),
-        (ReadoutModel.uniform(12, 0.02, 0.05), np.ones(2**12, dtype=np.int64), None),
-        # blocks of 5 records that start inside one outcome and stop inside another
-        (ReadoutModel.uniform(3, 0.2, 0.1), outcome_counts(3, {0b001: 3, 0b010: 4, 0b101: 6}), 15),
-        (ReadoutModel.uniform(3, 0.1, 0.2), (5_000 * np.arange(8)).astype(np.uint32), None),
-        (ReadoutModel.uniform(3, 0.1, 0.2), (5_000 * np.arange(8)).astype(np.uint64), None),
-        (MIXED_MODEL, 100 + 37 * np.arange(64), None),
-        (ReadoutModel.uniform(4, 0.1, 0.2), np.zeros(16, dtype=np.int64), None),
-    ),
-    ids=("w1", "w12-every-outcome-once", "straddling", "uint32", "uint64", "mixed-p0",
-         "all-zero"),
+SHARED_BLOCK_CASES = (
+    (ReadoutModel.uniform(1, 0.2, 0.3), np.array([40_000, 30_000]), None),
+    (ReadoutModel.uniform(12, 0.02, 0.05), np.ones(2**12, dtype=np.int64), None),
+    # blocks of 5 records that start inside one outcome and stop inside another
+    (ReadoutModel.uniform(3, 0.2, 0.1), outcome_counts(3, {0b001: 3, 0b010: 4, 0b101: 6}), 15),
+    (ReadoutModel.uniform(3, 0.1, 0.2), (5_000 * np.arange(8)).astype(np.uint32), None),
+    (ReadoutModel.uniform(3, 0.1, 0.2), (5_000 * np.arange(8)).astype(np.uint64), None),
+    (MIXED_MODEL, 100 + 37 * np.arange(64), None),
+    (ReadoutModel.uniform(4, 0.1, 0.2), np.zeros(16, dtype=np.int64), None),
 )
+SHARED_BLOCK_IDS = (
+    "w1", "w12-every-outcome-once", "straddling", "uint32", "uint64", "mixed-p0", "all-zero"
+)
+
+
+@pytest.mark.parametrize("model, counts, block", SHARED_BLOCK_CASES, ids=SHARED_BLOCK_IDS)
 def test_corrupt_shared_blocks_equal_one_draw(monkeypatch, model, counts, block):
     if block is not None:
         monkeypatch.setattr(noise, "_CORRUPT_BLOCK", block)
@@ -156,54 +169,225 @@ def test_corrupt_shared_blocks_equal_one_draw(monkeypatch, model, counts, block)
     assert np.array_equal(noisy, corrupt_in_one_draw(counts, model, seed=23))
 
 
-@pytest.mark.parametrize(
-    "model, counts, seed, digest",
+PINNED_CASES = (
     (
-        (
-            ReadoutModel.uniform(4, 0.02, 0.05),
-            np.random.default_rng(1).multinomial(10**6, np.full(16, 1 / 16)),
-            5,
-            "b0e9baa7d0ded17ba9fe40667ee501e26843b162a7021e79a2e14f4f1f8ef905",
-        ),
-        (
-            ReadoutModel.uniform(9, 0.02, 0.05),
-            np.random.default_rng(2).multinomial(10**5, np.full(512, 1 / 512)),
-            6,
-            "45f6d72201a452c21196bf18324243e8542f3480768033a4d5f1029d9a3ccfc9",
-        ),
-        (
-            MIXED_MODEL,
-            np.random.default_rng(3).multinomial(10**5, np.full(64, 1 / 64)),
-            7,
-            "2d1818b647300e7bbad70009048d4422d76d73ef8f6740e2afde065658808a79",
-        ),
+        ReadoutModel.uniform(4, 0.02, 0.05),
+        np.random.default_rng(1).multinomial(10**6, np.full(16, 1 / 16)),
+        5,
+        "b0e9baa7d0ded17ba9fe40667ee501e26843b162a7021e79a2e14f4f1f8ef905",
     ),
-    ids=("w4-1e6-shots", "w9-1e5-shots", "mixed"),
+    (
+        ReadoutModel.uniform(9, 0.02, 0.05),
+        np.random.default_rng(2).multinomial(10**5, np.full(512, 1 / 512)),
+        6,
+        "45f6d72201a452c21196bf18324243e8542f3480768033a4d5f1029d9a3ccfc9",
+    ),
+    (
+        MIXED_MODEL,
+        np.random.default_rng(3).multinomial(10**5, np.full(64, 1 / 64)),
+        7,
+        "2d1818b647300e7bbad70009048d4422d76d73ef8f6740e2afde065658808a79",
+    ),
 )
+PINNED_IDS = ("w4-1e6-shots", "w9-1e5-shots", "mixed")
+
+
+@pytest.mark.parametrize("model, counts, seed, digest", PINNED_CASES, ids=PINNED_IDS)
 def test_corrupt_counts_are_pinned_per_seed(model, counts, seed, digest):
     assert hashlib.sha256(corrupt(counts, model, seed).tobytes()).hexdigest() == digest
 
 
+def use_cpus(monkeypatch, cpus):
+    """Make corrupt() see `cpus` CPUs in this process's affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+class DrawHook(np.random.Generator):
+    """A Generator whose random() calls `on_draw` first; patched into numpy for corrupt()."""
+
+    on_draw = staticmethod(lambda: None)
+
+    def random(self, *args, **kwargs):
+        type(self).on_draw()
+        return super().random(*args, **kwargs)
+
+
+def hook_draws(monkeypatch, on_draw):
+    monkeypatch.setattr(DrawHook, "on_draw", staticmethod(on_draw))
+    monkeypatch.setattr(np.random, "Generator", DrawHook)
+
+
 def test_corrupt_draws_in_blocks_that_span_outcomes(monkeypatch):
+    w = 16
+    span = noise._CORRUPT_SPAN * (noise._CORRUPT_BLOCK // w)
+    spans = math.ceil(2**w / span)
+    for cpus in (1, 2):
+        draw_calls = []
+        use_cpus(monkeypatch, cpus)
+        hook_draws(monkeypatch, lambda: draw_calls.append(1))
+        noisy = corrupt(np.ones(2**w, dtype=np.int64), ReadoutModel.uniform(w, 0.02, 0.05), 3)
+        assert noisy.sum() == 2**w
+        # one call per block, however many outcomes it spans: the records fill
+        # whole blocks of a span, and each span may end in one short block
+        rows = noise._CORRUPT_BLOCK // min(cpus, spans) // w
+        assert 0 < len(draw_calls) <= math.ceil(2**w / rows) + spans
+        assert len(draw_calls) * 100 < 2**w
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+@pytest.mark.parametrize("span", [None, 1])
+@pytest.mark.parametrize("block", [None, 7, 12])
+def test_corrupt_counts_do_not_depend_on_the_cpu_count(monkeypatch, cpus, span, block):
+    use_cpus(monkeypatch, cpus)
+    if span is not None:
+        monkeypatch.setattr(noise, "_CORRUPT_SPAN", span)
+    if block is not None:
+        monkeypatch.setattr(noise, "_CORRUPT_BLOCK", block)
+    counts = boundary_counts(noise._CORRUPT_BLOCK)
+    assert np.array_equal(
+        corrupt(counts, BOUNDARY_MODEL, seed=19),
+        corrupt_in_one_draw(counts, BOUNDARY_MODEL, seed=19),
+    )
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+@pytest.mark.parametrize("model, counts, block", SHARED_BLOCK_CASES, ids=SHARED_BLOCK_IDS)
+def test_corrupt_shared_blocks_equal_one_draw_on_any_cpu_count(
+    monkeypatch, model, counts, block, cpus
+):
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(noise, "_CORRUPT_SPAN", 1)
+    if block is not None:
+        monkeypatch.setattr(noise, "_CORRUPT_BLOCK", block)
+    assert np.array_equal(corrupt(counts, model, seed=23), corrupt_in_one_draw(counts, model, 23))
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+@pytest.mark.parametrize("span", [None, 1])
+@pytest.mark.parametrize("model, counts, seed, digest", PINNED_CASES, ids=PINNED_IDS)
+def test_corrupt_pinned_counts_on_any_cpu_count(monkeypatch, model, counts, seed, digest, cpus,
+                                                span):
+    use_cpus(monkeypatch, cpus)
+    if span is not None:
+        monkeypatch.setattr(noise, "_CORRUPT_SPAN", span)
+    assert hashlib.sha256(corrupt(counts, model, seed).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_corrupt_span_boundary_inside_an_outcome(monkeypatch, cpus):
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(noise, "_CORRUPT_BLOCK", 15)  # full blocks of 5 records at w = 3
+    monkeypatch.setattr(noise, "_CORRUPT_SPAN", 1)
+    counts = outcome_counts(3, {0b001: 3, 0b010: 4, 0b101: 6})
+    ends = np.cumsum(counts[counts > 0])
+    # the spans [0, 5), [5, 10), [10, 13) start inside outcomes 0b010 and 0b101
+    assert all(np.any((ends - counts[counts > 0] < lo) & (lo < ends)) for lo in (5, 10))
+    model = ReadoutModel(p01=(0.3, 0.2, 0.4), p10=(0.1, 0.45, 0.25))
+    for seed in range(20):
+        assert np.array_equal(corrupt(counts, model, seed), corrupt_in_one_draw(counts, model, seed))
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 64])
+def test_corrupt_draws_on_each_cpu_up_to_its_worker_cap(monkeypatch, cpus):
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(noise, "_CORRUPT_SPAN", 1)
+    workers = min(cpus, noise._CORRUPT_WORKERS)
+    drew = set()
+    all_drew = threading.Event()
+
+    def on_draw():
+        drew.add(threading.get_ident())
+        if len(drew) == workers:
+            all_drew.set()
+        # the caller holds its first span until every worker has taken one
+        if threading.current_thread() is threading.main_thread() and not all_drew.wait(10):
+            raise AssertionError(f"{len(drew)} of {workers} workers drew")
+
+    hook_draws(monkeypatch, on_draw)
+    counts = np.full(16, 100_000)
+    model = ReadoutModel.uniform(4, 0.02, 0.05)
+    assert np.array_equal(corrupt(counts, model, 2), corrupt_in_one_draw(counts, model, 2))
+    assert len(drew) == workers
+
+
+def test_corrupt_takes_each_span_once_under_fast_thread_switching(monkeypatch):
+    # more workers than cores, switching every microsecond: a span taken twice
+    # or skipped moves the counts off the one-stream reference
+    use_cpus(monkeypatch, 8)
+    monkeypatch.setattr(noise, "_CORRUPT_BLOCK", 12)
+    monkeypatch.setattr(noise, "_CORRUPT_SPAN", 1)
+    counts = np.arange(16) * 25
+    model = ReadoutModel.uniform(4, 0.1, 0.2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(5):
+            noisy = corrupt(counts, model, seed)
+            assert np.array_equal(noisy, corrupt_in_one_draw(counts, model, seed))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("offset", [0, 1, 777, 65536, 99999])
+@pytest.mark.parametrize("seed", [0, 23])
+def test_pcg64_jump_ahead_continues_the_stream_of_doubles(offset, seed):
+    # corrupt() relies on random() taking one 64-bit draw per double, so that
+    # advancing the bit generator by k skips exactly k doubles of the stream
+    stream = np.random.default_rng(seed).random(offset + 1000)
+    jumped = np.random.Generator(np.random.PCG64(seed).advance(offset))
+    assert np.array_equal(jumped.random(400), stream[offset: offset + 400])
+    assert np.array_equal(jumped.random(600), stream[offset + 400:])
+
+
+def test_corrupt_raises_a_workers_exception(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(noise, "_CORRUPT_SPAN", 1)
+    raised = threading.Event()
+
+    def on_draw():
+        if threading.current_thread() is not threading.main_thread():
+            raised.set()
+            raise RuntimeError("worker failed")
+        if not raised.wait(10):  # the caller draws on only once the worker has failed
+            raise AssertionError("no worker drew")
+
+    hook_draws(monkeypatch, on_draw)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker failed"):
+        corrupt(np.full(16, 100_000), ReadoutModel.uniform(4, 0.02, 0.05), seed=1)
+    assert threading.active_count() == before
+
+
+class Alarm(Exception):
+    pass
+
+
+def test_corrupt_interrupted_by_a_signal_leaves_no_worker_running(monkeypatch):
+    use_cpus(monkeypatch, 4)
+    monkeypatch.setattr(noise, "_CORRUPT_SPAN", 1)
     draw_calls = []
 
-    class CountingGenerator:
-        """Exposes only random(), so every draw corrupt() makes is counted."""
+    def on_draw():
+        draw_calls.append(1)
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(1)  # the alarm cuts this sleep
 
-        def __init__(self, seed):
-            self._rng = default_rng(seed)
+    def alarm(signum, frame):
+        raise Alarm
 
-        def random(self, *args, **kwargs):
-            draw_calls.append(1)
-            return self._rng.random(*args, **kwargs)
-
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
-    w = 16
-    noisy = corrupt(np.ones(2**w, dtype=np.int64), ReadoutModel.uniform(w, 0.02, 0.05), seed=3)
-    assert noisy.sum() == 2**w
-    # one call per block of _CORRUPT_BLOCK uniforms, however many outcomes it spans
-    assert 0 < len(draw_calls) <= math.ceil(2**w * w / noise._CORRUPT_BLOCK)
+    hook_draws(monkeypatch, on_draw)
+    before = threading.active_count()
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 0.05)
+    try:
+        with pytest.raises(Alarm):
+            corrupt(np.full(16, 2**24), ReadoutModel.uniform(4, 0.02, 0.05), seed=1)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert threading.active_count() == before
+    # the workers stopped at their next span, far short of the 2**30 draws
+    assert len(draw_calls) < 2**30 // noise._CORRUPT_BLOCK // 2
 
 
 def test_corrupt_memory_is_bounded():
@@ -219,12 +403,12 @@ def test_corrupt_memory_is_bounded():
 
 
 def test_corrupt_refuses_more_draws_than_its_budget_before_drawing(monkeypatch):
-    def default_rng(seed):
+    def pcg64(seed):
         raise AssertionError("corrupt drew before it checked the draw budget")
 
     model = ReadoutModel.uniform(4, 0.02, 0.05)
     with monkeypatch.context() as patch:
-        patch.setattr(np.random, "default_rng", default_rng)
+        patch.setattr(np.random, "PCG64", pcg64)
         with pytest.raises(ResourceError, match="budget is 4294967296"):
             corrupt(np.array([2**30 + 1] + [0] * 15), model, seed=1)
         with pytest.raises(ResourceError):
