@@ -71,53 +71,9 @@ from .simulator import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "AngleTable",
-    "Circuit",
-    "CollisionError",
-    "EigenData",
-    "EncodingError",
-    "FixedPointFormat",
-    "Gate",
-    "PoissonSystem",
-    "PostselectionError",
-    "QPoissonError",
-    "ReadoutModel",
-    "RegisterLayout",
-    "ResourceError",
-    "ResourceReport",
-    "RunResult",
-    "SolveRecord",
-    "Statevector",
-    "amplify_encode",
-    "analytic_success_probability",
-    "angle_coefficient",
-    "build_angle_table",
-    "build_matrix",
-    "build_phase_verification",
-    "build_pipeline",
-    "calibration_matrix",
-    "corrupt",
-    "decode_fraction",
-    "default_format",
-    "distinguishing_prefix",
-    "effective_lambda",
-    "eigenpairs",
-    "empirical_success_probability",
-    "encode_angle",
-    "exact_solve",
-    "expected_success_probability",
-    "fidelity_estimate",
-    "mitigate",
-    "postselect",
-    "prune_zero_columns",
-    "readout",
-    "register_probabilities",
-    "relative_error",
-    "resource_report",
-    "run_exact",
-    "sample",
-    "solve",
-    "sweep_record",
-]
+# Each public name is named once, in the imports above; the submodules those
+# imports bind on the package are not exported.
+__all__ = ["__version__"] + sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and type(value).__name__ != "module"
+)

@@ -317,29 +317,37 @@ def _walk_basis(eigs: EigenData, n: int) -> np.ndarray:
 
 def _spectral_powers(
     eigs: EigenData, fmt: FixedPointFormat, n: int, phase_mode: str
-) -> list[np.ndarray]:
-    """Matrices U**(2**k) for k = 0..m-1 from the spectral definition."""
+) -> np.ndarray:
+    """Matrices U**(2**k) for k = 0..m-1, stacked (m, 2**n, 2**n), read-only.
+
+    The powers share the eigenbasis V, so one (m, 2**n) table of phases and
+    one stacked product V diag(phases_k) V^T build them all.  Each turn
+    num 2**(shift + k) / den mod 1 is reduced exactly in Python integers
+    (object arrays: the true_a numerators outgrow int64), so repeated
+    doubling never drifts.  Every power is checked unitary in one stacked
+    comparison; the matrices are the program's own, so a failure is a
+    programming error (RuntimeError), not bad input.
+    """
     m = fmt.total_bits
-    dim = 2 ** n
-    basis = _walk_basis(eigs, n)
-    if phase_mode == "encoded":
-        encoded = [int(amplify_encode(lam, fmt), 2) for lam in eigs.lambdas]
-    else:
+    if phase_mode == "encoded":  # the encoded integer E_j over 2**m
+        shift = 0
+        ratios = [(int(amplify_encode(lam, fmt), 2), 1) for lam in eigs.lambdas]
+    else:  # lam 2**f over 2**m, lam the exact binary fraction num / den
+        shift = fmt.fraction_bits
         ratios = [float(lam).as_integer_ratio() for lam in eigs.lambdas]
-    powers = []
-    for k in range(m):
-        phases = np.ones(dim, dtype=complex)
-        for j in range(len(eigs.lambdas)):
-            if phase_mode == "encoded":
-                # exact modular arithmetic keeps repeated doubling drift-free
-                step = (encoded[j] * 2 ** k) % 2 ** m
-                phases[j + 1] = np.exp(2j * np.pi * step / 2 ** m)
-            else:
-                # lam * 2**(k - i) turns, reduced mod 1 exactly in integers
-                num, den = ratios[j]
-                turns = (num << (fmt.fraction_bits + k)) % (den << m) / (den << m)
-                phases[j + 1] = np.exp(2j * np.pi * turns)
-        powers.append(basis @ np.diag(phases) @ basis.T)
+    nums, dens = np.array(ratios, dtype=object).T
+    dens = dens << m
+    steps = np.arange(shift, shift + m, dtype=object)[:, None]
+    turns = ((nums << steps) % dens / dens).astype(float)
+    phases = np.ones((m, 2 ** n), dtype=complex)
+    phases[:, 1:] = np.exp(2j * np.pi * turns)
+    basis = _walk_basis(eigs, n)
+    powers = basis * phases[:, None, :] @ basis.T
+    with np.errstate(all="ignore"):  # a non-finite entry makes the drift nan
+        drift = np.max(np.abs(powers.conj().transpose(0, 2, 1) @ powers - np.eye(2 ** n)))
+    if not drift <= 1e-10:
+        raise RuntimeError(f"walk powers are not unitary (max deviation {drift:.3e})")
+    powers.setflags(write=False)
     return powers
 
 
@@ -353,18 +361,18 @@ def build_qpe(
 
     Reg E qubit holding bit weight 2**k controls U**(2**k); after the inverse
     Fourier transform reg E reads the encoded eigenvalue MSB-first.
-    phase_mode is one of PHASE_MODES, checked by the circuit builders.
+    phase_mode is one of PHASE_MODES, checked by the circuit builders.  The
+    walk powers come checked from _spectral_powers, so each CU gate wraps
+    its read-only slice of the stack directly.
     """
     m = layout.e_width
     if m != fmt.total_bits:
         raise ValueError(f"layout e_width {m} != format total_bits {fmt.total_bits}")
     gates: list[Gate] = [hadamard(q) for q in layout.reg_e]
     powers = _spectral_powers(eigs, fmt, layout.b_width, phase_mode)
-    for k in range(m):
-        ctrl = layout.reg_e[m - 1 - k]  # weight 2**k sits at register offset m-1-k
-        gates.append(
-            controlled_unitary((ctrl,), layout.reg_b, powers[k], label=f"walk^{2 ** k}")
-        )
+    for k in range(m):  # weight 2**k sits at reg E offset m-1-k
+        gates.append(Gate(CONTROLLED_UNITARY, layout.reg_b, (layout.reg_e[m - 1 - k],),
+                          matrix=powers[k], label=f"walk^{2 ** k}"))
     gates.extend(_fourier_ladders(layout.reg_e)[0])
     return gates
 

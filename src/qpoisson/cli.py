@@ -227,17 +227,10 @@ def _render_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _render_csv(columns: Sequence[str], rows: Sequence[dict], config: dict) -> str:
     lines = ["# config " + json.dumps(config, sort_keys=True, separators=(",", ":"))]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in columns))
+    lines += [",".join(str(row[c]) for c in columns) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -145,7 +145,6 @@ __all__ = [
     "sample_counts",
     "sample",
     "fragment_unitary",
-    "circuit_unitary",
     "check_shots",
     "check_backend",
 ]
@@ -737,8 +736,6 @@ def _on_live(p: Pass, axis: dict[int, int], fixed: dict[int, np.ndarray]) -> Pas
     elif p.kind == "RY":
         tables = data.reshape((2,) * (1 + len(p.controls)))
         data = tables[(slice(None),) + cut(p.controls)].reshape(2, -1)
-    elif p.kind == "PREP":  # a spread qubit off the buffer only drops its factor 1
-        data = data.reshape((2,) * len(p.axes))[cut(p.axes)].reshape(-1)
     return Pass(p.kind, renumber(p.axes), renumber(p.controls), data)
 
 
@@ -1284,7 +1281,3 @@ def fragment_unitary(gates: Sequence[Gate], q: int) -> np.ndarray:
             apply_gate(state, gate)
         out[:, col] = state.amps
     return out
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    return fragment_unitary(circuit.gates, circuit.layout.total)

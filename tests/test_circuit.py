@@ -123,6 +123,8 @@ def test_state_prep_unitary():
     assert np.allclose(u[:, 0], vec / 5.0)
     with pytest.raises(ValueError):
         qc.state_prep_unitary(np.zeros(3))
+    # a vector along e_0 needs no reflection
+    assert np.array_equal(qc.state_prep_unitary(np.array([2.0, 0.0, 0.0, 0.0])), np.eye(4))
 
 
 def test_embedding_accepts_grid_or_full_vector():
@@ -143,6 +145,8 @@ def test_embedding_accepts_grid_or_full_vector():
 def test_gate_factories_validate():
     with pytest.raises(ValueError):
         qc.controlled_unitary((), (0,), np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"shape \(4, 4\) does not match 1 targets"):
+        qc.controlled_unitary((), (0,), np.eye(4))
     # a non-finite entry makes the drift nan, which must not pass as small
     for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
         for where in ((0, 0), (1, 0)):
@@ -156,6 +160,40 @@ def test_gate_factories_validate():
         qc.swap(2, 2)
     with pytest.raises(ValueError):
         qc.multi_controlled_x((0, 0), 1)
+
+
+@pytest.mark.parametrize("widths", [(0, 1, 0), (1, -1, 0), (1, 1, -1)])
+def test_register_layout_refuses_negative_widths(widths):
+    with pytest.raises(ValueError, match="register widths"):
+        RegisterLayout(*widths)
+
+
+def test_builders_refuse_a_layout_of_the_wrong_width(sys_3x3):
+    fmt = FixedPointFormat(6, 0, 10)
+    eigs = eigenpairs(sys_3x3)
+    with pytest.raises(ValueError, match="e_width 5 != format total_bits 6"):
+        qc.build_qpe(eigs, fmt, RegisterLayout(2, 5, 0))
+    table = build_angle_table(eigs.lambdas, fmt)
+    with pytest.raises(ValueError, match="reg A width"):
+        qc.build_rotation_explicit(table, RegisterLayout(2, 6, len(table.kept_columns) + 1))
+
+
+@pytest.mark.parametrize("phase_mode", qc.PHASE_MODES)
+def test_walk_powers_are_checked_unitary_once_per_build(monkeypatch, sys_3x3, phase_mode):
+    """A non-unitary walk power is the program's own fault: RuntimeError, never bad input."""
+    fmt = FixedPointFormat(6, 0, 10)
+    powers = qc._spectral_powers(eigenpairs(sys_3x3), fmt, 2, phase_mode)
+    assert powers.shape == (6, 4, 4) and not powers.flags.writeable
+    built = build_pipeline(sys_3x3, fmt, "fused", phase_mode)
+    walks = [g for g in built.gates if g.label.startswith("walk^") and "^-1" not in g.label]
+    assert all(np.array_equal(g.matrix, u) and not g.matrix.flags.writeable
+               for g, u in zip(walks, powers, strict=True))
+    walk_basis = qc._walk_basis
+    monkeypatch.setattr(qc, "_walk_basis", lambda eigs, n: walk_basis(eigs, n) * (1 + 1e-6))
+    with pytest.raises(RuntimeError, match="walk powers are not unitary"):
+        build_pipeline(sys_3x3, fmt, "fused", phase_mode)
+    with pytest.raises(RuntimeError, match="walk powers are not unitary"):
+        build_phase_verification(sys_3x3, fmt, sys_3x3.b, phase_mode)
 
 
 def test_circuit_rejects_out_of_range_gates():
@@ -418,7 +456,7 @@ def test_fused_rotation_skips_zero_angles():
 def test_pipeline_is_unitary(sys_3x3):
     fmt = FixedPointFormat(6, 0, 10)
     built = build_pipeline(sys_3x3, fmt, mode="fused")
-    u = sim.circuit_unitary(built)
+    u = sim.fragment_unitary(built.gates, built.layout.total)
     dim = 2**built.layout.total
     assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-9
 

@@ -208,6 +208,10 @@ def test_verify_phase_input_flag_conflicts(capsys):
         code, out, err = run_cli(capsys, "verify-phase", "--preset", "table1-3x3", "--f", "0",
                                  "--l", "10", f"--input={vector}")
         assert (code, out, err) == (2, "", "error: vector entries must be finite\n")
+    for j in ("0", "-1", "4"):  # the 3x3 system has eigenvectors 1..3
+        code, out, err = run_cli(capsys, "verify-phase", "--preset", "table1-3x3",
+                                 f"--eigen-index={j}")
+        assert (code, out, err) == (2, "", f"error: eigen index must be in 1..3, got {j}\n")
 
 
 def test_sweep_csv(capsys, tmp_path):
@@ -225,6 +229,13 @@ def test_sweep_csv(capsys, tmp_path):
     errors = [float(line.split(",")[4]) for line in lines[2:]]
     assert errors == sorted(errors, reverse=True)
     assert [line.split(",")[1] for line in lines[2:]] == ["0", "4", "8"]
+
+
+def test_render_csv_writes_numbers_as_str():
+    # repr would write np.float64(0.1) under numpy 2
+    row = {"a": np.float64(0.1), "b": 0.1, "c": 3, "d": True, "e": "x"}
+    text = cli._render_csv(list(row), [row], {"n": 2})
+    assert text == '# config {"n":2}\na,b,c,d,e\n0.1,0.1,3,True,x\n'
 
 
 def test_sweep_rejects_empty_f_values(capsys):
@@ -391,6 +402,8 @@ def test_mitigation_trial_roundtrip():
     trial = mitigation_trial(np.array([0.0, 0.5, 0.25, 0.25]), model, 100_000, seed=4)
     assert trial["relative_error_mitigated"] < trial["relative_error_unmitigated"]
     assert sum(trial["mitigated_distribution"]) == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(ValueError, match="length 3 wants width 2 bits"):
+        mitigation_trial(np.array([0.5, 0.25, 0.25]), model, 100, seed=4)
 
 
 def test_config_file_precedence(capsys, tmp_path):
@@ -406,6 +419,11 @@ def test_config_file_precedence(capsys, tmp_path):
     )
     assert code == 0
     assert "i=6 f=4 l=10" in out
+    # null for an option whose default is None keeps that default
+    cfg.write_text(json.dumps({"integer_bits": None, "output": None}))
+    code, out, _ = run_cli(capsys, "solve", "--preset", "table1-3x3", "--config", str(cfg))
+    assert code == 0
+    assert "i=6 f=8 l=16" in out
 
 
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):

@@ -105,11 +105,18 @@ def test_effective_lambda_truncates_from_below(lam):
     assert lam - eff < 2.0**-4 + 1e-9 * lam
 
 
+def test_effective_lambda_refuses_a_string_of_the_wrong_length():
+    with pytest.raises(EncodingError, match="expected 14 bits, got 13"):
+        effective_lambda("1" * 13, FixedPointFormat(10, 4, 8))
+
+
 def test_angle_coefficient_values():
     assert angle_coefficient(1.0) == pytest.approx(0.5)
     assert angle_coefficient(32.0) == pytest.approx(0.009948803662938608, abs=1e-15)
     # larger eigenvalues rotate less
     assert angle_coefficient(54.6) < angle_coefficient(32.0) < angle_coefficient(9.4)
+    with pytest.raises(EncodingError, match="below 1"):
+        angle_coefficient(0.5)
 
 
 def test_angle_coefficient_sine_identity():
@@ -186,6 +193,8 @@ def test_prune_zero_columns_edge_cases():
     assert prune_zero_columns(["0000"]) == ()
     assert prune_zero_columns([]) == ()
     assert prune_zero_columns(["10", "01"]) == (1, 2)
+    with pytest.raises(ValueError, match="one width"):
+        prune_zero_columns(["10", "011"])
 
 
 def test_distinguishing_prefix_reference():

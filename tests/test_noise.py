@@ -202,6 +202,14 @@ def use_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
+def test_cpu_count_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert noise._cpu_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert noise._cpu_count() == 1
+
+
 class DrawHook(np.random.Generator):
     """A Generator whose random() calls `on_draw` first; patched into numpy for corrupt()."""
 

@@ -405,6 +405,8 @@ def _near_mirror(case: str) -> qc.Circuit:
         g = gates[k]
         gates[k] = qc.controlled_unitary(g.controls, g.targets,
                                          g.matrix @ np.diag([1, np.exp(1e-3j)]))
+    elif case == "kind-off":  # the closing Hadamard, mirror of C's first gate, made an X
+        gates[-1] = qc.pauli_x(*gates[-1].targets)
     elif case == "hadamard-load":  # the load replaced by a Hadamard on the ancilla
         gates[0] = qc.hadamard(layout.ancilla)
     elif case == "diagonal-load":  # a load that lowers to a DIAG pass, not a PREP
@@ -448,9 +450,10 @@ def _near_mirror(case: str) -> qc.Circuit:
     return qc.Circuit(layout, tuple(gates), metadata)
 
 
-@pytest.mark.parametrize("case", ["phase-off", "hadamard-load", "diagonal-load", "rotation-on-e",
-                                  "rotation-on-b", "hadamard-on-b", "ancilla-phase", "unspread-e",
-                                  "coupled-e", "hadamard-closing", "dense-in-c", "no-uncompute"])
+@pytest.mark.parametrize("case", ["phase-off", "kind-off", "hadamard-load", "diagonal-load",
+                                  "rotation-on-e", "rotation-on-b", "hadamard-on-b",
+                                  "ancilla-phase", "unspread-e", "coupled-e", "hadamard-closing",
+                                  "dense-in-c", "no-uncompute"])
 def test_readout_falls_back_when_the_circuit_is_no_solve_mirror(case):
     """readout reads the full state instead: postselect(run_exact), bit for bit."""
     circuit = _near_mirror(case)

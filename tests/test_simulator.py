@@ -277,6 +277,11 @@ def test_run_exact_enforces_budget():
             sim.readout(over, qubits)
 
 
+def test_fragment_unitary_refuses_more_than_12_qubits():
+    with pytest.raises(ResourceError, match="13 qubits"):
+        sim.fragment_unitary([qc.hadamard(0)], 13)
+
+
 def test_sample_refuses_a_negative_seed_before_the_run(monkeypatch, sys_3x3):
     def readout(*args):
         raise AssertionError("the circuit ran before the seed was checked")
