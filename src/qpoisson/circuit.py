@@ -255,7 +255,10 @@ def qft_fragment(qubits: Sequence[int]) -> list[Gate]:
 
 
 # A sweep builds a few reg E widths; 32 ladder pairs on the widest register
-# the budget allows (27 qubits) hold about 10 MiB.
+# the budget allows (27 qubits) hold about 10 MiB.  The simulator's Fourier
+# recognition reads the same cache, so recognizing a builder's ladder builds
+# nothing; a hand-built circuit's registers may evict a builder's ladder,
+# which the next build or recognition then rebuilds.
 @functools.lru_cache(maxsize=32)
 def _fourier_ladders(reg_e: tuple[int, ...]) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
     """Reg E's IQFT and that IQFT's inverse (the uncompute's ladder), built once per register.
@@ -324,9 +327,11 @@ def _spectral_powers(
     one stacked product V diag(phases_k) V^T build them all.  Each turn
     num 2**(shift + k) / den mod 1 is reduced exactly in Python integers
     (object arrays: the true_a numerators outgrow int64), so repeated
-    doubling never drifts.  Every power is checked unitary in one stacked
-    comparison; the matrices are the program's own, so a failure is a
-    programming error (RuntimeError), not bad input.
+    doubling never drifts.  The phases exp(2 pi i turn) are on the unit
+    circle, so every power is unitary once V is orthogonal: V^T V = I is
+    checked once, before the product, with no Gram product of the powers.
+    V is the program's own, so a failure is a programming error
+    (RuntimeError), not bad input.
     """
     m = fmt.total_bits
     if phase_mode == "encoded":  # the encoded integer E_j over 2**m
@@ -342,11 +347,11 @@ def _spectral_powers(
     phases = np.ones((m, 2 ** n), dtype=complex)
     phases[:, 1:] = np.exp(2j * np.pi * turns)
     basis = _walk_basis(eigs, n)
-    powers = basis * phases[:, None, :] @ basis.T
     with np.errstate(all="ignore"):  # a non-finite entry makes the drift nan
-        drift = np.max(np.abs(powers.conj().transpose(0, 2, 1) @ powers - np.eye(2 ** n)))
+        drift = np.max(np.abs(basis.T @ basis - np.eye(2 ** n)))
     if not drift <= 1e-10:
         raise RuntimeError(f"walk powers are not unitary (max deviation {drift:.3e})")
+    powers = basis * phases[:, None, :] @ basis.T
     powers.setflags(write=False)
     return powers
 

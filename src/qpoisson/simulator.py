@@ -36,7 +36,9 @@ The lowering rules, each exact:
 - A gate run that is exactly circuit.qft_fragment(register), or its
   inverse, becomes one QFT pass (numpy's FFT, orthonormal) when the
   register is consecutive qubits in order; otherwise its gates are lowered
-  one by one.
+  one by one.  A run whose head reads as a ladder is compared with the
+  ladder that circuit._fourier_ladders caches per register, which a
+  builder circuit's build has already made.
 - Any other gate (a SWAP outside a Fourier fragment, a controlled
   non-diagonal CU outside the walk basis, a dense CU on non-consecutive
   qubits, an X, MCX or MCRY outside a rotation segment) runs as a GATE
@@ -59,16 +61,18 @@ read 0) with its ancilla = 1 weight, or the marginal over some qubits.
 
 - Overlap.  An exact solve of [load] + C + R + C^-1, the circuit
   build_pipeline emits, runs no pass at all.  The IR must show the mirror:
-  each gate after the rotation segment R is the inverse of its mirror in C.
-  R must lower to one RY pass on the ancilla, which C never touches, whose
-  controls are reg E or held qubits (no reg B qubit), and C must lower to
-  phase estimation: the PREP (load, V^T and the Hadamards on reg E) as the
-  one pass that writes reg B, DIAG passes whose terms each touch at most one
-  reg E qubit, and one QFT or IQFT pass over reg E.  On one value b of reg B
-  in the walk eigenbasis (a slab), reg E is then a product state up to the
-  Fourier pass, whose output factorizes: its distribution p_b is a product
-  of one real factor per qubit (for geometric phases, the Fejer kernel of
-  Cleve, Ekert, Macchiavello and Mosca, Proc. R. Soc. A 454, 339, 1998).
+  the gates after the rotation segment R are C reversed, each with its
+  matrix's adjoint (_matches, the comparator that also reads Fourier
+  ladders).  R must lower to one RY pass on the ancilla, which C never
+  touches, whose controls are reg E or held qubits (no reg B qubit), and C
+  must lower to phase estimation: the PREP (load, V^T and the Hadamards on
+  reg E) as the one pass that writes reg B, DIAG passes whose terms each
+  touch at most one reg E qubit, and one QFT or IQFT pass over reg E.  On
+  one value b of reg B in the walk eigenbasis (a slab), reg E is then a
+  product state up to the Fourier pass, whose output factorizes: its
+  distribution p_b is a product of one real factor per qubit (for
+  geometric phases, the Fejer kernel of Cleve, Ekert, Macchiavello and
+  Mosca, Proc. R. Soc. A 454, 339, 1998).
   Only p_b's marginal on the RY controls is read, and in every builder
   circuit they are reg E's leading bits.  So the last f factors (f =
   min(last control's axis + 1, floor(m/2))) fold into a Laurent polynomial
@@ -542,14 +546,10 @@ def _table_qubits(q: int) -> int:
 
 def _diag_table(terms, q: int) -> tuple[tuple[int, ...], np.ndarray]:
     """The product of diagonal terms, over the union of their axes."""
-    axes, table = [], np.ones((), dtype=complex)
+    axes = sorted(set().union(*(term_axes for term_axes, _ in terms)))
+    table = np.ones((1,) * len(axes), dtype=complex)  # an axis no term has reached stays 1 wide
     for term_axes, values in terms:
-        # widen the table only as far as the terms so far reach
-        union = sorted(set(axes).union(term_axes))
-        if union != axes:
-            table = table.reshape([2 if a in axes else 1 for a in union])
-        table = table * values.reshape([2 if a in term_axes else 1 for a in union])
-        axes = union
+        table = table * values.reshape([2 if a in term_axes else 1 for a in axes])
     tail = q - 1 - axes[-1] if axes else 0  # terms on held qubits alone: a scalar
     if 0 < tail and 2 ** tail < _SHORT_TAIL and len(axes) + tail <= _table_qubits(q):
         table = np.ascontiguousarray(
@@ -559,24 +559,26 @@ def _diag_table(terms, q: int) -> tuple[tuple[int, ...], np.ndarray]:
     return tuple(axes), table
 
 
-def _inverts(after: Sequence[Gate], before: Sequence[Gate]) -> bool:
-    """Each gate of after is its partner's inverse in before: itself, or with its matrix's adjoint.
+def _matches(window: Sequence[Gate], template: Sequence[Gate], adjoint: bool = False) -> bool:
+    """Whether window is template gate for gate, or with each matrix its partner's adjoint.
 
-    No inverse gate is built.  Kinds, targets and controls must be equal,
-    and the matrices, stacked by shape, compare to 1e-12 in one stacked
-    comparison per shape.  Only H, CU and SWAP gates reach it (it is only asked of
-    gates ahead of the first rotation segment), so no angle is compared.
+    No gate is built.  The lengths, and each pair's kind, targets and
+    controls, must be equal, and the matrices, stacked by shape, compare to
+    1e-12 in one comparison per shape.  Only H, CU and SWAP gates reach it
+    (the uncompute mirror ahead of the first rotation segment, and Fourier
+    ladders), so no angle is compared.
     """
-    if any((a.kind, a.targets, a.controls) != (b.kind, b.targets, b.controls)
-           for a, b in zip(after, before)):
+    if ([(g.kind, g.targets, g.controls) for g in window]
+            != [(g.kind, g.targets, g.controls) for g in template]):
         return False
     stacks: dict[tuple[int, ...], tuple[list, list]] = {}
-    for a, b in zip(after, before):
+    for a, b in zip(window, template):
         if a.matrix is not None:
             mine, theirs = stacks.setdefault(a.matrix.shape, ([], []))
             mine.append(a.matrix)
             theirs.append(b.matrix)
-    return all(np.max(np.abs(np.stack(mine) - np.stack(theirs).conj().swapaxes(1, 2))) <= 1e-12
+    return all(np.max(np.abs(np.stack(mine) - (np.stack(theirs).conj().swapaxes(1, 2)
+                                               if adjoint else np.stack(theirs)))) <= 1e-12
                for mine, theirs in stacks.values())
 
 
@@ -584,11 +586,13 @@ def _fourier_at(gates: Sequence[Gate], i: int):
     """(register, inverse, length) if gates[i:] is a qft_fragment or its inverse.
 
     The width w comes from the opening gates: a forward fragment opens with
-    H and w - 1 phases, an inverse one with floor(w/2) swaps.  The register
-    is read off the fragment's Hadamards.  The window of w(w+1)/2 + floor(w/2)
-    gates must then hold qft_fragment's kinds, targets and controls, worked
-    out by index arithmetic (reversed for the inverse), and its phases must
-    all be diag(1, e^(+-i pi / 2**(b - a))) to 1e-12; no fragment is built.
+    H and w - 1 phases, an inverse one with floor(w/2) swaps.  Read forward,
+    or backward for an inverse, the window's first w gates must be an H on
+    r0 and w - 1 one-control CUs on r0 whose distinct controls are r1 ..
+    r_(w-1); an inverse's last opening swap must be (r0, r_(w-1)), which
+    tells w = 2s from 2s + 1.  Only then is the register's ladder fetched
+    from circuit._fourier_ladders (built once per register), and the window
+    must match it (_matches).
     """
     def kind(j):
         return gates[j].kind if j < len(gates) else None
@@ -605,27 +609,12 @@ def _fourier_at(gates: Sequence[Gate], i: int):
         window = gates[i : i + length]
         if width < 2 or len(window) < length:
             continue
-        # in qft_fragment, the Hadamard on register[a] opens row a of the ladder
-        rows = [a * width - a * (a - 1) // 2 for a in range(width)]
-        hadamards = [window[length - 1 - r if inverse else r] for r in rows]
-        register = tuple(g.targets[0] for g in hadamards)
-        if len(set(register)) < width:  # the kinds are compared with the rest below
-            continue
-        shape, steps = [], []
-        for a, row in enumerate(register):
-            shape.append((cg.HADAMARD, (row,), ()))
-            shape += [(cg.CONTROLLED_UNITARY, (row,), (register[b],)) for b in range(a + 1, width)]
-            steps += range(1, width - a)
-        shape += [(cg.SWAP, (register[a], register[width - 1 - a]), ()) for a in range(width // 2)]
-        if inverse:
-            shape.reverse()
-            steps.reverse()
-        if [(g.kind, g.targets, g.controls) for g in window] != shape:
-            continue
-        turns = np.exp((-1j if inverse else 1j) * math.pi / 2.0 ** np.array(steps))
-        want = np.diag([1, 0]) + np.diag([0, 1]) * turns[:, None, None]
-        phases = np.stack([g.matrix for g in window if g.kind == cg.CONTROLLED_UNITARY])
-        if np.max(np.abs(phases - want)) <= 1e-12:
+        hadamard, *phases = window[::-1][:width] if inverse else window[:width]
+        register = hadamard.targets + tuple(g.controls[0] for g in phases if len(g.controls) == 1)
+        if (hadamard.kind == cg.HADAMARD and len(set(register)) == width
+                and all(g.kind == cg.CONTROLLED_UNITARY and g.targets == register[:1] for g in phases)
+                and (not inverse or window[j - i - 1].targets == register[:: width - 1])
+                and _matches(window, cg._fourier_ladders(register)[0 if inverse else 1])):
             return register, inverse, length
     return None
 
@@ -922,10 +911,11 @@ def _overlap_plan(circuit: Circuit):
     """(compute, ry, closing) when readout may read the clean block in closed form, else None.
 
     The circuit must be [load] + C + R + C^-1, recognized in the IR: R is
-    the run of X, MCX and MCRY gates after C, and each gate after R is the
-    inverse of its mirror in C (_inverts; no inverse gate is built).  The
-    load is an uncontrolled CU on reg B, and C never touches the ancilla and
-    has only controlled or diagonal CUs (a diagonal one lowers to a DIAG
+    the run of X, MCX and MCRY gates after C, and the gates after R must
+    be C reversed, each with its matrix's adjoint (_matches, which also
+    compares the lengths; no inverse gate is built).  The load is an
+    uncontrolled CU on reg B, and C never touches the ancilla and has only
+    controlled or diagonal CUs (a diagonal one lowers to a DIAG
     term, never into the PREP), so the PREP holds the load, C's opening
     Hadamards and at most the V^T that closing undoes.  [load] + C + R is
     lowered once, and must be compute, one RY pass on the ancilla whose
@@ -935,13 +925,13 @@ def _overlap_plan(circuit: Circuit):
     layout, gates = circuit.layout, circuit.gates
     i = next((i for i, g in enumerate(gates) if g.kind in _SEGMENT_KINDS), 0)
     end = _segment_end(gates, i)
-    if i == 0 or len(gates) - end != i - 1:
+    if i == 0:
         return None
     load, compute = gates[0], gates[1:i]
     if ((load.kind, load.controls, load.targets) != (cg.CONTROLLED_UNITARY, (), layout.reg_b)
             or any(layout.ancilla in g.qubits or g.kind == cg.CONTROLLED_UNITARY
                    and not g.controls and not _diagonal(g.matrix) for g in compute)
-            or not _inverts(gates[end:], compute[::-1])):
+            or not _matches(gates[end:], compute[::-1], adjoint=True)):
         return None
     passes = _lowered(Circuit(layout, gates[:end], circuit.metadata)).passes
     r = next((r for r, p in enumerate(passes) if p.kind == "RY"), 0)

@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -543,3 +545,50 @@ def test_ladder_cache_stays_bounded_over_every_reachable_reg_e():
                 assert qc._fourier_ladders.cache_info().currsize <= limit
     finally:
         qc._fourier_ladders.cache_clear()
+
+
+# sha256 over Circuit.dump() of the 24 Table-1 builds that _table1_builds
+# yields and the budget admits, recorded before refactors that must leave the
+# IR unchanged.  A dump holds only kinds, qubits, .12g angles, dims and labels,
+# all from Python float arithmetic, so the digest does not depend on BLAS;
+# matrices stay out of it for that reason.
+TABLE1_IR_SHA256 = "d5ff648b108333a96d4c9552c9190d5cb131a03685a2225147d923c715e5aa0f"
+
+
+def _table1_builds():
+    """Each preset's phase verification and explicit and fused pipelines, f in {0, 4, 8}."""
+    for preset in PRESETS.values():
+        system = PoissonSystem(n=preset["n"], b=np.asarray(preset["b"]))
+        for f in (0, 4, 8):
+            fmt = default_format(system.n, f, 16)
+            yield partial(build_phase_verification, system, fmt, system.b)
+            for mode in ("explicit", "fused"):
+                yield partial(build_pipeline, system, fmt, mode)
+
+
+def _table1_ir_digest() -> tuple[int, str]:
+    digest, count = hashlib.sha256(), 0
+    for build in _table1_builds():
+        try:
+            built = build()
+        except ResourceError:  # explicit layouts over the budget
+            continue
+        digest.update(built.dump().encode() + b"\n\n")
+        count += 1
+    return count, digest.hexdigest()
+
+
+def test_table1_ir_is_pinned():
+    assert _table1_ir_digest() == (24, TABLE1_IR_SHA256)
+
+
+def test_widest_walk_build_holds_no_gram_stack():
+    """18 powers of 256 x 256: the stack and its product temporary, no conjugate or Gram copy."""
+    system = PoissonSystem(8, np.ones(255))
+    tracemalloc.start()
+    try:
+        build_pipeline(system, default_format(8, 0), "fused")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20

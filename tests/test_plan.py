@@ -407,6 +407,8 @@ def _near_mirror(case: str) -> qc.Circuit:
                                          g.matrix @ np.diag([1, np.exp(1e-3j)]))
     elif case == "kind-off":  # the closing Hadamard, mirror of C's first gate, made an X
         gates[-1] = qc.pauli_x(*gates[-1].targets)
+    elif case == "short-uncompute":  # the closing Hadamard dropped: C^-1 is one gate short
+        gates = gates[:-1]
     elif case == "hadamard-load":  # the load replaced by a Hadamard on the ancilla
         gates[0] = qc.hadamard(layout.ancilla)
     elif case == "diagonal-load":  # a load that lowers to a DIAG pass, not a PREP
@@ -450,7 +452,8 @@ def _near_mirror(case: str) -> qc.Circuit:
     return qc.Circuit(layout, tuple(gates), metadata)
 
 
-@pytest.mark.parametrize("case", ["phase-off", "kind-off", "hadamard-load", "diagonal-load",
+@pytest.mark.parametrize("case", ["phase-off", "kind-off", "short-uncompute",
+                                  "hadamard-load", "diagonal-load",
                                   "rotation-on-e", "rotation-on-b", "hadamard-on-b",
                                   "ancilla-phase", "unspread-e", "coupled-e", "hadamard-closing",
                                   "dense-in-c", "no-uncompute"])
@@ -918,6 +921,41 @@ def test_fourier_match_accepts_every_ladder(width):
             close = qc.controlled_unitary(g.controls, g.targets,
                                           g.matrix @ np.diag([1, np.exp(1e-14j)]))
             assert sim._fourier_at(ladder[:k] + [close] + ladder[k + 1:], 0) is not None
+
+
+def test_lower_fetches_a_ladder_only_for_a_head_that_reads_as_one(sys_3x3):
+    """A build caches its reg E ladders, and a run that opens no ladder fetches none."""
+    def misses():
+        return qc._fourier_ladders.cache_info().misses
+
+    for fmt in (FixedPointFormat(6, 2, 8), FixedPointFormat(6, 1, 8)):  # reg E of 8 and 7 qubits
+        built = build_pipeline(sys_3x3, fmt, "fused")
+        before = misses()
+        # an odd IQFT's floor(w/2) swaps would also open a ladder of w - 1 qubits
+        assert {"QFT", "IQFT"} <= set(sim.lower(built).counts())
+        assert misses() == before
+    spread = [qc.hadamard(q) for q in range(3)]
+    heads = {
+        "other-target": [qc.hadamard(0), qc.controlled_phase(1, 2, math.pi / 2),
+                         qc.controlled_phase(0, 2, math.pi / 4)],
+        "repeated-control": [qc.hadamard(0), qc.controlled_phase(1, 0, math.pi / 2),
+                             qc.controlled_phase(1, 0, math.pi / 4)],
+    }
+    for case, head in heads.items():
+        circuit = _circuit(3, spread + head)
+        before = misses()
+        assert not {"QFT", "IQFT"} & set(sim.lower(circuit).counts()), case
+        assert misses() == before, case
+        assert_plan_matches(circuit)
+    # a register no build has cached is fetched once, and recognized
+    for inverse in (False, True):
+        ladder = qc.qft_fragment((1, 2, 3))
+        circuit = _circuit(4, [qc.hadamard(q) for q in range(4)]
+                           + (qc.invert_fragment(ladder) if inverse else ladder))
+        qc._fourier_ladders.cache_clear()
+        assert sim.lower(circuit).passes[-1].kind == ("IQFT" if inverse else "QFT")
+        assert misses() == 1
+        assert_plan_matches(circuit)
 
 
 def _near_ladders(width: int, inverse: bool, rng: np.random.Generator):
