@@ -17,7 +17,6 @@ gate occupies max(1, its two-qubit cost) layers on every qubit it touches.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,17 +100,6 @@ def empirical_success_probability(result: sim.RunResult) -> float:
     return 100.0 * result.success_prob
 
 
-def _two_qubit_cost(gate: qc.Gate) -> int:
-    if gate.kind == qc.SWAP:
-        return 3
-    if gate.kind in (qc.MULTI_CONTROLLED_X, qc.MULTI_CONTROLLED_RY):
-        c = len(gate.controls)
-        return 2 * c * c - 2 * c + 1 if c else 0
-    if gate.kind == qc.CONTROLLED_UNITARY:
-        return 4 ** len(gate.targets)
-    return 0
-
-
 @dataclass(frozen=True)
 class ResourceReport:
     total_qubits: int
@@ -135,23 +123,39 @@ def resource_report(circuit: qc.Circuit) -> ResourceReport:
         "a": layout.a_width,
         "ancilla": 1,
     }
-    counts: Counter[str] = Counter()
+    # one pass, costs inline: this runs on every sweep row and resources row
+    counts: dict[str, int] = {}
     cnots = 0
     levels = [0] * layout.total
     for gate in circuit.gates:
-        counts[gate.kind] += 1
-        cost = _two_qubit_cost(gate)
+        kind, controls, targets = gate.kind, gate.controls, gate.targets
+        counts[kind] = counts.get(kind, 0) + 1
+        if kind == qc.CONTROLLED_UNITARY:
+            cost = 4 ** len(targets)
+        elif kind == qc.SWAP:
+            cost = 3
+        elif controls and (kind == qc.MULTI_CONTROLLED_X or kind == qc.MULTI_CONTROLLED_RY):
+            cost = 2 * len(controls) * (len(controls) - 1) + 1
+        else:
+            cost = 0
         cnots += cost
-        weight = max(1, cost)
-        qubits = gate.qubits
-        start = max(levels[q] for q in qubits)
-        for q in qubits:
-            levels[q] = start + weight
-    depth = max(levels) if circuit.gates else 0
+        start = 0
+        for q in controls:
+            if levels[q] > start:
+                start = levels[q]
+        for q in targets:
+            if levels[q] > start:
+                start = levels[q]
+        end = start + (cost or 1)  # a free gate still takes one layer
+        for q in controls:
+            levels[q] = end
+        for q in targets:
+            levels[q] = end
+    depth = max(levels)
     return ResourceReport(
         total_qubits=layout.total,
         register_widths=widths,
-        gate_counts=dict(counts),
+        gate_counts=counts,
         depth=depth,
         estimated_cnots=cnots,
         estimated_fidelity=fidelity_estimate(cnots),

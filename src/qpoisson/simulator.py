@@ -28,8 +28,10 @@ The lowering rules, each exact:
   stage is one segment: the fused stage's X wraps and the explicit stage's
   reg A loads and unloads undo themselves on every pattern.
 - The QPE walk powers U**(2**k) = V D_k V^T share the eigenbasis V that
-  the builders record in metadata["walk_basis"]; once V^T M V is checked
-  diagonal, a walk power becomes a controlled diagonal in that basis.  V^T
+  the builders record in metadata["walk_basis"].  Every controlled CU of
+  V's shape is checked once, as one stack: V^T M V for all of them in one
+  stacked product, before the gates are lowered.  A walk power whose V^T M
+  V is diagonal becomes a controlled diagonal in that basis.  V^T
   runs once (folded into the PREP), and V once after uncompute, since the
   rotation between them never touches reg B.  Any other uncontrolled
   non-diagonal CU is one DENSE pass.
@@ -84,9 +86,11 @@ read 0) with its ancilla = 1 weight, or the marginal over some qubits.
   clean-block entry beta_b (p_b . s) and its weight |beta_b|^2 (p_b . s^2);
   a slab with beta_b = 0 adds nothing.  The walk reads every slab at once:
   each DIAG pass is cut once, at all the slabs' reg B bits, and the RY pass
-  once; only p_b is built slab by slab.  The final V then runs on the 2**n
-  block.  This is the HHL amplitude <0_E 0_A 1_anc| C^-1 R C |b> (Harrow,
-  Hassidim and Lloyd, PRL 103, 150502, 2009).  The norm summed over the
+  once; only p_b is built in slab groups, each step one numpy call over a
+  group that a byte budget sizes, with the same IEEE operations per slab as
+  alone.  The final V then runs on the 2**n block.  This is the HHL
+  amplitude <0_E 0_A 1_anc| C^-1 R C |b> (Harrow, Hassidim and Lloyd, PRL
+  103, 150502, 2009).  The norm summed over the
   slabs must stay 1 within 1e-9.  A solve of any other circuit is
   postselect(run_exact(circuit)), which holds the whole live state.
 
@@ -123,7 +127,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -298,6 +302,12 @@ _TABLE_QUBITS = 18
 # A diagonal table also spans the free axes below it when they are fewer than
 # this many amplitudes, so its innermost loop is not a handful of elements.
 _SHORT_TAIL = 32
+# Bytes of temporaries per group: a group of slabs in _fourier_marginal (P, h, q
+# and the moment product), a chunk of stacked matrices in _walk_diagonals and
+# _matches.  The largest power of two that keeps the 15x15 f=8 readout (two slabs
+# a group) under 1 MiB traced.  On the Table-1 readouts 64 KiB took up to 1.9x as
+# long, and 2 MiB saved up to 15% (one BLAS thread).
+_GROUP_BYTES = 1 << 19
 # Off-diagonal tolerance of V^T M V before a CU runs in the walk eigenbasis.
 _BASIS_TOL = 1e-12
 # Amplitudes per np.fft call of a QFT pass (4 MiB of complex128).
@@ -365,7 +375,8 @@ class _Planner:
       matrix @ prep_matrix, and Hadamards on untouched qubits join spread;
       the first other pass ends it with one PREP (spread is then None).
     - frame: the targets whose walk eigenbasis V is owed.  A walk power
-      (V^T M V diagonal) runs as a controlled diagonal once V^T has run
+      (V^T M V diagonal: walks, checked once for every gate by
+      _walk_diagonals) runs as a controlled diagonal once V^T has run
       through _unitary; V runs before the next gate on them, or at finish.
     - run: the terms of an open DIAG pass; consecutive diagonal gates fuse
       into it while its table stays within table_qubits.
@@ -375,7 +386,7 @@ class _Planner:
     runs through apply_gate as a GATE pass.
     """
 
-    def __init__(self, q: int, basis: np.ndarray | None):
+    def __init__(self, q: int, basis: np.ndarray | None, gates: Sequence[Gate]):
         self.passes: list[Pass] = []
         self.table_qubits = _table_qubits(q)
         if basis is not None:
@@ -387,6 +398,7 @@ class _Planner:
             ) > _BASIS_TOL:
                 basis = None
         self.basis = basis
+        self.walks = {} if basis is None else _walk_diagonals(gates, basis)
         self.spread: tuple[int, ...] | None = ()
         self.prep_axes: tuple[int, ...] = ()
         self.prep_matrix: np.ndarray | None = None
@@ -461,16 +473,11 @@ class _Planner:
     # -- gates ----------------------------------------------------------------
     def _walk(self, gate: Gate) -> bool:
         """Run a controlled CU that the walk eigenbasis diagonalizes as a diagonal."""
-        basis, targets = self.basis, gate.targets
-        if (not gate.controls or basis is None or gate.matrix.shape != basis.shape
-                or self.frame not in ((), targets)):
-            return False
-        rotated = basis.T @ gate.matrix @ basis
-        diag = np.diagonal(rotated).copy()
-        if np.max(np.abs(rotated - np.diag(diag))) > _BASIS_TOL:
+        diag, targets = self.walks.get(gate), gate.targets
+        if diag is None or self.frame not in ((), targets):
             return False
         if not self.frame:
-            self._unitary(targets, basis.T)
+            self._unitary(targets, self.basis.T)
             self.frame = targets
         self._controlled_diag(gate.controls, targets, diag)
         return True
@@ -532,6 +539,31 @@ def _diagonal(matrix: np.ndarray) -> bool:
     return not np.any(matrix - np.diag(np.diagonal(matrix)))
 
 
+def _walk_diagonals(gates: Sequence[Gate], basis: np.ndarray) -> dict[Gate, np.ndarray]:
+    """Each controlled CU that V diagonalizes, with the diagonal of V^T M V.
+
+    Every controlled CU with V's shape is checked in one stacked product,
+    chunked so that a chunk's stack and products stay within _GROUP_BYTES
+    (each matrix's product is still one BLAS call of its own, so a diagonal
+    is the one a per-gate product gives); one whose off-diagonal part
+    exceeds _BASIS_TOL is left out and runs as a GATE pass.
+    """
+    walks = [g for g in gates
+             if g.kind == cg.CONTROLLED_UNITARY and g.controls and g.matrix.shape == basis.shape]
+    # the stack, V^T M and V^T M V (complex), and the magnitudes
+    per = max(1, _GROUP_BYTES // (56 * basis.size))
+    found = {}
+    for j in range(0, len(walks), per):
+        chunk = walks[j : j + per]
+        rotated = basis.T @ np.array([g.matrix for g in chunk]) @ basis
+        diags = np.diagonal(rotated, axis1=1, axis2=2).copy()
+        off = np.abs(rotated)
+        off[:, range(len(basis)), range(len(basis))] = 0
+        found.update((g, d) for g, d, worst in zip(chunk, diags, off.max(axis=(1, 2)))
+                     if not worst > _BASIS_TOL)
+    return found
+
+
 def _controls(gate: Gate) -> tuple[int, ...]:
     """The controls apply_gate reads: only the controlled kinds have any."""
     if gate.kind in (cg.MULTI_CONTROLLED_X, cg.MULTI_CONTROLLED_RY, cg.CONTROLLED_UNITARY):
@@ -564,22 +596,33 @@ def _matches(window: Sequence[Gate], template: Sequence[Gate], adjoint: bool = F
 
     No gate is built.  The lengths, and each pair's kind, targets and
     controls, must be equal, and the matrices, stacked by shape, compare to
-    1e-12 in one comparison per shape.  Only H, CU and SWAP gates reach it
-    (the uncompute mirror ahead of the first rotation segment, and Fourier
-    ladders), so no angle is compared.
+    1e-12 in one comparison per shape, chunked so that a chunk's stacks stay
+    within _GROUP_BYTES (one 2**n x 2**n walk power at a time at n = 8); a
+    gate that is its own partner (a cached ladder read against itself)
+    needs no comparison.  Only H, CU and SWAP gates reach it (the uncompute
+    mirror ahead of the first rotation segment, and Fourier ladders), so no
+    angle is compared.
     """
-    if ([(g.kind, g.targets, g.controls) for g in window]
-            != [(g.kind, g.targets, g.controls) for g in template]):
+    if len(window) != len(template):
         return False
     stacks: dict[tuple[int, ...], tuple[list, list]] = {}
     for a, b in zip(window, template):
-        if a.matrix is not None:
+        if a.kind != b.kind or a.targets != b.targets or a.controls != b.controls:
+            return False
+        if a.matrix is not None and (adjoint or a is not b):
             mine, theirs = stacks.setdefault(a.matrix.shape, ([], []))
             mine.append(a.matrix)
             theirs.append(b.matrix)
-    return all(np.max(np.abs(np.stack(mine) - (np.stack(theirs).conj().swapaxes(1, 2)
-                                               if adjoint else np.stack(theirs)))) <= 1e-12
-               for mine, theirs in stacks.values())
+    for mine, theirs in stacks.values():
+        # two stacks, the adjoints, their difference and its magnitudes
+        per = max(1, _GROUP_BYTES // (72 * mine[0].size))
+        for j in range(0, len(mine), per):
+            other = np.array(theirs[j : j + per])
+            if adjoint:
+                other = other.conj().swapaxes(1, 2)
+            if not np.max(np.abs(np.array(mine[j : j + per]) - other)) <= 1e-12:
+                return False
+    return True
 
 
 def _fourier_at(gates: Sequence[Gate], i: int):
@@ -649,6 +692,8 @@ def _rotation_at(gates: Sequence[Gate], i: int, cap: int):
     angles[pattern] (qubits MSB first); otherwise this returns None.
     """
     end = _segment_end(gates, i)
+    if end == i:
+        return None
     run = [(g, g.kind in (cg.PAULI_X, cg.MULTI_CONTROLLED_X)) for g in gates[i:end]]
     targets = {g.targets[0] for g, flip in run if not flip}
     if len(targets) != 1 or any(flip and targets & {*_controls(g), *g.targets} for g, flip in run):
@@ -677,12 +722,15 @@ def lower(circuit: Circuit) -> Plan:
     """The fused passes run_exact executes.
 
     The walk eigenbasis is read from circuit.metadata["walk_basis"] when the
-    builder recorded one; without it every controlled dense CU runs as a
-    GATE pass.  DIAG passes keep their per-gate terms, so the plan holds no
-    product table.
+    builder recorded one, and every controlled CU of its shape is checked
+    against it once, before the gates are lowered (_walk_diagonals); without
+    it every controlled dense CU runs as a GATE pass.  DIAG passes keep
+    their per-gate terms, so the plan holds no product table.  circuit may
+    also be a _Prefix: the leading gates of a circuit, which lower reads
+    the same way.
     """
-    planner = _Planner(circuit.layout.total, circuit.metadata.get("walk_basis"))
     gates = circuit.gates
+    planner = _Planner(circuit.layout.total, circuit.metadata.get("walk_basis"), gates)
     i = 0
     while i < len(gates):
         fourier = _fourier_at(gates, i)
@@ -844,7 +892,18 @@ _KERNELS = {
 }
 
 
-def _lowered(circuit: Circuit) -> Plan:
+class _Prefix(NamedTuple):
+    """The first gates of a checked circuit, on its layout: what lower reads of a Circuit.
+
+    Circuit() would check every gate's qubits against the layout again.
+    """
+
+    layout: RegisterLayout
+    gates: tuple[Gate, ...]
+    metadata: dict
+
+
+def _lowered(circuit: Circuit | _Prefix) -> Plan:
     """lower(circuit), once the circuit is known to fit QUBIT_BUDGET."""
     q = circuit.layout.total
     if q > QUBIT_BUDGET:
@@ -918,7 +977,8 @@ def _overlap_plan(circuit: Circuit):
     controlled or diagonal CUs (a diagonal one lowers to a DIAG
     term, never into the PREP), so the PREP holds the load, C's opening
     Hadamards and at most the V^T that closing undoes.  [load] + C + R is
-    lowered once, and must be compute, one RY pass on the ancilla whose
+    lowered once, as a prefix of the checked circuit (no second layout
+    check), and must be compute, one RY pass on the ancilla whose
     controls are no reg B qubit, and closing (DENSE passes on reg B: the
     owed V).  compute must be phase estimation (see _phase_estimation).
     """
@@ -927,13 +987,13 @@ def _overlap_plan(circuit: Circuit):
     end = _segment_end(gates, i)
     if i == 0:
         return None
-    load, compute = gates[0], gates[1:i]
+    load, compute, anc = gates[0], gates[1:i], layout.ancilla
     if ((load.kind, load.controls, load.targets) != (cg.CONTROLLED_UNITARY, (), layout.reg_b)
-            or any(layout.ancilla in g.qubits or g.kind == cg.CONTROLLED_UNITARY
+            or any(anc in g.targets or anc in g.controls or g.kind == cg.CONTROLLED_UNITARY
                    and not g.controls and not _diagonal(g.matrix) for g in compute)
             or not _matches(gates[end:], compute[::-1], adjoint=True)):
         return None
-    passes = _lowered(Circuit(layout, gates[:end], circuit.metadata)).passes
+    passes = _lowered(_Prefix(layout, gates[:end], circuit.metadata)).passes
     r = next((r for r, p in enumerate(passes) if p.kind == "RY"), 0)
     plan = Plan(layout.total, passes[:r])
     if (not r or passes[r].axes != (layout.ancilla,) or set(passes[r].controls) & set(layout.reg_b)
@@ -972,13 +1032,15 @@ def _half_circle(width: int) -> tuple[np.ndarray, np.ndarray]:
 def _fourier_marginal(w: int, read, inverse: bool):
     """The map (a, b) -> |F psi|^2 summed onto the axes in read (ascending), psi = prod (a_i, b_i).
 
-    F is the orthonormal DFT on w qubits, with np.fft.fft's sign if inverse
-    (an IQFT pass) and np.fft.ifft's otherwise (a QFT pass).  The transform
-    of a product state factorizes: with qubit i MSB first, p(y) = 2**(-w)
-    prod_i (n_i + h_i(y)), n_i = |a_i|^2 + |b_i|^2 and h_i = 2 Re(c_i
-    e^(-+2 pi i y / 2**(i+1))), c_i = conj(a_i) b_i.  Factor i depends on y
-    mod 2**(i+1) only, and h_i flips sign half a period on, so a product of
-    such factors is built by doubling.
+    a and b stack one product state per row, shape (S, w), and the map
+    returns one marginal per row, shape (S, 2**len(read)).  F is the
+    orthonormal DFT on w qubits, with np.fft.fft's sign if inverse (an IQFT
+    pass) and np.fft.ifft's otherwise (a QFT pass).  The transform of a
+    product state factorizes: with qubit i MSB first, p(y) = 2**(-w) prod_i
+    (n_i + h_i(y)), n_i = |a_i|^2 + |b_i|^2 and h_i = 2 Re(c_i e^(-+2 pi i y
+    / 2**(i+1))), c_i = conj(a_i) b_i.  Factor i depends on y mod 2**(i+1)
+    only, and h_i flips sign half a period on, so a product of such factors
+    is built by doubling.
 
     The last f = min(max(read) + 1, w // 2) pairs, whose bits are the
     leading axes, are folded rather than doubled out.  Write y = s +
@@ -994,25 +1056,33 @@ def _fourier_marginal(w: int, read, inverse: bool):
     P and Q_B are real.  The moments are one BLAS product: s splits into
     its top bits hi (at least half of them, and every read axis past the
     fold) and the rest lo, and mu = hi_t * (P.reshape(2**hi, 2**lo) @
-    lo_t), summed over hi's unread axes.  A call costs O(2**(w+1)) for the
+    lo_t), summed over hi's unread axes.  A row costs O(2**(w+1)) for the
     moments and 2**(len(read) + f) for the last product, which only a read
     past the fold makes the larger; it holds 2**(w-f) values of P, not the
     2**w of p.  With nothing read the marginal is sum_y p(y) = prod_i n_i
     (Parseval), in O(w) with no tables.
 
-    The tables are built here, once; the returned function reads each
-    (a, b).  Entries are accurate in absolute terms (about 1e-16), so one
-    that is 0 may read -1e-17.
+    The tables are built here, once; the returned map reads the rows of a
+    group together, every step one numpy call over the group.  Each row
+    sees the same IEEE operations as it would alone, and every BLAS product
+    is one matrix per row (np.matmul's stacked loop), so a row's marginal
+    never depends on the rows beside it.  Also returned: how many rows a
+    group takes, so that its P, h, q and moment product stay within
+    _GROUP_BYTES (at least one row).  Entries are accurate in absolute
+    terms (about 1e-16), so one that is 0 may read -1e-17.
     """
     if not read:
-        return lambda a, b: np.array([np.prod(np.square(np.abs(a)) + np.square(np.abs(b)))])
+        return (lambda a, b: np.prod(np.square(np.abs(a)) + np.square(np.abs(b)), axis=1)[:, None],
+                max(1, _GROUP_BYTES // (24 * w)))
     f = min(max(read) + 1, w // 2)
     u = w - f
     hi = max((u + 1) // 2, max(read) + 1 - f)
     cos, sin = _half_circle(u)
     spin = -1j if inverse else 1j
-    # the fold's d_i / c_i over B < 2**t (they flip sign at B + 2**t): the circle, strided
-    turns = [(cos[:: len(cos) >> t] + spin * sin[:: len(cos) >> t])[:, None] for t in range(f)]
+    # the fold's d_i / c_i over B < 2**t (they flip sign at B + 2**t): the circle, strided;
+    # pair u + t's 2**t entries start at 2**t - 1
+    spiral = np.concatenate([cos[:: len(cos) >> t] + spin * sin[:: len(cos) >> t]
+                             for t in range(f)] + [np.empty(0, dtype=complex)])
     turn = spin * 2 * math.pi / 2 ** w
 
     def moments(x):  # e^(-+2 pi i K x / 2**w) for K < 2**f, the phase reduced exactly
@@ -1021,37 +1091,55 @@ def _fourier_marginal(w: int, read, inverse: bool):
     lo_t = np.ascontiguousarray(moments(np.arange(2 ** (u - hi)))).view(float)
     hi_t = moments(np.arange(2 ** hi) << (u - hi))
     hi_t[:, 1:] *= 2  # mu(-K) = conj(mu(K)) and q_B(-K) = conj(q_B(K))
-    fold_sum = tuple(x for x in range(f) if x not in read)
-    hi_sum = tuple(x for x in range(hi) if x + f not in read)
+    fold_sum = tuple(1 + x for x in range(f) if x not in read)
+    hi_sum = tuple(1 + x for x in range(hi) if x + f not in read)
     mid = 2 ** f - 1  # q's column for K = 0
+    cosines = [cos[:: len(cos) >> i] for i in range(u)]  # doubling step i's 2**i entries
+    sines = [sin[:: len(cos) >> i] for i in range(u)]
+    # bytes per row: P and h (1.5 * 2**u doubles), q and its shift scratch (1.5 * 2**f
+    # rows of 2 * mid + 1 complex), the moment product (2**(hi+f+1) doubles)
+    row = 12 * 2 ** u + 24 * 2 ** f * (2 * mid + 1) + 2 ** (hi + f + 4)
 
     def marginal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        rows = len(a)
         c, norm = a.conj() * b, np.square(np.abs(a)) + np.square(np.abs(b))
-        p, h = np.empty(2 ** u), np.empty(2 ** u // 2)
-        p[0] = 0.5 ** w
-        for i in range(u):
-            half, step = 1 << i, len(cos) >> i
-            np.multiply(cos[::step], 2 * c[i].real, out=h[:half])
-            h[:half] += (2 * c[i].imag if inverse else -2 * c[i].imag) * sin[::step]
-            p[half : 2 * half] = p[:half]
-            p[half : 2 * half] *= norm[i] - h[:half]
-            p[:half] *= norm[i] + h[:half]
-        q = np.zeros((2 ** f, 2 * mid + 1), dtype=complex)
-        q[0, mid] = 1
+        re = (2 * c.real).T[:, :, None]
+        im = ((2 if inverse else -2) * c.imag).T[:, :, None]
+        nt = norm.T[:, :, None]
+        p, h = np.empty((rows, 2 ** u)), np.empty((rows, 2 ** u // 2))
+        p[:, 0] = 0.5 ** w
+        for i in range(u):  # p(s + 2**i) = (n_i - h_i(s)) p(s), then p(s) *= n_i + h_i(s)
+            half = 1 << i
+            hv, low, high = h[:, :half], p[:, :half], p[:, half : 2 * half]
+            np.multiply(cosines[i], re[i], out=hv)
+            hv += np.multiply(im[i], sines[i], out=high)
+            np.subtract(nt[i], hv, out=high)
+            high *= low
+            hv += nt[i]
+            low *= hv
+        q = np.zeros((rows, 2 ** f, 2 * mid + 1), dtype=complex)
+        q[:, 0, mid] = 1
+        shift = np.empty((rows, 2 ** f // 2, 2 * mid + 1), dtype=complex)
+        ds = np.repeat(c[:, u:], 1 << np.arange(f), axis=1) * spiral
         for t in range(f):  # pair u + t, whose power of z is k = 2**(f-1-t)
-            half, k, d = 1 << t, 1 << (f - 1 - t), c[u + t] * turns[t]
-            shift = np.zeros((half, 2 * mid + 1), dtype=complex)
-            shift[:, k:] = d * q[:half, :-k]
-            shift[:, :-k] += d.conj() * q[:half, k:]
-            q[half : 2 * half] = norm[u + t] * q[:half] - shift
-            q[:half] *= norm[u + t]
-            q[:half] += shift
-        q = q.reshape((2,) * f + (-1,)).sum(axis=fold_sum).reshape(-1, 2 * mid + 1)[:, mid:]
-        mu = hi_t * (p.reshape(2 ** hi, -1) @ lo_t).view(complex)
-        mu = mu.reshape((2,) * hi + (-1,)).sum(axis=hi_sum).reshape(-1, 2 ** f)
-        return (q @ mu.T).real.reshape(-1)
+            half, k = 1 << t, 1 << (f - 1 - t)
+            d, n = ds[:, half - 1 : 2 * half - 1, None], norm[:, u + t, None, None]
+            low, high, s = q[:, :half], q[:, half : 2 * half], shift[:, :half]
+            s[:, :, :k] = 0
+            np.multiply(d, low[:, :, :-k], out=s[:, :, k:])
+            s[:, :, :-k] += np.multiply(d.conj(), low[:, :, k:], out=high[:, :, :-k])
+            np.multiply(n, low, out=high)
+            high -= s
+            low *= n
+            low += s
+        q = q.reshape((rows,) + (2,) * f + (-1,)).sum(axis=fold_sum)
+        q = q.reshape(rows, -1, 2 * mid + 1)[:, :, mid:]
+        mu = (p.reshape(rows, 2 ** hi, -1) @ lo_t).view(complex)
+        np.multiply(hi_t, mu, out=mu)
+        mu = mu.reshape((rows,) + (2,) * hi + (-1,)).sum(axis=hi_sum).reshape(rows, -1, 2 ** f)
+        return (q @ mu.swapaxes(1, 2)).real.reshape(rows, -1)
 
-    return marginal
+    return marginal, max(1, _GROUP_BYTES // row)
 
 
 def _overlap(plan: Plan, ry: Pass, closing, layout: RegisterLayout):
@@ -1076,16 +1164,20 @@ def _overlap(plan: Plan, ry: Pass, closing, layout: RegisterLayout):
     _fourier_marginal's, whose moment tables are built once here and
     shared by every slab; it reads p_b onto the RY controls from the
     moments of the unread low qubits, with O(2**(w+1)) work and 2**(w-f)
-    values per slab (f the folded leading qubits), one slab at a time.  A
-    slab with beta_b = 0 adds nothing and is skipped.  The norm summed over
-    the slabs must stay 1 within 1e-9.  The block is read in the walk
-    frame, and closing (the owed V) then runs on its 2**n entries.
+    values per slab (f the folded leading qubits).  It is called once per
+    group of slabs, the group sized by _fourier_marginal under _GROUP_BYTES
+    (one slab where a slab's fold alone is larger), and writes each group's
+    rows into the one (slabs, 2**r) matrix of p_b; a slab's row is the same
+    bits in any group.  A slab with beta_b = 0 adds nothing and is skipped.
+    The norm summed over the slabs must stay 1 within 1e-9.  The block is
+    read in the walk frame, and closing (the owed V) then runs on its 2**n
+    entries.
     """
     n, (prep, *diags, fourier), live = layout.b_width, plan.passes, plan.live()
     axis = {g: a for a, g in enumerate(live[n:])}
     w = len(axis)
     read = tuple(axis[g] for g in ry.controls if g in axis)
-    marginal = _fourier_marginal(w, read, fourier.kind == "IQFT")
+    marginal, group = _fourier_marginal(w, read, fourier.kind == "IQFT")
     slabs = np.flatnonzero(prep.data)
     fixed = {g: slabs >> (n - 1 - g) & 1 for g in layout.reg_b}  # reg B leads the layout
     pairs = np.ones((len(slabs), 2, w), dtype=complex)
@@ -1093,7 +1185,10 @@ def _overlap(plan: Plan, ry: Pass, closing, layout: RegisterLayout):
         for qubits, values in _on_live(p, axis, fixed).data:
             if qubits:  # a term on slab and held qubits only is a phase that C^-1 undoes
                 pairs[:, :, qubits[0]] *= values
-    probs = np.stack([marginal(a, b) for a, b in pairs]) * 0.5 ** w  # row b: p_b
+    probs = np.empty((len(slabs), 2 ** len(read)))  # row b: p_b
+    for j in range(0, len(slabs), group):
+        probs[j : j + group] = marginal(pairs[j : j + group, 0], pairs[j : j + group, 1])
+    probs *= 0.5 ** w
     sin = _on_live(ry, axis, {}).data[1].real
     beta = prep.data[slabs] * 2 ** (len(prep.controls) / 2)  # the PREP's 2**(-w/2) off
     mass = np.square(np.abs(beta))

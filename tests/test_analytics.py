@@ -138,6 +138,55 @@ def test_resource_report_costs_and_depth():
     assert report.estimated_fidelity == pytest.approx(0.92 ** report.estimated_cnots)
 
 
+def _reference_cost(gate: qc.Gate) -> int:
+    """The estimator convention of the analytics docstring, one gate at a time."""
+    if gate.kind == qc.SWAP:
+        return 3
+    if gate.kind in (qc.MULTI_CONTROLLED_X, qc.MULTI_CONTROLLED_RY):
+        c = len(gate.controls)
+        return 2 * c * c - 2 * c + 1 if c else 0
+    if gate.kind == qc.CONTROLLED_UNITARY:
+        return 4 ** len(gate.targets)
+    return 0
+
+
+def _reference_report(circuit: qc.Circuit) -> tuple[dict, int, int]:
+    """(gate_counts, depth, estimated_cnots), literally per gate: a greedy per-qubit schedule."""
+    counts: dict[str, int] = {}
+    cnots, levels = 0, [0] * circuit.layout.total
+    for gate in circuit.gates:
+        counts[gate.kind] = counts.get(gate.kind, 0) + 1
+        cost = _reference_cost(gate)
+        cnots += cost
+        start = max(levels[q] for q in gate.qubits)
+        for q in gate.qubits:
+            levels[q] = start + max(1, cost)
+    return counts, max(levels) if circuit.gates else 0, cnots
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_resource_report_matches_a_per_gate_reference(seed):
+    """Random circuits of all six kinds, each with 0 to 3 controls, and the empty circuit."""
+    rng = np.random.default_rng(seed)
+    layout = RegisterLayout(2, 3, 1)  # 7 qubits
+    kinds = (qc.HADAMARD, qc.PAULI_X, qc.SWAP, qc.MULTI_CONTROLLED_X,
+             qc.MULTI_CONTROLLED_RY, qc.CONTROLLED_UNITARY)
+    gates = []
+    for _ in range(int(rng.integers(20, 60))):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        width = 2 if kind == qc.SWAP else int(rng.integers(1, 3)) if kind == qc.CONTROLLED_UNITARY else 1
+        qubits = [int(q) for q in rng.permutation(layout.total)[: width + int(rng.integers(0, 4))]]
+        targets, controls = tuple(qubits[:width]), tuple(qubits[width:])
+        matrix = np.eye(2 ** width) if kind == qc.CONTROLLED_UNITARY else None
+        gates.append(qc.Gate(kind, targets, controls, angle=0.25, matrix=matrix))
+    for circuit in (qc.Circuit(layout, tuple(gates)), qc.Circuit(layout, ())):
+        report = resource_report(circuit)
+        counts, depth, cnots = _reference_report(circuit)
+        assert list(report.gate_counts.items()) == list(counts.items())  # key order too
+        assert (report.depth, report.estimated_cnots) == (depth, cnots)
+    assert len({g.kind for g in gates}) == 6 and {len(g.controls) for g in gates} == {0, 1, 2, 3}
+
+
 def test_resource_report_qubit_totals_follow_affine_formula(sys_3x3, sys_7x7, sys_15x15):
     for system in (sys_3x3, sys_7x7, sys_15x15):
         fmt = FixedPointFormat(2 * system.n + 2, 8, 16)

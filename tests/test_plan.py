@@ -241,6 +241,57 @@ def test_walk_powers_fall_back_without_a_diagonalizing_basis(basis, sys_3x3):
     assert_plan_matches(circuit)
 
 
+def test_a_walk_power_off_the_basis_keeps_the_per_gate_path(sys_3x3):
+    """One walk power turned out of V's frame: only it lowers to a GATE pass."""
+    built = build_pipeline(sys_3x3, FixedPointFormat(6, 0, 8), mode="fused")
+    v = built.metadata["walk_basis"]
+    j, walk = next((j, g) for j, g in enumerate(built.gates) if g.label == "walk^4")
+    givens = np.eye(4)
+    givens[1:3, 1:3] = [[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]]
+    bent = qc.controlled_unitary(walk.controls, walk.targets, walk.matrix @ givens, walk.label)
+    rotated = v.T @ bent.matrix @ v
+    assert np.max(np.abs(rotated - np.diag(np.diagonal(rotated)))) > 1e-3
+    circuit = qc.Circuit(built.layout, built.gates[:j] + (bent,) + built.gates[j + 1:],
+                         built.metadata)
+    walks = sim._walk_diagonals(circuit.gates, v)
+    powers = [g for g in circuit.gates if g.label.startswith("walk^")]
+    assert bent not in walks and all(g in walks for g in powers if g is not bent)
+    gates = [p.gate for p in sim.lower(circuit).passes if p.kind == "GATE"]
+    assert gates == [bent]
+    assert_plan_matches(circuit)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_walk_powers_are_checked_in_one_stacked_product_per_lowering(monkeypatch, name):
+    """Each lowering of a Table-1 build checks every walk power in one call, one chunk."""
+    system = _system(name)
+    calls, check = [], sim._walk_diagonals
+
+    def counted(gates, basis):
+        walks = [g for g in gates if g.label.startswith("walk^")]
+        # the chunk budget holds every walk power of the build: one stacked product
+        assert 56 * basis.size * len(walks) <= sim._GROUP_BYTES
+        found = check(gates, basis)
+        assert all(g in found for g in walks)
+        calls.append(len(walks))
+        return found
+
+    monkeypatch.setattr(sim, "_walk_diagonals", counted)
+    lowerings = 0
+    for f in (0, 4, 8):
+        for mode in ("fused", "explicit"):
+            try:
+                built = build_pipeline(system, default_format(system.n, f, 16), mode)
+            except ResourceError:
+                continue
+            m = built.layout.e_width
+            sim.readout(built)  # lowers [load] + C + R: the m powers
+            sim.lower(built)  # every power and its inverse
+            lowerings += 2
+            assert calls[-2:] == [m, 2 * m]
+    assert len(calls) == lowerings
+
+
 @pytest.mark.parametrize("name,f,mode,passes,counts,live", [
     pytest.param("table1-15x15", 8, "fused", 10,
                  {"PREP": 1, "DIAG": 4, "IQFT": 1, "RY": 1, "QFT": 1, "H": 1, "DENSE": 1}, 23,
@@ -268,7 +319,7 @@ def test_benchmark_solves_keep_their_plan(name, f, mode, passes, counts, live):
 
 
 def test_wide_fused_readout_holds_one_slab():
-    """15x15 f=8 reads its answer slab by slab and never holds the 128 MiB state."""
+    """15x15 f=8 reads its answer in groups of slabs and never holds the 128 MiB state."""
     system = _system("table1-15x15")
     fmt = default_format(system.n, 8, 16)
     built = build_pipeline(system, fmt, "fused")
@@ -278,8 +329,9 @@ def test_wide_fused_readout_holds_one_slab():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one slab's 2**13-entry P (reg E less the 5 folded pairs) and 32-column moment tables
-    assert peak < 2**20  # about 0.54 MiB, planning included
+    # a group of two slabs' 2**13-entry P (reg E less the 5 folded pairs) and 32-column
+    # moment tables
+    assert peak < 2**20  # about 0.81 MiB, planning included
     assert np.max(np.abs(solution - closed_form(system, fmt))) < 1e-9
 
 
@@ -588,7 +640,10 @@ def test_closed_form_matches_the_fft_of_a_product_state(inverse):
     the Table-1 widths: an encoded phase (a point mass, also checked against
     its exact marginal) and a true one (a Fejer kernel), read on the leading
     r in {2, 3, 5} axes, on a read that is no leading run, and on one past
-    floor(w / 2).
+    floor(w / 2).  Each state is read in a stack of 5 rows (four random
+    neighbours), in the map's groups as _overlap reads slabs: 5 is no
+    multiple of any group size but 1 and 5.  Every row matches its own FFT, and
+    is bit for bit what the map returns for that row alone.
     """
     rng = np.random.default_rng(11)
     transform = np.fft.fft if inverse else np.fft.ifft
@@ -606,15 +661,31 @@ def test_closed_form_matches_the_fft_of_a_product_state(inverse):
         exact[v] = 1
         cases.append((_geometric_pairs(w, v / 2 ** w, inverse), reads, exact))
         cases.append((_geometric_pairs(w, rng.uniform(), inverse), reads, None))
+    groups = set()
     for pairs, reads, exact in cases:
         w = len(pairs)
-        probs = np.abs(transform(functools.reduce(np.kron, pairs), norm="ortho")) ** 2
+        neighbours = rng.normal(size=(4, w, 2)) + 1j * rng.normal(size=(4, w, 2))
+        stack = np.concatenate([pairs[None], neighbours / np.linalg.norm(neighbours, axis=2,
+                                                                         keepdims=True)])
+        full = [np.abs(transform(functools.reduce(np.kron, state), norm="ortho")) ** 2
+                for state in stack]
         for read in reads:
             others = tuple(x for x in range(w) if x not in read)
-            got = sim._fourier_marginal(w, read, inverse)(pairs[:, 0], pairs[:, 1])
-            for want in (probs, exact) if exact is not None else (probs,):
-                want = want.reshape((2,) * w).sum(axis=others).reshape(-1)
-                assert np.max(np.abs(got - want)) <= 1e-14
+            marginal, group = sim._fourier_marginal(w, read, inverse)
+            groups.add(group)
+            a, b = stack[:, :, 0], stack[:, :, 1]
+            got = np.concatenate([marginal(a[j : j + group], b[j : j + group])
+                                  for j in range(0, len(stack), group)])
+            assert got.shape == (len(stack), 2 ** len(read))
+            for row, state, probs in zip(got, stack, full):
+                alone = marginal(state[None, :, 0], state[None, :, 1])[0]
+                assert row.tobytes() == alone.tobytes()
+                want = probs.reshape((2,) * w).sum(axis=others).reshape(-1)
+                assert np.max(np.abs(row - want)) <= 1e-14
+            if exact is not None:
+                want = exact.reshape((2,) * w).sum(axis=others).reshape(-1)
+                assert np.max(np.abs(got[0] - want)) <= 1e-14
+    assert min(groups) == 1 and len(groups - {1, 5}) > 5  # single rows and real groups both ran
 
 
 @pytest.mark.parametrize("name", ["table1-3x3", "table1-7x7"])
