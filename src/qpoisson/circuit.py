@@ -319,9 +319,14 @@ def _walk_basis(eigs: EigenData, n: int) -> np.ndarray:
 
 
 def _spectral_powers(
-    eigs: EigenData, fmt: FixedPointFormat, n: int, phase_mode: str
+    eigs: EigenData, fmt: FixedPointFormat, n: int, phase_mode: str,
+    encoded: Sequence[str] | None = None,
 ) -> np.ndarray:
     """Matrices U**(2**k) for k = 0..m-1, stacked (m, 2**n, 2**n), read-only.
+
+    In encoded mode each phase reads an eigenvalue's amplify_encode string:
+    encoded passes them in (an AngleTable's encoded_lambdas), and None
+    encodes them here.
 
     The powers share the eigenbasis V, so one (m, 2**n) table of phases and
     one stacked product V diag(phases_k) V^T build them all.  Each turn
@@ -336,7 +341,9 @@ def _spectral_powers(
     m = fmt.total_bits
     if phase_mode == "encoded":  # the encoded integer E_j over 2**m
         shift = 0
-        ratios = [(int(amplify_encode(lam, fmt), 2), 1) for lam in eigs.lambdas]
+        if encoded is None:
+            encoded = [amplify_encode(lam, fmt) for lam in eigs.lambdas]
+        ratios = [(int(bits, 2), 1) for bits in encoded]
     else:  # lam 2**f over 2**m, lam the exact binary fraction num / den
         shift = fmt.fraction_bits
         ratios = [float(lam).as_integer_ratio() for lam in eigs.lambdas]
@@ -361,6 +368,7 @@ def build_qpe(
     fmt: FixedPointFormat,
     layout: RegisterLayout,
     phase_mode: str = "encoded",
+    encoded: Sequence[str] | None = None,
 ) -> list[Gate]:
     """Phase estimation fragment: Hadamards, controlled powers, inverse QFT.
 
@@ -368,13 +376,15 @@ def build_qpe(
     Fourier transform reg E reads the encoded eigenvalue MSB-first.
     phase_mode is one of PHASE_MODES, checked by the circuit builders.  The
     walk powers come checked from _spectral_powers, so each CU gate wraps
-    its read-only slice of the stack directly.
+    its read-only slice of the stack directly.  encoded, the eigenvalues'
+    encodings when the caller has them (an AngleTable's encoded_lambdas),
+    spares encoding them again in encoded mode.
     """
     m = layout.e_width
     if m != fmt.total_bits:
         raise ValueError(f"layout e_width {m} != format total_bits {fmt.total_bits}")
     gates: list[Gate] = [hadamard(q) for q in layout.reg_e]
-    powers = _spectral_powers(eigs, fmt, layout.b_width, phase_mode)
+    powers = _spectral_powers(eigs, fmt, layout.b_width, phase_mode, encoded)
     for k in range(m):  # weight 2**k sits at reg E offset m-1-k
         gates.append(Gate(CONTROLLED_UNITARY, layout.reg_b, (layout.reg_e[m - 1 - k],),
                           matrix=powers[k], label=f"walk^{2 ** k}"))
@@ -494,7 +504,7 @@ def build_pipeline(
         (), layout.reg_b, state_prep_unitary(_embed_grid_vector(system.b, system.n)),
         label="load_b",
     )
-    qpe = build_qpe(eigs, fmt, layout, phase_mode)
+    qpe = build_qpe(eigs, fmt, layout, phase_mode, table.encoded_lambdas)
     if mode == "explicit":
         rotation = build_rotation_explicit(table, layout)
     else:

@@ -21,12 +21,17 @@ The lowering rules, each exact:
   becomes one DIAG pass, which keeps each gate's small table and
   multiplies the state by their product when it runs.
 - A rotation segment becomes one RY pass, a multiplexed rotation with one
-  angle per bit pattern of the other qubits it touches.  A segment is a
-  run of X, MCX and MCRY gates whose rotations share a target that no
-  X or MCX touches; on each pattern its X and MCX gates are classical bit
-  flips, and they must return every pattern to itself.  Either rotation
-  stage is one segment: the fused stage's X wraps and the explicit stage's
-  reg A loads and unloads undo themselves on every pattern.
+  angle per bit pattern of the other qubits it touches that an earlier
+  gate has written.  A segment is a run of X, MCX and MCRY gates whose
+  rotations share a target that no X or MCX touches.  Every plan starts
+  from |0...0>, so a qubit that no earlier gate targets is |0> when the
+  segment opens: it starts each pattern at 0 and is no control.  On each
+  pattern the X and MCX gates are classical bit flips, and they must
+  return every pattern to itself, an unwritten qubit to 0.  Either
+  rotation stage is one segment: the fused stage's X wraps undo
+  themselves on every reg E prefix, and the explicit stage's reg A loads
+  and unloads return reg A to 0, so its RY pass reads the reg E prefix
+  only.
 - The QPE walk powers U**(2**k) = V D_k V^T share the eigenbasis V that
   the builders record in metadata["walk_basis"].  Every controlled CU of
   V's shape is checked once, as one stack: V^T M V for all of them in one
@@ -53,9 +58,9 @@ axes and RY controls are only read, and a GATE pass may write any qubit.  A
 qubit no pass writes stays |0> throughout, so it is held outside the buffer:
 the tables are read at 0 on it, the other axes are renumbered, and the same
 kernels run on 2**live amplitudes.  The explicit rotation stage's reg A is
-such a qubit, since its loads and unloads undo themselves inside the one RY
-pass.  Buffer axis k then holds the k-th live qubit.  run_exact is that
-loop on the whole lowered plan.
+such a qubit: its loads and unloads happen inside the one RY pass, which
+already reads reg A at 0, so no pass reads or writes it.  Buffer axis k then
+holds the k-th live qubit.  run_exact is that loop on the whole lowered plan.
 
 readout computes only what a solve or a phase read takes from the final
 state: the clean block (reg B where the ancilla reads 1 and reg E and reg A
@@ -684,12 +689,17 @@ def _rotation_at(gates: Sequence[Gate], i: int, cap: int):
     """(target, qubits, angles, length) if gates[i:] opens a rotation segment.
 
     The candidate is the longest run of X, MCX and MCRY gates from i.
-    Its rotations must share one target that no X or MCX touches, and the
-    other qubits it touches must number at most cap.  On each bit pattern
-    of those qubits the X and MCX gates only permute classical bits, and
-    each rotation adds its angle where its controls read 1.  If every
-    pattern returns to itself, the run is one multiplexed Ry with
-    angles[pattern] (qubits MSB first); otherwise this returns None.
+    Its rotations must share one target that no X or MCX touches.  Every
+    plan starts from |0...0>, so a qubit that no gate before i targets is
+    |0> when the run opens: of the other qubits the run touches, only the
+    written ones (some earlier gate targets them) may read 1, and they must
+    number at most cap.  The set is found once per candidate, not per gate.
+    On each bit pattern of the written qubits, with the unwritten ones at
+    0, the X and MCX gates only permute classical bits, and each rotation
+    adds its angle where its controls read 1.  If every such pattern
+    returns to itself (the unwritten qubits to 0 too), the run is one
+    multiplexed Ry with angles[pattern] over the written qubits (MSB
+    first); otherwise this returns None.
     """
     end = _segment_end(gates, i)
     if end == i:
@@ -699,11 +709,14 @@ def _rotation_at(gates: Sequence[Gate], i: int, cap: int):
     if len(targets) != 1 or any(flip and targets & {*_controls(g), *g.targets} for g, flip in run):
         return None
     (target,) = targets
-    qubits = sorted({q for g, _ in run for q in _controls(g) + g.targets} - targets)
+    touched = {q for g, _ in run for q in _controls(g) + g.targets} - targets
+    written = {q for g in gates[:i] for q in g.targets}
+    qubits = sorted(touched & written)
     if len(qubits) > cap:
         return None
-    row = {q: r for r, q in enumerate(qubits)}
-    start = ((np.arange(1 << len(qubits)) >> np.arange(len(qubits))[::-1, None]) & 1).astype(bool)
+    row = {q: r for r, q in enumerate(qubits + sorted(touched - written))}
+    start = np.zeros((len(row), 1 << len(qubits)), bool)  # an unwritten qubit reads 0
+    start[: len(qubits)] = (np.arange(1 << len(qubits)) >> np.arange(len(qubits))[::-1, None]) & 1
     bits, angles, hit = start.copy(), np.zeros(1 << len(qubits)), np.empty(1 << len(qubits), bool)
     for g, flip in run:
         hit[:] = True
@@ -725,9 +738,12 @@ def lower(circuit: Circuit) -> Plan:
     builder recorded one, and every controlled CU of its shape is checked
     against it once, before the gates are lowered (_walk_diagonals); without
     it every controlled dense CU runs as a GATE pass.  DIAG passes keep
-    their per-gate terms, so the plan holds no product table.  circuit may
-    also be a _Prefix: the leading gates of a circuit, which lower reads
-    the same way.
+    their per-gate terms, so the plan holds no product table.  A rotation
+    segment's RY pass is multiplexed over the qubits earlier gates have
+    written (_rotation_at); the rule is exact because every plan runs from
+    |0...0>, and the plan is only ever run from there.  circuit may also be
+    a _Prefix: the leading gates of a circuit, which lower reads the same
+    way.
     """
     gates = circuit.gates
     planner = _Planner(circuit.layout.total, circuit.metadata.get("walk_basis"), gates)

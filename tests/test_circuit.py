@@ -305,6 +305,23 @@ def test_true_phase_mode_spreads_non_integer_eigenvalues(sys_3x3):
     assert probs[9] < 1.0 - 1e-6
 
 
+def test_pipeline_phases_read_the_angle_table_encodings(monkeypatch, sys_7x7):
+    """build_pipeline encodes each eigenvalue once, in its angle table; the phases are the same."""
+    fmt = default_format(sys_7x7.n, 4, 16)
+    eigs = eigenpairs(sys_7x7)
+    calls = []
+    encode = qc.amplify_encode
+    monkeypatch.setattr(qc, "amplify_encode", lambda lam, f: calls.append(lam) or encode(lam, f))
+    built = build_pipeline(sys_7x7, fmt, "fused")
+    assert calls == []
+    # a phase verification has no table and encodes them itself
+    build_phase_verification(sys_7x7, fmt, sys_7x7.b)
+    assert len(calls) == len(eigs.lambdas)
+    encodings = built.metadata["table"].encoded_lambdas
+    assert np.array_equal(qc._spectral_powers(eigs, fmt, sys_7x7.n, "encoded"),
+                          qc._spectral_powers(eigs, fmt, sys_7x7.n, "encoded", encodings))
+
+
 def test_true_a_phases_beyond_the_float_range():
     eigs = eigenpairs(PoissonSystem(n=1, b=np.ones(1)))  # lambda = 8
     powers = qc._spectral_powers(eigs, FixedPointFormat(6, 1100, 16), 1, "true_a")

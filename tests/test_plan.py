@@ -1,6 +1,7 @@
 """The fused execution plan against the one-gate-at-a-time reference kernel."""
 
 import functools
+import hashlib
 import math
 import os
 import subprocess
@@ -875,12 +876,43 @@ def test_builder_rotation_stages_are_one_multiplexed_ry():
         ry = [p for p in plan.passes if p.kind == "RY"]
         assert "GATE" not in plan.counts() and len(ry) == 1
         assert ry[0].axes == (layout.ancilla,)
-        controls = layout.reg_e[: circuit.metadata["table"].prefix_len] + layout.reg_a
-        assert ry[0].controls == controls
+        # reg A is never written before the rotation, so it reads 0 and is no control
+        assert ry[0].controls == layout.reg_e[: circuit.metadata["table"].prefix_len]
         if layout.b_width == 1:  # no prefix: one eigenvalue
-            assert ry[0].controls == ((7, 8) if layout.a_width else ())
+            assert ry[0].controls == ()
         # only reg A is never written
         assert plan.live() == tuple(g for g in range(layout.total) if g not in layout.reg_a)
+
+
+def test_explicit_rotation_table_spans_the_prefix_only():
+    """The 26-qubit 15x15 f=0 explicit build: one angle per reg E prefix pattern."""
+    system = _system("table1-15x15")
+    built = build_pipeline(system, default_format(system.n, 0, 16), "explicit")
+    (ry,) = [p for p in sim.lower(built).passes if p.kind == "RY"]
+    prefix_len = built.metadata["table"].prefix_len
+    assert built.layout.a_width > 0 and ry.data.shape == (2, 2**prefix_len)
+
+
+# sha256 of the solution and success bits of every buildable explicit and auto
+# Table-1 solve (15 of them), as readout returns them.  They hold floats from
+# small BLAS products, so the pin assumes the BLAS it was recorded with (numpy's
+# bundled OpenBLAS).
+TABLE1_SOLUTIONS_SHA256 = "e0c1d5a79ff25f43d368b50adb9bf91b5f124aa63a6a6cbb20f872c3aa0621cf"
+
+
+def test_table1_explicit_solutions_are_pinned():
+    digest, count = hashlib.sha256(), 0
+    for system in map(_system, PRESETS):
+        for f in (0, 4, 8):
+            for mode in ("explicit", "auto"):
+                try:
+                    built = build_pipeline(system, default_format(system.n, f, 16), mode)
+                except ResourceError:
+                    continue
+                solution, success = sim.readout(built)
+                digest.update(solution.tobytes() + np.float64(success).tobytes())
+                count += 1
+    assert (count, digest.hexdigest()) == (15, TABLE1_SOLUTIONS_SHA256)
 
 
 @pytest.mark.parametrize("name,f,live", [("table1-7x7", 0, 12), ("table1-3x3", 4, 13)])
@@ -922,6 +954,34 @@ def test_rotation_segment_that_does_not_qualify_runs_gate_by_gate(case):
     circuit = _circuit(q, [qc.hadamard(t) for t in range(q)] + gates)
     plan = sim.lower(circuit)
     assert [p.kind for p in plan.passes if p.kind in ("GATE", "RY")] == kinds
+    assert_plan_matches(circuit)
+
+
+_load_unload = [_mcx((1,), 3), _mcry((3,), 0, 0.9), _mcry((1,), 0, -0.4), _mcx((1,), 3)]
+_wide_loads = [_mcx((1,), 3), _mcx((2,), 4), _mcx((1, 2), 5), _mcx((1,), 6), _x(7)]
+# name: (qubits, the qubits a Hadamard writes first, gates, the GATE and RY passes
+# they lower to, the RY pass's controls)
+UNWRITTEN_SEGMENT_CASES = {
+    # qubit 3 is |0> when the segment opens, so it is no pattern bit and no control
+    "load-on-unwritten": (5, (0, 1), _load_unload, ["RY"], (1,)),
+    "load-after-hadamard": (5, (0, 1, 3), _load_unload, ["RY"], (1, 3)),
+    # 7 qubits besides the target, 2 of them written: within the 6-qubit table cap
+    "written-fit-a-table": (8, (0, 1, 2),
+                            _wide_loads + [_mcry((3, 4, 5, 6, 7), 0, 1.3), _mcry((3,), 0, -0.4)]
+                            + _wide_loads[::-1], ["RY"], (1, 2)),
+    # qubit 3 ends at q1 xor q2, not at the 0 it started from
+    "load-without-unload": (5, (0, 1, 2), [_mcx((1,), 3), _mcry((3,), 0, 0.9), _mcx((2,), 3)],
+                            ["GATE", "GATE", "GATE"], None),
+}
+
+
+@pytest.mark.parametrize("case", list(UNWRITTEN_SEGMENT_CASES))
+def test_rotation_segment_reads_unwritten_qubits_at_zero(case):
+    q, written, gates, kinds, controls = UNWRITTEN_SEGMENT_CASES[case]
+    circuit = _circuit(q, [qc.hadamard(t) for t in written] + gates)
+    plan = sim.lower(circuit)
+    assert [p.kind for p in plan.passes if p.kind in ("GATE", "RY")] == kinds
+    assert [p.controls for p in plan.passes if p.kind == "RY"] == ([controls] if controls else [])
     assert_plan_matches(circuit)
 
 
