@@ -307,11 +307,12 @@ _TABLE_QUBITS = 18
 # A diagonal table also spans the free axes below it when they are fewer than
 # this many amplitudes, so its innermost loop is not a handful of elements.
 _SHORT_TAIL = 32
-# Bytes of temporaries per group: a group of slabs in _fourier_marginal (P, h, q
-# and the moment product), a chunk of stacked matrices in _walk_diagonals and
-# _matches.  The largest power of two that keeps the 15x15 f=8 readout (two slabs
-# a group) under 1 MiB traced.  On the Table-1 readouts 64 KiB took up to 1.9x as
-# long, and 2 MiB saved up to 15% (one BLAS thread).
+# Bytes of temporaries per group: a group of slabs in _fourier_marginal (P, q and
+# one scratch for h, the fold's shift and the moment product), a chunk of stacked
+# matrices in _walk_diagonals and _matches.  The largest power of two that keeps
+# the 15x15 f=8 readout (three slabs a group) under 1 MiB traced.  On the Table-1
+# readouts 64 KiB took up to 1.9x as long, and 2 MiB saved up to 15% (one BLAS
+# thread).
 _GROUP_BYTES = 1 << 19
 # Off-diagonal tolerance of V^T M V before a CU runs in the walk eigenbasis.
 _BASIS_TOL = 1e-12
@@ -700,35 +701,71 @@ def _rotation_at(gates: Sequence[Gate], i: int, cap: int):
     returns to itself (the unwritten qubits to 0 too), the run is one
     multiplexed Ry with angles[pattern] over the written qubits (MSB
     first); otherwise this returns None.
+
+    The patterns are walked all at once, as Python integers: one per
+    touched qubit, whose bit p says that it reads 1 on pattern p.  A gate's
+    hit is the AND of its controls' integers; an X or MCX XORs it into its
+    target's, so a flip costs a few integer operations and no numpy call.
+    A rotation adds its angle to each pattern it hits, in gate order: one
+    at a time when it hits at most eight patterns, else as one
+    np.add(..., where=hit) over all of them, the same float64 add either
+    way.  The start integers come from _pattern_bits: shifts and ORs of
+    whole integers, no Python loop over the 2**k patterns.
     """
     end = _segment_end(gates, i)
     if end == i:
         return None
-    run = [(g, g.kind in (cg.PAULI_X, cg.MULTI_CONTROLLED_X)) for g in gates[i:end]]
-    targets = {g.targets[0] for g, flip in run if not flip}
-    if len(targets) != 1 or any(flip and targets & {*_controls(g), *g.targets} for g, flip in run):
+    # (target, controls, angle) per gate; a flip's angle is None
+    run = [(g.targets[0], _controls(g), None if g.kind in (cg.PAULI_X, cg.MULTI_CONTROLLED_X)
+            else g.angle) for g in gates[i:end]]
+    targets = {t for t, _, angle in run if angle is not None}
+    if len(targets) != 1 or any(angle is None and not targets.isdisjoint((*controls, t))
+                                for t, controls, angle in run):
         return None
     (target,) = targets
-    touched = {q for g, _ in run for q in _controls(g) + g.targets} - targets
+    touched = {q for t, controls, _ in run for q in controls + (t,)} - targets
     written = {q for g in gates[:i] for q in g.targets}
     qubits = sorted(touched & written)
     if len(qubits) > cap:
         return None
-    row = {q: r for r, q in enumerate(qubits + sorted(touched - written))}
-    start = np.zeros((len(row), 1 << len(qubits)), bool)  # an unwritten qubit reads 0
-    start[: len(qubits)] = (np.arange(1 << len(qubits)) >> np.arange(len(qubits))[::-1, None]) & 1
-    bits, angles, hit = start.copy(), np.zeros(1 << len(qubits)), np.empty(1 << len(qubits), bool)
-    for g, flip in run:
-        hit[:] = True
-        for c in _controls(g):
-            hit &= bits[row[c]]
-        if flip:
-            bits[row[g.targets[0]]] ^= hit
+    size = 1 << len(qubits)
+    start = dict.fromkeys(touched, 0)  # an unwritten qubit reads 0
+    start.update(zip(qubits, _pattern_bits(len(qubits))))
+    bits, angles, every = dict(start), np.zeros(size), (1 << size) - 1
+    for t, controls, angle in run:
+        hit = every
+        for c in controls:
+            hit &= bits[c]
+        if angle is None:
+            bits[t] ^= hit
+        elif hit.bit_count() <= 8:  # about where one pattern at a time stops paying
+            while hit:
+                low = hit & -hit
+                angles[low.bit_length() - 1] += angle
+                hit ^= low
         else:
-            np.add(angles, g.angle, out=angles, where=hit)
-    if not np.array_equal(bits, start):
+            where = np.frombuffer(hit.to_bytes(-(-size // 8), "little"), np.uint8)
+            np.add(angles, angle, out=angles,
+                   where=np.unpackbits(where, count=size, bitorder="little").view(bool))
+    if bits != start:
         return None
     return target, tuple(qubits), angles, len(run)
+
+
+def _pattern_bits(k: int) -> list[int]:
+    """For each of k qubits, MSB first, the integer whose bit p is the qubit's bit in pattern p.
+
+    Bit j of the patterns reads 2**j zeros, then 2**j ones, with period
+    2**(j+1); the period doubles up to 2**k bits in k - j shifts and ORs.
+    """
+    out = []
+    for j in range(k - 1, -1, -1):
+        mask, period = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
+        while period < 1 << k:
+            mask |= mask << period
+            period <<= 1
+        out.append(mask)
+    return out
 
 
 def lower(circuit: Circuit) -> Plan:
@@ -1079,13 +1116,17 @@ def _fourier_marginal(w: int, read, inverse: bool):
     (Parseval), in O(w) with no tables.
 
     The tables are built here, once; the returned map reads the rows of a
-    group together, every step one numpy call over the group.  Each row
-    sees the same IEEE operations as it would alone, and every BLAS product
-    is one matrix per row (np.matmul's stacked loop), so a row's marginal
-    never depends on the rows beside it.  Also returned: how many rows a
-    group takes, so that its P, h, q and moment product stay within
-    _GROUP_BYTES (at least one row).  Entries are accurate in absolute
-    terms (about 1e-16), so one that is 0 may read -1e-17.
+    group together, every step one numpy call over the group, and the
+    doubling's steps but the last two take their n + h and n - h from one
+    call each over all their entries.  Each row sees the same IEEE
+    operations as it would alone, and every BLAS product is one matrix per
+    row (np.matmul's stacked loop), so a row's marginal never depends on
+    the rows beside it.  The doubling's h, the fold's
+    shift and the moment product are live one after another, so they share
+    one scratch per group.  Also returned: how many rows a group takes, so
+    that its P, q and scratch stay within _GROUP_BYTES (at least one row).
+    Entries are accurate in absolute terms (about 1e-16), so one that is 0
+    may read -1e-17.
     """
     if not read:
         return (lambda a, b: np.prod(np.square(np.abs(a)) + np.square(np.abs(b)), axis=1)[:, None],
@@ -1112,30 +1153,54 @@ def _fourier_marginal(w: int, read, inverse: bool):
     mid = 2 ** f - 1  # q's column for K = 0
     cosines = [cos[:: len(cos) >> i] for i in range(u)]  # doubling step i's 2**i entries
     sines = [sin[:: len(cos) >> i] for i in range(u)]
-    # bytes per row: P and h (1.5 * 2**u doubles), q and its shift scratch (1.5 * 2**f
-    # rows of 2 * mid + 1 complex), the moment product (2**(hi+f+1) doubles)
-    row = 12 * 2 ** u + 24 * 2 ** f * (2 * mid + 1) + 2 ** (hi + f + 4)
+    # the first u - 2 steps' entries back to back (step i's 2**i at 2**i - 1): the pair
+    # each reads, and its cos and sin
+    early = max(u - 2, 0)
+    pairs = np.repeat(np.arange(early), 1 << np.arange(early))
+    early_cos, early_sin = (np.concatenate(x[:early] + [np.empty(0)]) for x in (cosines, sines))
+    # bytes per row: P (2**u doubles), q (2**f rows of 2 * mid + 1 complex) and one
+    # scratch that the doubling's h, the fold's shift and the moment product take in turn
+    shifts = 2 ** f // 2 * (2 * mid + 1)  # complex entries of the fold's shift
+    scratch = max(2 ** u // 2, 2 * shifts, 2 ** (hi + f + 1))  # doubles
+    row = 8 * 2 ** u + 16 * 2 ** f * (2 * mid + 1) + 8 * scratch
 
     def marginal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         rows = len(a)
         c, norm = a.conj() * b, np.square(np.abs(a)) + np.square(np.abs(b))
-        re = (2 * c.real).T[:, :, None]
-        im = ((2 if inverse else -2) * c.imag).T[:, :, None]
-        nt = norm.T[:, :, None]
-        p, h = np.empty((rows, 2 ** u)), np.empty((rows, 2 ** u // 2))
+        re, im = 2 * c.real, (2 if inverse else -2) * c.imag
+        p, buf = np.empty((rows, 2 ** u)), np.empty(rows * scratch)
         p[:, 0] = 0.5 ** w
-        for i in range(u):  # p(s + 2**i) = (n_i - h_i(s)) p(s), then p(s) *= n_i + h_i(s)
+        # p(s + 2**i) = (n_i - h_i(s)) p(s), then p(s) *= n_i + h_i(s).  The early steps
+        # read n + h and n - h from one product each over all their entries (n - h parked
+        # in P above 2**early, which they do not write); stopping two steps short keeps
+        # both within h's scratch.
+        plus, part = buf[: 2 * rows * len(pairs)].reshape(2, rows, -1)
+        minus = p[:, 2 ** early : 2 ** early + len(pairs)]
+        np.take(re, pairs, axis=1, out=plus)
+        plus *= early_cos
+        np.take(im, pairs, axis=1, out=part)
+        plus += np.multiply(part, early_sin, out=part)
+        np.take(norm, pairs, axis=1, out=part)
+        np.subtract(part, plus, out=minus)
+        plus += part
+        for i in range(early):
+            half = 1 << i
+            low = p[:, :half]
+            np.multiply(minus[:, half - 1 : 2 * half - 1], low, out=p[:, half : 2 * half])
+            low *= plus[:, half - 1 : 2 * half - 1]
+        h = buf[: rows * 2 ** u // 2].reshape(rows, -1)
+        for i in range(early, u):
             half = 1 << i
             hv, low, high = h[:, :half], p[:, :half], p[:, half : 2 * half]
-            np.multiply(cosines[i], re[i], out=hv)
-            hv += np.multiply(im[i], sines[i], out=high)
-            np.subtract(nt[i], hv, out=high)
+            np.multiply(cosines[i], re[:, i, None], out=hv)
+            hv += np.multiply(im[:, i, None], sines[i], out=high)
+            np.subtract(norm[:, i, None], hv, out=high)
             high *= low
-            hv += nt[i]
+            hv += norm[:, i, None]
             low *= hv
         q = np.zeros((rows, 2 ** f, 2 * mid + 1), dtype=complex)
         q[:, 0, mid] = 1
-        shift = np.empty((rows, 2 ** f // 2, 2 * mid + 1), dtype=complex)
+        shift = buf[: rows * 2 * shifts].view(complex).reshape(rows, 2 ** f // 2, 2 * mid + 1)
         ds = np.repeat(c[:, u:], 1 << np.arange(f), axis=1) * spiral
         for t in range(f):  # pair u + t, whose power of z is k = 2**(f-1-t)
             half, k = 1 << t, 1 << (f - 1 - t)
@@ -1150,7 +1215,8 @@ def _fourier_marginal(w: int, read, inverse: bool):
             low += s
         q = q.reshape((rows,) + (2,) * f + (-1,)).sum(axis=fold_sum)
         q = q.reshape(rows, -1, 2 * mid + 1)[:, :, mid:]
-        mu = (p.reshape(rows, 2 ** hi, -1) @ lo_t).view(complex)
+        mu = buf[: rows * 2 ** (hi + f + 1)].reshape(rows, 2 ** hi, -1)
+        mu = np.matmul(p.reshape(rows, 2 ** hi, -1), lo_t, out=mu).view(complex)
         np.multiply(hi_t, mu, out=mu)
         mu = mu.reshape((rows,) + (2,) * hi + (-1,)).sum(axis=hi_sum).reshape(rows, -1, 2 ** f)
         return (q @ mu.swapaxes(1, 2)).real.reshape(rows, -1)

@@ -330,10 +330,30 @@ def test_wide_fused_readout_holds_one_slab():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a group of two slabs' 2**13-entry P (reg E less the 5 folded pairs) and 32-column
+    # a group of three slabs' 2**13-entry P (reg E less the 5 folded pairs) and 32-column
     # moment tables
-    assert peak < 2**20  # about 0.81 MiB, planning included
+    assert peak < 2**20  # about 0.96 MiB, planning included
     assert np.max(np.abs(solution - closed_form(system, fmt))) < 1e-9
+
+
+def test_wide_fused_readout_reads_three_slabs_a_group(monkeypatch):
+    """15x15 f=8's 15 slabs: the doubling, fold and moment scratch is counted once a row."""
+    system = _system("table1-15x15")
+    built = build_pipeline(system, default_format(system.n, 8, 16), "fused")
+    calls, fourier_marginal = [], sim._fourier_marginal
+
+    def counted(*args):
+        marginal, group = fourier_marginal(*args)
+
+        def read(a, b):
+            calls.append(len(a))
+            return marginal(a, b)
+
+        return read, group
+
+    monkeypatch.setattr(sim, "_fourier_marginal", counted)
+    sim.readout(built)
+    assert sum(calls) == 15 and len(calls) <= 5
 
 
 @pytest.mark.parametrize("name,f,mode", [("table1-15x15", 8, "fused"),
@@ -689,6 +709,42 @@ def test_closed_form_matches_the_fft_of_a_product_state(inverse):
     assert min(groups) == 1 and len(groups - {1, 5}) > 5  # single rows and real groups both ran
 
 
+# w: the reads of a w-qubit register.  w = 1 folds nothing (f = 0); () is the
+# Parseval path; (0, 2, w - 1) and range(w // 2 + 2) read past the fold; w = 18
+# reads 5 axes, as 15x15 f=8 does.
+MARGINAL_READS = {
+    1: [(0,), ()],
+    2: [(0,), (1,), (0, 1)],
+    3: [(0,), (2,), (0, 1, 2)],
+    6: [(0, 1), (0, 2, 5), tuple(range(5))],
+    9: [tuple(range(3)), (0, 2, 8), tuple(range(6))],
+    12: [tuple(range(5)), (0, 2, 11), tuple(range(8))],
+    16: [tuple(range(5)), (0, 2, 15)],
+    18: [tuple(range(5)), (0, 2, 17), tuple(range(11))],
+}
+# sha256 of every marginal below, read in the map's own groups, as _overlap reads
+# slabs.  A change that moves every row alike passes the group-against-one-row
+# check above, and fails here.
+MARGINALS_SHA256 = "54a873a50e4204b3d3653fc65abd347cede18bc1dc0f4adcad6e5d7dafa5a3b4"
+
+
+def test_fourier_marginal_is_pinned():
+    rng = np.random.default_rng(38)
+    digest, count = hashlib.sha256(), 0
+    for w, reads in MARGINAL_READS.items():
+        for inverse in (False, True):
+            noise = rng.normal(size=(4, w, 2)) + 1j * rng.normal(size=(4, w, 2))
+            stack = np.concatenate([_geometric_pairs(w, rng.uniform(), inverse)[None],
+                                    noise / np.linalg.norm(noise, axis=2, keepdims=True)])
+            a, b = stack[:, :, 0], stack[:, :, 1]
+            for read in reads:
+                marginal, group = sim._fourier_marginal(w, read, inverse)
+                for j in range(0, len(stack), group):
+                    digest.update(marginal(a[j : j + group], b[j : j + group]).tobytes())
+                count += 1
+    assert (count, digest.hexdigest()) == (44, MARGINALS_SHA256)
+
+
 @pytest.mark.parametrize("name", ["table1-3x3", "table1-7x7"])
 @pytest.mark.parametrize("f", [0, 4, 8])
 def test_uncompute_leaks_only_with_continuous_phases(name, f):
@@ -915,6 +971,29 @@ def test_table1_explicit_solutions_are_pinned():
     assert (count, digest.hexdigest()) == (15, TABLE1_SOLUTIONS_SHA256)
 
 
+# sha256 of the solution and success bits of every buildable fused Table-1 solve
+# (3 presets x f in {0, 4, 8} x both phase modes), as readout returns them: the
+# closed-form readouts that the benchmark's solves and sweeps run.  Recorded with
+# numpy's bundled OpenBLAS, like the explicit pin.
+TABLE1_FUSED_SOLUTIONS_SHA256 = "21f51395a1fc03180d0f6c0e634c786364c6d12c482c7b434f26c780cb926d7f"
+
+
+def test_table1_fused_solutions_are_pinned():
+    digest, count = hashlib.sha256(), 0
+    for system in map(_system, PRESETS):
+        for f in (0, 4, 8):
+            for phase_mode in qc.PHASE_MODES:
+                try:
+                    built = build_pipeline(system, default_format(system.n, f, 16), "fused",
+                                           phase_mode)
+                except ResourceError:
+                    continue
+                solution, success = sim.readout(built)
+                digest.update(solution.tobytes() + np.float64(success).tobytes())
+                count += 1
+    assert (count, digest.hexdigest()) == (18, TABLE1_FUSED_SOLUTIONS_SHA256)
+
+
 @pytest.mark.parametrize("name,f,live", [("table1-7x7", 0, 12), ("table1-3x3", 4, 13)])
 def test_explicit_solves_run_on_their_live_qubits(name, f, live):
     """auto resolves to explicit at 23 qubits, and reg A is held."""
@@ -983,6 +1062,104 @@ def test_rotation_segment_reads_unwritten_qubits_at_zero(case):
     assert [p.kind for p in plan.passes if p.kind in ("GATE", "RY")] == kinds
     assert [p.controls for p in plan.passes if p.kind == "RY"] == ([controls] if controls else [])
     assert_plan_matches(circuit)
+
+
+def _numpy_rotation_at(gates, i, cap):
+    """_rotation_at's walk as one boolean row per touched qubit, three numpy calls a gate."""
+    end = sim._segment_end(gates, i)
+    if end == i:
+        return None
+    run = [(g, g.kind in (qc.PAULI_X, qc.MULTI_CONTROLLED_X)) for g in gates[i:end]]
+    targets = {g.targets[0] for g, flip in run if not flip}
+    if len(targets) != 1 or any(flip and targets & {*sim._controls(g), *g.targets}
+                                for g, flip in run):
+        return None
+    (target,) = targets
+    touched = {q for g, _ in run for q in sim._controls(g) + g.targets} - targets
+    written = {q for g in gates[:i] for q in g.targets}
+    qubits = sorted(touched & written)
+    if len(qubits) > cap:
+        return None
+    row = {q: r for r, q in enumerate(qubits + sorted(touched - written))}
+    start = np.zeros((len(row), 1 << len(qubits)), bool)
+    start[: len(qubits)] = (np.arange(1 << len(qubits)) >> np.arange(len(qubits))[::-1, None]) & 1
+    bits, angles, hit = start.copy(), np.zeros(1 << len(qubits)), np.empty(1 << len(qubits), bool)
+    for g, flip in run:
+        hit[:] = True
+        for c in sim._controls(g):
+            hit &= bits[row[c]]
+        if flip:
+            bits[row[g.targets[0]]] ^= hit
+        else:
+            np.add(angles, g.angle, out=angles, where=hit)
+    if not np.array_equal(bits, start):
+        return None
+    return target, tuple(qubits), angles, len(run)
+
+
+def _random_segment(rng, others, loads: int, rotations: int, max_controls: int):
+    """Loads, rotations on qubit 0 and the loads reversed: a segment that returns every pattern.
+
+    Each load is an X or an MCX among others; each rotation's angle spans
+    six decades, so a change in the order of its adds changes the sums' bits.
+    """
+    def pick(count):
+        return [int(x) for x in rng.choice(others, size=count, replace=False)]
+
+    unload = []
+    for _ in range(loads):
+        target, *controls = pick(1 + int(rng.integers(0, max_controls + 1)))
+        unload.append(_mcx(controls, target) if controls else _x(target))
+    turns = [_mcry(pick(int(rng.integers(0, max_controls + 1))), 0,
+                   rng.normal() * 10.0 ** rng.integers(-3, 3)) for _ in range(rotations)]
+    return unload + turns + unload[::-1]
+
+
+def test_rotation_walk_matches_the_numpy_walk():
+    """Random X, MCX and MCRY segments over written and unwritten qubits, dense hits, the cap.
+
+    Each segment is read after Hadamards on its written qubits, as it is
+    found, and perturbed: one load dropped from the unload half, for a run
+    that leaves some pattern changed, and one gate put in that flips the
+    rotation target, reads it, or rotates a second target.  The integer
+    walk must return what the boolean one does: the target, qubits, angle
+    bits and length, or None.
+    """
+    rng = np.random.default_rng(2026)
+    cases = []  # (written, segment, cap)
+    for j in range(60):
+        q = int(rng.integers(3, 11))
+        others = np.arange(1, q)
+        written = [int(x) for x in others if rng.uniform() < 0.6]
+        segment = _random_segment(rng, others, int(rng.integers(0, 6)), int(rng.integers(1, 9)),
+                                  min(3, q - 2))
+        cases.append((written, segment, 6))
+        cases.append((written, segment[:-1] if rng.uniform() < 0.5 else segment[1:], 6))
+        other = int(rng.choice(others))
+        stray = [_x(0), _mcx((other,), 0), _mcx((0,), other), _mcry((), other, 0.5)][j % 4]
+        at = int(rng.integers(0, len(segment) + 1))
+        cases.append((written, segment[:at] + [stray] + segment[at:], 6))
+        touched = {x for g in segment for x in g.controls + g.targets} - {0}
+        k = len(touched & set(written))
+        cases.append((written, segment[::-1], k))  # reversed, it also returns; k at the cap
+        cases.append((written, segment, k - 1))
+    # 12 written qubits and one unwritten, one-control rotations: each hits half the
+    # 4,096 patterns
+    dense = _random_segment(rng, np.arange(1, 14), 6, 40, 1)
+    cases += [(list(range(1, 13)), dense, cap) for cap in (11, 12, 18)]
+    found = []
+    for written, segment, cap in cases:
+        gates = [qc.hadamard(t) for t in written] + segment
+        want = _numpy_rotation_at(gates, len(written), cap)
+        got = sim._rotation_at(gates, len(written), cap)
+        found.append(want is not None)
+        if want is None:
+            assert got is None
+            continue
+        target, qubits, angles, length = got
+        assert (target, qubits, length) == (want[0], want[1], want[3])
+        assert angles.dtype == np.float64 and angles.tobytes() == want[2].tobytes()
+    assert 60 < sum(found) < len(found) - 60  # many segments qualify, many do not
 
 
 def test_many_hadamards_rescale_before_the_factor_underflows():
