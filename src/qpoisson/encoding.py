@@ -169,17 +169,20 @@ def prune_zero_columns(bitstrings: Sequence[str]) -> tuple[int, ...]:
 def distinguishing_prefix(bitstrings: Sequence[str]) -> int:
     """Shortest p such that the p-bit prefixes are pairwise distinct.
 
-    Zero or one string needs no prefix at all (p = 0).  Duplicate strings can
-    never be distinguished and raise CollisionError.
+    Zero or one string needs no prefix at all (p = 0).  Strings of unequal
+    width raise ValueError.  Duplicate strings can never be distinguished and
+    raise CollisionError; distinct strings of one width differ by their full
+    width at the latest.
     """
     if len(bitstrings) <= 1:
         return 0
+    if len({len(s) for s in bitstrings}) != 1:
+        raise ValueError("bitstrings must share one width")
     if len(set(bitstrings)) != len(bitstrings):
         raise CollisionError("duplicate encoded eigenvalues; increase f or the register width")
     for p in range(1, len(bitstrings[0]) + 1):
         if len({s[:p] for s in bitstrings}) == len(bitstrings):
             return p
-    raise CollisionError("bitstrings are not distinguishable")  # unreachable for distinct strings
 
 
 def build_angle_table(lambdas: Iterable[float], fmt: FixedPointFormat) -> AngleTable:

@@ -4,9 +4,11 @@ Amplitudes live in one complex128 array of length 2**q.  Bit (q-1-g) of a
 basis index belongs to qubit g, so qubit 0 is the most significant bit,
 matching the circuit module's convention.
 
-apply_gate is the reference kernel: it applies one gate in place by slicing
-away the control axes and updating the target axes through the resulting
-views.  fragment_unitary and the tests use it.
+apply_gate is the reference kernel, one path for every gate kind: the
+gate's target matrix (_target_matrix says each kind's once) multiplies the
+target axes of the block where its controls read 1, in place.  It copies
+the block when the block is not contiguous and allocates the product.
+fragment_unitary, the GATE pass and the tests use it.
 
 run_exact does not replay gates one at a time.  lower() turns the gate list
 into a short plan of fused passes, planned once; the IR itself is never
@@ -165,7 +167,6 @@ __all__ = [
 # "exact" reads the final state directly; "sample" draws measurement records.
 BACKENDS = ("exact", "sample")
 RNG_NAME = "PCG64"
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 @dataclass
@@ -213,7 +214,7 @@ def zero_state(q: int) -> Statevector:
 
 
 def _controlled_view(tensor: np.ndarray, controls: Sequence[int]):
-    """View of the all-controls-one block, plus the axis remap offsets."""
+    """View of the block where every control reads 1; _remap_axis gives a target's axis in it."""
     index = [slice(None)] * tensor.ndim
     for c in controls:
         index[c] = 1
@@ -222,31 +223,6 @@ def _controlled_view(tensor: np.ndarray, controls: Sequence[int]):
 
 def _remap_axis(axis: int, controls: Sequence[int]) -> int:
     return axis - sum(1 for c in controls if c < axis)
-
-
-def _apply_single(view: np.ndarray, axis: int, u00, u01, u10, u11):
-    """2x2 matrix on one axis of a (possibly sliced) view, in place."""
-    moved = np.moveaxis(view, axis, 0)
-    # ellipsis keeps 0-d results as views; bare ints would return scalar copies
-    a0, a1 = moved[0, ...], moved[1, ...]
-    if u01 == 0 and u10 == 0:  # diagonal: no cross terms, no scratch copy
-        if u00 != 1:
-            a0 *= u00
-        if u11 != 1:
-            a1 *= u11
-        return
-    tmp = a0.copy()
-    a0 *= u00
-    a0 += u01 * a1
-    a1 *= u11
-    a1 += u10 * tmp
-
-
-def _apply_x(view: np.ndarray, axis: int):
-    moved = np.moveaxis(view, axis, 0)
-    tmp = moved[0].copy()
-    moved[0] = moved[1]
-    moved[1] = tmp
 
 
 def _apply_dense(view: np.ndarray, axes: Sequence[int], matrix: np.ndarray):
@@ -259,40 +235,37 @@ def _apply_dense(view: np.ndarray, axes: Sequence[int], matrix: np.ndarray):
     moved[...] = result.reshape(shape)
 
 
-def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    """Apply one gate in place and return the state; no qubit may be held."""
-    if state.held:
-        raise ValueError(f"apply_gate needs every qubit in amps; qubits {state.held} are held")
-    tensor = state.tensor()
+def _target_matrix(gate: Gate) -> np.ndarray:
+    """The matrix a gate applies to its targets, in target order, where its controls read 1."""
     kind = gate.kind
     if kind == cg.HADAMARD:
-        q = gate.targets[0]
-        _apply_single(tensor, q, _SQRT_HALF, _SQRT_HALF, _SQRT_HALF, -_SQRT_HALF)
-    elif kind == cg.PAULI_X:
-        _apply_x(tensor, gate.targets[0])
-    elif kind == cg.SWAP:
-        a, b = gate.targets
-        moved = np.moveaxis(tensor, (a, b), (0, 1))
-        tmp = moved[0, 1].copy()
-        moved[0, 1] = moved[1, 0]
-        moved[1, 0] = tmp
-    elif kind == cg.MULTI_CONTROLLED_X:
-        view = _controlled_view(tensor, gate.controls)
-        _apply_x(view, _remap_axis(gate.targets[0], gate.controls))
-    elif kind == cg.MULTI_CONTROLLED_RY:
-        view = _controlled_view(tensor, gate.controls)
+        return np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    if kind in (cg.PAULI_X, cg.MULTI_CONTROLLED_X):
+        return np.array([[0.0, 1.0], [1.0, 0.0]])
+    if kind == cg.SWAP:
+        return np.eye(4)[[0, 2, 1, 3]]
+    if kind == cg.MULTI_CONTROLLED_RY:
         c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)
-        _apply_single(view, _remap_axis(gate.targets[0], gate.controls), c, -s, s, c)
-    elif kind == cg.CONTROLLED_UNITARY:
-        view = _controlled_view(tensor, gate.controls)
-        axes = [_remap_axis(t, gate.controls) for t in gate.targets]
-        m = gate.matrix
-        if len(axes) == 1 and m[0, 1] == 0 and m[1, 0] == 0:
-            _apply_single(view, axes[0], m[0, 0], 0.0, 0.0, m[1, 1])
-        else:
-            _apply_dense(view, axes, m)
-    else:
-        raise ValueError(f"unknown gate kind {kind}")
+        return np.array([[c, -s], [s, c]])
+    if kind == cg.CONTROLLED_UNITARY:
+        return gate.matrix
+    raise ValueError(f"unknown gate kind {kind}")
+
+
+def apply_gate(state: Statevector, gate: Gate) -> Statevector:
+    """Apply one gate in place and return the state; no qubit may be held.
+
+    The gate's target matrix multiplies the target axes of the block where
+    its controls read 1.  That takes up to two temporaries the size of the
+    block (the whole state for an uncontrolled gate): a copy when the block
+    is not contiguous, and the product.
+    """
+    if state.held:
+        raise ValueError(f"apply_gate needs every qubit in amps; qubits {state.held} are held")
+    matrix = _target_matrix(gate)
+    controls = _controls(gate)
+    axes = [_remap_axis(t, controls) for t in gate.targets]
+    _apply_dense(_controlled_view(state.tensor(), controls), axes, matrix)
     return state
 
 

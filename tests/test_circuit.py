@@ -118,6 +118,11 @@ def test_invert_gate_kinds():
     assert np.allclose(inv.matrix, np.diag([1.0, -1j]))
 
 
+def test_invert_gate_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown gate kind RZ"):
+        qc.invert_gate(qc.Gate("RZ", (0,)))
+
+
 def test_state_prep_unitary():
     vec = np.array([3.0, 0.0, 4.0, 0.0])
     u = state = qc.state_prep_unitary(vec)

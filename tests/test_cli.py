@@ -1,6 +1,7 @@
 """End-to-end command tests driving main() in process."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qpoisson import PoissonSystem, cli, eigenpairs
+from qpoisson import PoissonSystem, cli, eigenpairs, simulator
 from qpoisson.analytics import SWEEP_COLUMNS
 from qpoisson.cli import main, mitigation_trial
 from qpoisson.noise import ReadoutModel
@@ -755,6 +756,26 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for line in commands:
         assert run_cli(capsys, *shlex.split(line)[1:])[0] == 0, line
+
+
+def test_no_benchmark_or_readme_command_runs_apply_gate(capsys, tmp_path, monkeypatch):
+    # no builder circuit lowers to a GATE pass, so apply_gate is a reference only
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    argvs = [op.argv for name in workloads.WORKLOADS for op in workloads.build(name, 3)]
+    argvs += [shlex.split(line)[1:] for line in readme_cli_section() if line.startswith("qpoisson ")]
+    kinds = []
+    reference = simulator.apply_gate
+
+    def counted(state, gate):
+        kinds.append(gate.kind)
+        return reference(state, gate)
+
+    monkeypatch.setattr(simulator, "apply_gate", counted)
+    monkeypatch.chdir(tmp_path)
+    for argv in argvs:
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    assert kinds == []
 
 
 # Flag texts per option: (ordinary, extreme or malformed).  The problems stay

@@ -209,6 +209,12 @@ def test_distinguishing_prefix_edge_cases():
         distinguishing_prefix(["1010", "1010"])
 
 
+@pytest.mark.parametrize("bitstrings", [["0", "00"], ["00", "0"], ["0", "01"], ["01", "0"]])
+def test_distinguishing_prefix_refuses_unequal_widths_in_either_order(bitstrings):
+    with pytest.raises(ValueError, match="one width"):
+        distinguishing_prefix(bitstrings)
+
+
 def test_angle_table_3x3(sys_3x3):
     fmt = FixedPointFormat(6, 0, 10)
     table = build_angle_table(eigenpairs(sys_3x3).lambdas, fmt)

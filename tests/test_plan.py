@@ -1481,6 +1481,12 @@ def test_apply_gate_refuses_held_qubits():
         sim.apply_gate(state, qc.hadamard(0))
 
 
+def test_lower_refuses_an_unknown_kind():
+    circuit = qc.Circuit(RegisterLayout(1, 0, 0), (qc.hadamard(0), qc.Gate("RZ", (1,))))
+    with pytest.raises(ValueError, match="unknown gate kind RZ"):
+        sim.lower(circuit)
+
+
 def test_sample_counts_memory_does_not_grow_with_shots(sys_3x3):
     built = build_pipeline(sys_3x3, FixedPointFormat(6, 0, 10), mode="fused")
     state = sim.run_exact(built)

@@ -52,7 +52,9 @@ def reference_matrix(gate: qc.Gate, q: int) -> np.ndarray:
             u = two_by_two[qc.HADAMARD]
         else:
             u = None
-        if gate.controls and any(bit(src, c, q) == 0 for c in gate.controls):
+        # H, X and SWAP ignore a stray controls field, as simulator._controls says
+        controlled = kind not in (qc.HADAMARD, qc.PAULI_X, qc.SWAP)
+        if controlled and any(bit(src, c, q) == 0 for c in gate.controls):
             out[src, src] = 1.0
         elif kind == qc.SWAP:
             a, b = gate.targets
@@ -83,8 +85,9 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_gate(rng: np.random.Generator, q: int) -> qc.Gate:
-    choice = rng.integers(0, 8)
+    choice = rng.integers(0, 14)
     qubits = [int(x) for x in rng.permutation(q)]
+    low, mid, high = sorted(qubits[:3])
     if choice == 0:
         return qc.hadamard(qubits[0])
     if choice == 1:
@@ -100,19 +103,37 @@ def random_gate(rng: np.random.Generator, q: int) -> qc.Gate:
         return qc.multi_controlled_x(qubits[:2], qubits[2])
     if choice == 6:
         return qc.multi_controlled_ry(qubits[:1], qubits[1], float(rng.uniform(-3, 3)))
-    return qc.controlled_unitary(qubits[:1], qubits[1:3], random_unitary(4, rng))
+    if choice == 7:
+        return qc.controlled_unitary(qubits[:1], qubits[1:3], random_unitary(4, rng))
+    # controls on both sides of the target, so the axis remap runs both ways
+    if choice == 8:
+        return qc.multi_controlled_x((high, low), mid)
+    if choice == 9:
+        return qc.multi_controlled_ry((low, high), mid, float(rng.uniform(-3, 3)))
+    if choice == 10:
+        return qc.controlled_unitary((high, low), (mid,), random_unitary(2, rng))
+    if choice == 11:  # a controlled phase
+        angle = float(rng.uniform(-3, 3))
+        return qc.controlled_unitary((low, high), (mid,), np.diag([1.0, np.exp(1j * angle)]))
+    if choice == 12:  # non-adjacent targets in descending order, a control between them
+        return qc.controlled_unitary((mid,), (high, low), random_unitary(4, rng))
+    # an uncontrolled kind built with a stray controls field
+    kind = (qc.HADAMARD, qc.PAULI_X, qc.SWAP)[rng.integers(0, 3)]
+    if kind == qc.SWAP:
+        return qc.Gate(kind, (high, low), (mid,))
+    return qc.Gate(kind, (mid,), (low, high))
 
 
 @pytest.mark.parametrize("seed", [7, 19, 104])
 def test_kernel_matches_reference_on_random_circuits(seed):
     rng = np.random.default_rng(seed)
-    q = 3
-    gates = [random_gate(rng, q) for _ in range(30)]
-    expected = np.eye(2 ** q, dtype=complex)
-    for gate in gates:
-        expected = reference_matrix(gate, q) @ expected
-    actual = sim.fragment_unitary(gates, q)
-    assert np.max(np.abs(actual - expected)) < 1e-12
+    for q in (3, 4, 5):
+        gates = [random_gate(rng, q) for _ in range(30)]
+        expected = np.eye(2 ** q, dtype=complex)
+        for gate in gates:
+            expected = reference_matrix(gate, q) @ expected
+        actual = sim.fragment_unitary(gates, q)
+        assert np.max(np.abs(actual - expected)) < 1e-12, q
 
 
 def test_single_gate_trivials():
@@ -120,6 +141,11 @@ def test_single_gate_trivials():
     assert np.allclose(state.amps, [2 ** -0.5, 2 ** -0.5])
     state = sim.apply_gate(sim.zero_state(1), qc.multi_controlled_ry((), 0, math.pi))
     assert np.allclose(state.amps, [0.0, 1.0])
+
+
+def test_apply_gate_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown gate kind RZ"):
+        sim.apply_gate(sim.zero_state(1), qc.Gate("RZ", (0,)))
 
 
 def test_postselect_handcrafted():
@@ -265,6 +291,13 @@ def test_sample_without_ancilla_hits():
     layout = RegisterLayout(1, 0, 0)
     circuit = qc.Circuit(layout=layout, gates=(qc.hadamard(0),), metadata={})
     with pytest.raises(PostselectionError):
+        sim.sample(circuit, shots=100, seed=1)
+
+
+def test_sample_whose_kept_records_all_read_reg_b_zero():
+    # only the ancilla flips: every record is kept, and every one reads reg B = 0
+    circuit = qc.Circuit(RegisterLayout(2, 0, 0), (qc.pauli_x(2),))
+    with pytest.raises(PostselectionError, match="never landed on reg B states 1..N-1"):
         sim.sample(circuit, shots=100, seed=1)
 
 
