@@ -18,8 +18,9 @@ encoded eigenvalues deterministic.  A diagnostic phase_mode="true_a" instead
 uses the continuous phases 2 pi lambda_j 2**f / 2**m for leakage studies.
 
 Circuits and gates are immutable.  Builders return fresh circuits, but a
-circuit may share gate objects with others: reg E's IQFT and its inverse
-are built once per register and reused by every build.
+circuit may share gate objects with others, and hold one at several places:
+reg E's IQFT and its inverse are built once per register and reused by every
+build, and each kept column's rotation in the explicit stage by every row.
 """
 
 from __future__ import annotations
@@ -84,22 +85,6 @@ class Gate:
     @property
     def qubits(self) -> tuple[int, ...]:
         return self.controls + self.targets
-
-    def dump_line(self) -> str:
-        parts = [self.kind]
-        if self.controls:
-            parts.append("c[" + ",".join(str(q) for q in self.controls) + "]")
-        parts.append("q[" + ",".join(str(q) for q in self.targets) + "]")
-        extras = []
-        if self.kind == MULTI_CONTROLLED_RY:
-            extras.append(f"angle={self.angle:.12g}")
-        if self.kind == CONTROLLED_UNITARY:
-            extras.append(f"dim={self.matrix.shape[0]}")
-        if self.label:
-            extras.append(f"label={self.label}")
-        if extras:
-            parts.append("(" + ", ".join(extras) + ")")
-        return " ".join(parts)
 
 
 def _check_distinct(qubits: Sequence[int]):
@@ -213,10 +198,6 @@ class Circuit:
         outside = set().union(*(g.controls + g.targets for g in self.gates)) - set(range(total))
         if outside:
             raise ValueError(f"gate qubits {sorted(outside)} are outside the {total}-qubit layout")
-
-    def dump(self) -> str:
-        """One gate per line: KIND [c[..]] q[..] [(params)].  Stable format."""
-        return "\n".join(g.dump_line() for g in self.gates)
 
 
 def invert_gate(gate: Gate) -> Gate:
@@ -413,6 +394,11 @@ def build_rotation_explicit(table: AngleTable, layout: RegisterLayout) -> list[G
     p = table.prefix_len
     prefix_qubits = layout.reg_e[:p]
     column_qubit = dict(zip(table.kept_columns, layout.reg_a))
+    # a column's rotation depends on the column only, so every row shares it
+    rotations = [
+        multi_controlled_ry((column_qubit[col],), layout.ancilla, math.pi / 2 ** (col - 1))
+        for col in table.kept_columns
+    ]
     gates: list[Gate] = []
     for lam_bits, om_bits in zip(table.encoded_lambdas, table.encoded_omegas):
         prefix = lam_bits[:p]
@@ -423,12 +409,7 @@ def build_rotation_explicit(table: AngleTable, layout: RegisterLayout) -> list[G
         ]
         block = _wrap_zero_controls(prefix_qubits, prefix, loads)
         gates.extend(block)
-        for col in table.kept_columns:
-            gates.append(
-                multi_controlled_ry(
-                    (column_qubit[col],), layout.ancilla, math.pi / 2 ** (col - 1)
-                )
-            )
+        gates.extend(rotations)
         gates.extend(block)  # loads commute and X wraps are symmetric: self-inverse
     return gates
 

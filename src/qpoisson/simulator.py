@@ -8,7 +8,7 @@ apply_gate is the reference kernel, one path for every gate kind: the
 gate's target matrix (_target_matrix says each kind's once) multiplies the
 target axes of the block where its controls read 1, in place.  It copies
 the block when the block is not contiguous and allocates the product.
-fragment_unitary, the GATE pass and the tests use it.
+The GATE pass and the tests use it.
 
 run_exact does not replay gates one at a time.  lower() turns the gate list
 into a short plan of fused passes, planned once; the IR itself is never
@@ -147,7 +147,6 @@ __all__ = [
     "RNG_NAME",
     "Statevector",
     "RunResult",
-    "zero_state",
     "apply_gate",
     "Pass",
     "Plan",
@@ -159,7 +158,6 @@ __all__ = [
     "draw_counts",
     "sample_counts",
     "sample",
-    "fragment_unitary",
     "check_shots",
     "check_backend",
 ]
@@ -205,12 +203,6 @@ class RunResult:
     success_prob: float
     counts: np.ndarray
     shots: int
-
-
-def zero_state(q: int) -> Statevector:
-    amps = np.zeros(2 ** q, dtype=complex)
-    amps[0] = 1.0
-    return Statevector(amps=amps, q=q)
 
 
 def _controlled_view(tensor: np.ndarray, controls: Sequence[int]):
@@ -325,12 +317,6 @@ class Plan:
 
     q: int
     passes: tuple[Pass, ...]
-
-    def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for p in self.passes:
-            out[p.kind] = out.get(p.kind, 0) + 1
-        return out
 
     def live(self) -> tuple[int, ...]:
         """The qubits some pass writes, ascending; the others stay |0>."""
@@ -1255,13 +1241,15 @@ def _overlap(plan: Plan, ry: Pass, closing, layout: RegisterLayout):
     return block.reshape(-1), float(mass @ (probs @ np.square(sin)))
 
 
+def _integral(value) -> bool:
+    """Whether value is an int or a numpy integer; a bool is neither here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_qubits(qubits: Sequence[int], q: int) -> tuple[int, ...]:
     """qubits as a tuple; ValueError unless they are distinct qubit indices below q."""
     qubits = tuple(qubits)
-    if len(set(qubits)) < len(qubits) or not all(
-        isinstance(g, (int, np.integer)) and not isinstance(g, bool) and 0 <= g < q
-        for g in qubits
-    ):
+    if len(set(qubits)) < len(qubits) or not all(_integral(g) and 0 <= g < q for g in qubits):
         raise ValueError(f"qubits must be distinct indices in 0..{q - 1}, got {qubits}")
     return qubits
 
@@ -1369,8 +1357,9 @@ def sample_counts(
 
 
 def check_shots(shots: int) -> None:
-    """Refuse a shot count below 1, or one the int64 of numpy's multinomial draw cannot hold."""
-    if not 1 <= shots < 2**63:
+    """Refuse a shot count that is no integer (a bool is none), is below 1, or
+    is more than the int64 of numpy's multinomial draw can hold."""
+    if not (_integral(shots) and 1 <= shots < 2**63):
         raise ValueError(f"shots must be in 1..{2**63 - 1}, got {shots}")
 
 
@@ -1388,8 +1377,8 @@ def sample(circuit: Circuit, shots: int, seed: int) -> RunResult:
     seed checks come before the run.
     """
     check_shots(shots)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not (_integral(seed) and seed >= 0):
+        raise ValueError(f"seed must be >= 0 and an integer, got {seed}")
     layout = circuit.layout
     counts = draw_counts(readout(circuit, (layout.ancilla,) + layout.reg_b), shots, seed)
     kept = counts.reshape(2, -1)[1]  # the ancilla is the most significant bit
@@ -1406,18 +1395,3 @@ def sample(circuit: Circuit, shots: int, seed: int) -> RunResult:
         counts=counts,
         shots=shots,
     )
-
-
-def fragment_unitary(gates: Sequence[Gate], q: int) -> np.ndarray:
-    """Dense matrix of a gate list on q <= 12 qubits (a 256 MiB matrix); for tests."""
-    if q > 12:
-        raise ResourceError(f"refusing dense unitary on {q} qubits (cap 12)")
-    dim = 2 ** q
-    out = np.empty((dim, dim), dtype=complex)
-    for col in range(dim):
-        state = Statevector(np.zeros(dim, dtype=complex), q)
-        state.amps[col] = 1.0
-        for gate in gates:
-            apply_gate(state, gate)
-        out[:, col] = state.amps
-    return out

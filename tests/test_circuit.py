@@ -22,6 +22,7 @@ from qpoisson import (
     eigenpairs,
 )
 from qpoisson.cli import PRESETS
+from reference import dump, fragment_unitary
 
 GOLDEN_1X1_DUMP = """\
 CU q[0] (dim=2, label=load_b)
@@ -75,7 +76,7 @@ def dft_matrix(q: int) -> np.ndarray:
 
 def test_qft_fragment_matches_dft():
     gates = qc.qft_fragment((0, 1, 2))
-    u = sim.fragment_unitary(gates, 3)
+    u = fragment_unitary(gates, 3)
     assert np.max(np.abs(u - dft_matrix(3))) < 1e-12
 
 
@@ -85,8 +86,8 @@ def test_fragment_inversion_is_exact():
         qc.multi_controlled_x((0, 2), 1),
         qc.controlled_unitary((), (2,), np.diag([1.0, np.exp(-1.1j)])),
     ]
-    u = sim.fragment_unitary(gates, 3)
-    u_inv = sim.fragment_unitary(qc.invert_fragment(gates), 3)
+    u = fragment_unitary(gates, 3)
+    u_inv = fragment_unitary(qc.invert_fragment(gates), 3)
     assert np.max(np.abs(u_inv @ u - np.eye(8))) < 1e-12
 
 
@@ -447,6 +448,9 @@ def test_explicit_rotation_structure(sys_3x3):
     assert kinds[qc.MULTI_CONTROLLED_RY] == 3 * len(table.kept_columns)
     assert kinds[qc.MULTI_CONTROLLED_X] == 12
     assert kinds[qc.PAULI_X] == 12
+    # each column's Ry is one gate object, shared by every row
+    rotations = {id(g) for g in gates if g.kind == qc.MULTI_CONTROLLED_RY}
+    assert len(rotations) == len(table.kept_columns)
     for gate in gates:
         if gate.kind == qc.MULTI_CONTROLLED_RY:
             assert gate.targets == (layout.ancilla,)
@@ -480,7 +484,7 @@ def test_fused_rotation_skips_zero_angles():
 def test_pipeline_is_unitary(sys_3x3):
     fmt = FixedPointFormat(6, 0, 10)
     built = build_pipeline(sys_3x3, fmt, mode="fused")
-    u = sim.fragment_unitary(built.gates, built.layout.total)
+    u = fragment_unitary(built.gates, built.layout.total)
     dim = 2**built.layout.total
     assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-9
 
@@ -497,7 +501,7 @@ def test_pipeline_uncomputes_work_registers(sys_3x3):
 def test_dump_golden():
     system = PoissonSystem(n=1, b=np.array([1.0]))
     built = build_pipeline(system, FixedPointFormat(4, 0, 3), mode="fused")
-    assert built.dump() == GOLDEN_1X1_DUMP
+    assert dump(built) == GOLDEN_1X1_DUMP
 
 
 def _grid_builds():
@@ -548,7 +552,7 @@ def test_cached_ladders_match_a_build_from_the_public_fragments():
             continue
         for built in (fresh, build()):  # the second build reads the cache
             want = _ladder_free_gates(built)
-            assert built.dump() == qc.Circuit(built.layout, tuple(want)).dump()
+            assert dump(built) == dump(qc.Circuit(built.layout, tuple(want)))
             for got, ref in zip(built.gates, want, strict=True):
                 if ref.matrix is not None:
                     assert got.matrix.dtype == ref.matrix.dtype
@@ -569,7 +573,7 @@ def test_ladder_cache_stays_bounded_over_every_reachable_reg_e():
         qc._fourier_ladders.cache_clear()
 
 
-# sha256 over Circuit.dump() of the 24 Table-1 builds that _table1_builds
+# sha256 over reference.dump of the 24 Table-1 builds that _table1_builds
 # yields and the budget admits, recorded before refactors that must leave the
 # IR unchanged.  A dump holds only kinds, qubits, .12g angles, dims and labels,
 # all from Python float arithmetic, so the digest does not depend on BLAS;
@@ -595,7 +599,7 @@ def _table1_ir_digest() -> tuple[int, str]:
             built = build()
         except ResourceError:  # explicit layouts over the budget
             continue
-        digest.update(built.dump().encode() + b"\n\n")
+        digest.update(dump(built).encode() + b"\n\n")
         count += 1
     return count, digest.hexdigest()
 

@@ -22,6 +22,7 @@ from qpoisson import (
     exact_solve,
     solve,
 )
+from reference import fragment_unitary
 
 
 def bit(index: int, qubit: int, q: int) -> int:
@@ -132,20 +133,24 @@ def test_kernel_matches_reference_on_random_circuits(seed):
         expected = np.eye(2 ** q, dtype=complex)
         for gate in gates:
             expected = reference_matrix(gate, q) @ expected
-        actual = sim.fragment_unitary(gates, q)
+        actual = fragment_unitary(gates, q)
         assert np.max(np.abs(actual - expected)) < 1e-12, q
 
 
+def zero_state(q: int) -> sim.Statevector:
+    return sim.Statevector(np.eye(1, 2**q, dtype=complex)[0], q)
+
+
 def test_single_gate_trivials():
-    state = sim.apply_gate(sim.zero_state(1), qc.hadamard(0))
+    state = sim.apply_gate(zero_state(1), qc.hadamard(0))
     assert np.allclose(state.amps, [2 ** -0.5, 2 ** -0.5])
-    state = sim.apply_gate(sim.zero_state(1), qc.multi_controlled_ry((), 0, math.pi))
+    state = sim.apply_gate(zero_state(1), qc.multi_controlled_ry((), 0, math.pi))
     assert np.allclose(state.amps, [0.0, 1.0])
 
 
 def test_apply_gate_refuses_an_unknown_kind():
     with pytest.raises(ValueError, match="unknown gate kind RZ"):
-        sim.apply_gate(sim.zero_state(1), qc.Gate("RZ", (0,)))
+        sim.apply_gate(zero_state(1), qc.Gate("RZ", (0,)))
 
 
 def test_postselect_handcrafted():
@@ -200,7 +205,7 @@ def test_register_probabilities_blockwise_is_exact(qubits):
 # a bool is an int to Python, and True would read qubit 1
 @pytest.mark.parametrize("qubits", [(-1,), (0, 0), (3,), (2, 1, 2), (0.0,), (True,), (0, False)])
 def test_register_probabilities_refuses_qubits_that_are_not_distinct_indices(qubits):
-    state = sim.zero_state(3)
+    state = zero_state(3)
     with pytest.raises(ValueError, match="distinct indices in 0..2"):
         sim.register_probabilities(state, qubits)
     with pytest.raises(ValueError, match="distinct indices in 0..2"):
@@ -312,7 +317,10 @@ def test_run_exact_enforces_budget():
 
 def test_fragment_unitary_refuses_more_than_12_qubits():
     with pytest.raises(ResourceError, match="13 qubits"):
-        sim.fragment_unitary([qc.hadamard(0)], 13)
+        fragment_unitary([qc.hadamard(0)], 13)
+    # qubit 3 of a 3-qubit fragment would be a column qubit of vec(I)
+    with pytest.raises(ValueError, match="outside qubits 0..2"):
+        fragment_unitary([qc.hadamard(3)], 3)
 
 
 def test_sample_refuses_a_negative_seed_before_the_run(monkeypatch, sys_3x3):
@@ -323,6 +331,29 @@ def test_sample_refuses_a_negative_seed_before_the_run(monkeypatch, sys_3x3):
     built = build_pipeline(sys_3x3, FixedPointFormat(6, 0, 10), mode="fused")
     with pytest.raises(ValueError, match="seed must be >= 0"):
         sim.sample(built, shots=100, seed=-1)
+
+
+# a bool is an int to Python, and True would pass as one shot or seed 1
+@pytest.mark.parametrize("value", [10**6 + 0.5, 5.0, np.float64(5), True, "5"])
+def test_shots_and_seeds_that_are_not_integers_are_refused(monkeypatch, sys_3x3, value):
+    def readout(*args):
+        raise AssertionError("the circuit ran before the shots and seed were checked")
+
+    monkeypatch.setattr(sim, "readout", readout)
+    built = build_pipeline(sys_3x3, FixedPointFormat(6, 0, 10), mode="fused")
+    with pytest.raises(ValueError, match=f"shots must be in 1..{2**63 - 1}, got {value}"):
+        sim.sample(built, shots=value, seed=3)
+    with pytest.raises(ValueError, match=f"shots must be in 1..{2**63 - 1}"):
+        solve(sys_3x3, FixedPointFormat(6, 0, 10), backend="sample", shots=value)
+    with pytest.raises(ValueError, match=f"seed must be >= 0 and an integer, got {value}"):
+        sim.sample(built, shots=100, seed=value)
+
+
+def test_numpy_integer_shots_and_seeds_are_accepted(sys_3x3):
+    built = build_pipeline(sys_3x3, FixedPointFormat(6, 0, 10), mode="fused")
+    result = sim.sample(built, shots=np.int64(1000), seed=np.uint32(3))
+    assert result.counts.sum() == 1000
+    assert np.array_equal(result.counts, sim.sample(built, shots=1000, seed=3).counts)
 
 
 def test_smallest_system_end_to_end():
